@@ -16,7 +16,7 @@ from .core import (
 )
 from .count import (
     count_block_closure, count_block_enumerative, count_block_recursive,
-    count_tempered, grid_instances,
+    count_tempered, grid_instances, verify_instance,
 )
 from .ops import (
     dual, dual_ui_dual, merge_hats, row_exchange, split_circles, to_sorted, ui,
@@ -207,6 +207,8 @@ def _cmd_count(args, out):
 
 
 def _cmd_closure(args, out):
+    if args.limit < 0 or args.max_depth < 0:
+        raise CliInputError("--limit and --max-depth must be non-negative")
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
     if not report.exhausted:
@@ -228,31 +230,22 @@ def _cmd_closure(args, out):
     return EXIT_OK
 
 
-def _verify_one(M):
-    rec = count_block_recursive(M).value
-    enum = count_block_enumerative(M).value
-    clo = count_block_closure(M).value
-    return {
-        "c_min": M.c_min,
-        "mults": list(M.mults),
-        "recursion": rec,
-        "enumeration": enum,
-        "closure": clo,
-        "agree": rec == enum == clo,
-    }
-
-
 def _cmd_verify(args, out):
+    if args.jobs < 1:
+        raise CliInputError("--jobs must be at least 1")
     bounds = _parse_grid_spec(args.grid)
     instances = grid_instances(
         max_len=bounds["len"], max_mult=bounds["mult"],
         max_cmin=bounds["cmin"], max_rows=bounds["rows"])
     if args.jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_verify_one, instances))
+        with ProcessPoolExecutor(
+                max_workers=args.jobs,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(verify_instance, instances))
     else:
-        results = [_verify_one(M) for M in instances]
+        results = [verify_instance(M) for M in instances]
     ok = True
     for record in results:
         out.write(json.dumps(record) + "\n")
@@ -273,8 +266,6 @@ def _add_input_flags(p):
 
 def build_parser():
     top = _Parser(prog="emseg", description=__doc__)
-    top.add_argument("--jobs", type=int, default=1,
-                     help="worker processes for sweeps")
     sub = top.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("parse", help="parse and normalize a row list")
@@ -330,6 +321,8 @@ def build_parser():
     p = sub.add_parser("verify", help="three-way count agreement sweep")
     p.add_argument("--grid", default="",
                    help='bounds like "len<=4,mult<=5,cmin<=1,rows<=9"')
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the sweep")
     p.set_defaults(func=_cmd_verify)
 
     return top

@@ -9,8 +9,8 @@ quotient out row exchanges and give the packet-level node set.
 from dataclasses import dataclass, field
 
 from .core import (
-    MultiSegment, arthur_parameter, check_star, order_admissible,
-    order_sorted, render, row_is_strict, STRICT,
+    MultiSegment, _psi, check_star, order_admissible, order_sorted, render,
+    row_is_strict, STRICT,
 )
 from .ops import (
     OrderError, SegmentError, dual, row_exchange, split_circles, to_sorted, ui,
@@ -39,7 +39,7 @@ def _valid_state(ms):
 
 def _strictify(ms):
     if ms.mode != STRICT and all(row_is_strict(r) for r in ms.rows):
-        return MultiSegment(ms.rows, STRICT)
+        return MultiSegment._of(ms.rows, STRICT)
     return ms
 
 
@@ -54,6 +54,7 @@ def exchange_neighbors(ms):
         if res.applied and res.out.rows != ms.rows:
             out.append(_strictify(res.out))
     return out
+
 
 def _ui_and_split_neighbors(ms):
     out = []
@@ -71,11 +72,10 @@ def _ui_and_split_neighbors(ms):
     return out
 
 
-def neighbors(ms):
-    """All single operator moves, filtered to valid strict states."""
-    cand = []
-    cand.extend(exchange_neighbors(ms))
-    cand.extend(_ui_and_split_neighbors(ms))
+def _other_neighbors(ms):
+    """The ui and split moves, plus their dual-conjugated versions when the
+    order is (P')."""
+    cand = _ui_and_split_neighbors(ms)
     if order_sorted(ms.rows):
         d = dual(ms)
         for moved in _ui_and_split_neighbors(d):
@@ -83,7 +83,13 @@ def neighbors(ms):
                 cand.append(dual(to_sorted(moved)))
             except (OrderError, SegmentError):
                 continue
-    return [c for c in cand if _valid_state(c)]
+    return cand
+
+
+def neighbors(ms):
+    """All single operator moves, filtered to valid strict states."""
+    return [c for c in exchange_neighbors(ms) + _other_neighbors(ms)
+            if _valid_state(c)]
 
 
 def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
@@ -91,39 +97,51 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     seed = _strictify(ms)
     if not _valid_state(seed):
         raise SegmentError("closure seed must be strict, admissible and non-vanishing")
-    seen = {seed.rows: seed}
-    frontier = [seed]
+    # States are expanded in the order they are found, so states[start:]
+    # is the frontier and exchange_edges[i] belongs to states[i].
+    states = [seed]
+    index = {seed.rows: 0}
+    exchange_edges = []
     exhausted = True
     depth = 0
-    while frontier:
+    start = 0
+    while start < len(states):
         if depth >= max_depth:
             exhausted = False
             break
-        nxt = []
-        for state in frontier:
-            for cand in neighbors(state):
-                if cand.rows in seen:
+        end = len(states)
+        for state in states[start:end]:
+            exchange = exchange_neighbors(state)
+            # A state in index already passed _valid_state.
+            for cand in exchange + _other_neighbors(state):
+                if cand.rows in index or not _valid_state(cand):
                     continue
-                if len(seen) >= max_states:
+                if len(states) >= max_states:
                     exhausted = False
                     break
-                seen[cand.rows] = cand
-                nxt.append(cand)
+                index[cand.rows] = len(states)
+                states.append(cand)
+            # Once the limit is hit nothing more is added, so every edge
+            # to a visited state is known here even after a break.
+            exchange_edges.append(
+                [index[c.rows] for c in exchange if c.rows in index])
             if not exhausted:
                 break
         if not exhausted:
             break
-        frontier = nxt
+        start = end
         depth += 1
-    states = list(seen.values())
-    nodes = frozenset(_component_keys(states))
-    psi = frozenset(arthur_parameter(s) for s in states)
+    nodes = frozenset(_component_keys(states, index, exchange_edges))
+    psi = frozenset(_psi(s.rows) for s in states)
     return ClosureReport(nodes, psi, len(states), exhausted, max_states, max_depth)
 
 
-def _component_keys(states):
-    """Canonical key per row-exchange component among the visited states."""
-    index = {s.rows: i for i, s in enumerate(states)}
+def _component_keys(states, index, exchange_edges):
+    """Canonical key per row-exchange component among the visited states.
+
+    exchange_edges holds the edges of the states the search expanded; the
+    others are looked up here.
+    """
     parent = list(range(len(states)))
 
     def find(x):
@@ -137,8 +155,11 @@ def _component_keys(states):
         if rx != ry:
             parent[ry] = rx
 
-    for i, s in enumerate(states):
-        for nb in exchange_neighbors(s):
+    for i, edges in enumerate(exchange_edges):
+        for j in edges:
+            union(i, j)
+    for i in range(len(exchange_edges), len(states)):
+        for nb in exchange_neighbors(states[i]):
             j = index.get(nb.rows)
             if j is not None:
                 union(i, j)

@@ -130,6 +130,18 @@ class MultiSegment:
     def replace_rows(self, rows):
         return MultiSegment(tuple(rows), self.mode)
 
+    @classmethod
+    def _of(cls, rows, mode):
+        """Wrap a tuple of rows that already passed make_row under mode.
+
+        No row is checked again; internal code that builds every new row
+        with make_row uses this in place of the public constructor.
+        """
+        ms = object.__new__(cls)
+        object.__setattr__(ms, "rows", rows)
+        object.__setattr__(ms, "mode", mode)
+        return ms
+
 
 def multi_segment(rows, mode=STRICT):
     """Convenience constructor from (A, B, l, eta) tuples."""
@@ -166,7 +178,12 @@ def arthur_parameter(ms):
     """The multiset of (a, b) = (A+B+1, A-B+1), as a sorted tuple."""
     if not validate(ms, "P"):
         raise SegmentError("multi-segment has an inadmissible order")
-    return tuple(sorted((r.a, r.b) for r in ms.rows))
+    return _psi(ms.rows)
+
+
+def _psi(rows):
+    """arthur_parameter without the order check, for admissible rows."""
+    return tuple(sorted((r.a, r.b) for r in rows))
 
 
 def group_sign(ms):
@@ -244,7 +261,7 @@ def from_json(text, mode=STRICT):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, e.pos) from e
-    if not isinstance(data, dict) or "rows" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
         raise ParseError('expected an object with a "rows" list', 0)
     rows = []
     for item in data["rows"]:
@@ -292,11 +309,6 @@ def render_grid(ms, unicode_symbols=False):
 def circle_count(ms):
     """Total number of circles C(E) over all rows."""
     return sum(r.circles for r in ms.rows)
-
-
-def serialize_key(ms):
-    """A canonical byte string for an exact (weak-normalized) row list."""
-    return render(ms).encode()
 
 
 def alpha_beta(rows):

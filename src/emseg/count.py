@@ -100,17 +100,22 @@ def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
     return out
 
 
+def verify_instance(M):
+    """Three-way agreement report for one block-tuple, as a dict."""
+    rec = count_block_recursive(M).value
+    enum = count_block_enumerative(M).value
+    clo = count_block_closure(M).value
+    return {
+        "c_min": M.c_min,
+        "mults": list(M.mults),
+        "recursion": rec,
+        "enumeration": enum,
+        "closure": clo,
+        "agree": rec == enum == clo,
+    }
+
+
 def verify_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
     """Three-way agreement report over the grid; yields per-instance dicts."""
     for M in grid_instances(max_len, max_mult, max_cmin, max_rows):
-        rec = count_block_recursive(M).value
-        enum = count_block_enumerative(M).value
-        clo = count_block_closure(M).value
-        yield {
-            "c_min": M.c_min,
-            "mults": list(M.mults),
-            "recursion": rec,
-            "enumeration": enum,
-            "closure": clo,
-            "agree": rec == enum == clo,
-        }
+        yield verify_instance(M)

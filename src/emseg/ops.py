@@ -33,10 +33,19 @@ def _supports_nest(r1, r2):
     return (r1.B <= r2.B and r1.A >= r2.A) or (r2.B <= r1.B and r2.A >= r1.A)
 
 
-def _mode_of(rows, mode_hint):
+def _mode_of(rows):
     if all(row_is_strict(r) for r in rows):
         return STRICT
     return RELAXED
+
+
+def _with_new_rows(rows, new):
+    """Rows carried over from a checked input plus the rows at positions
+    `new`, which are built with make_row under the mode of the result."""
+    mode = _mode_of(rows)
+    for i in new:
+        rows[i] = make_row(*rows[i], mode=mode)
+    return MultiSegment._of(tuple(rows), mode)
 
 
 def row_exchange(ms, k):
@@ -81,9 +90,9 @@ def row_exchange(ms, k):
         else:
             new_r2 = Row(r2.A, r2.B, r2.l - r1.circles,
                          (-1) ** (r1.A - r1.B + 1) * r2.eta)
-    rows[k] = weak_normalize(new_r2)
-    rows[k + 1] = weak_normalize(new_r1)
-    return OpResult(MultiSegment(tuple(rows), _mode_of(rows, ms.mode)), True)
+    rows[k] = new_r2
+    rows[k + 1] = new_r1
+    return OpResult(_with_new_rows(rows, (k, k + 1)), True)
 
 
 def ui_type(ms, k):
@@ -128,10 +137,12 @@ def ui(ms, k):
         else:
             new2 = Row(r1.A, r2.B, r1.l, (-1) ** (d + 1) * r2.eta)
     if tag == T3PRIME:
-        rows[k: k + 2] = [weak_normalize(new1)]
+        rows[k: k + 2] = [new1]
+        new = (k,)
     else:
-        rows[k: k + 2] = [weak_normalize(new1), weak_normalize(new2)]
-    return OpResult(MultiSegment(tuple(rows), _mode_of(rows, ms.mode)), True, tag)
+        rows[k: k + 2] = [new1, new2]
+        new = (k, k + 1)
+    return OpResult(_with_new_rows(rows, new), True, tag)
 
 
 def dual(ms):
@@ -139,12 +150,10 @@ def dual(ms):
     if not order_sorted(ms.rows):
         raise OrderError("dual requires (P') order; sort via row exchanges first")
     alphas, betas = alpha_beta(ms.rows)
-    out = []
-    for i, r in enumerate(ms.rows):
-        eta = (-1) ** (alphas[i] + betas[i]) * r.eta
-        out.append(make_row(r.A, -r.B, r.l + r.B, eta, mode=RELAXED))
+    out = [Row(r.A, -r.B, r.l + r.B, (-1) ** (alphas[i] + betas[i]) * r.eta)
+           for i, r in enumerate(ms.rows)]
     out.reverse()
-    return MultiSegment(tuple(out), _mode_of(out, ms.mode))
+    return _with_new_rows(out, range(len(out)))
 
 
 def to_sorted(ms):
@@ -174,10 +183,12 @@ def split_circles(ms, k, X):
         raise SegmentError("split point %d outside [%d,%d)" % (X, r.B, r.A))
     low = Row(X, r.B, 0, r.eta)
     high = Row(r.A, X + 1, 0, -((-1) ** (X - r.B)) * r.eta)
-    rows[k: k + 1] = [low, weak_normalize(high)]
+    rows[k: k + 1] = [low, high]
     if not order_admissible(rows):
         raise OrderError("split at %d leaves an inadmissible order" % X)
-    return MultiSegment(tuple(rows), ms.mode)
+    rows[k] = make_row(*low, mode=ms.mode)
+    rows[k + 1] = make_row(*high, mode=ms.mode)
+    return MultiSegment._of(tuple(rows), ms.mode)
 
 
 def merge_condition(r1, r2):
@@ -431,10 +442,3 @@ def dual_ui_dual(ms, k):
     if not res.applied:
         return OpResult(ms, False)
     return OpResult(dual(to_sorted(res.out)), True, res.type_tag)
-
-
-def dual_split_dual(ms, k, X):
-    """The inverse raising move dual . split_circles . dual."""
-    d = dual(ms)
-    split = split_circles(d, k, X)
-    return dual(to_sorted(split))

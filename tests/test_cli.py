@@ -42,6 +42,12 @@ class TestParseRender:
         code, _, err = invoke("parse", "--dsl", "[oops")
         assert code == EXIT_INVALID and "error" in err
 
+    def test_json_rows_must_be_a_list(self):
+        for payload in ('{"rows": 5}', '{"rows": "x"}',
+                        '[{"A": 1, "B": 0, "l": 0, "eta": 1}]'):
+            code, _, err = invoke("parse", "--json", payload)
+            assert code == EXIT_INVALID and "error" in err
+
     def test_unknown_flag(self):
         code, _, err = invoke("parse", "--bogus")
         assert code == EXIT_INVALID
@@ -118,6 +124,12 @@ class TestClosureVerb:
                               "--limit", "2")
         assert code == EXIT_LIMITS and "limit" in err
 
+    def test_negative_limits_are_invalid(self):
+        for flag in ("--limit", "--max-depth"):
+            code, _, err = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]",
+                                  flag, "-1")
+            assert code == EXIT_INVALID and "error" in err
+
     def test_count_summary(self):
         code, out, _ = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]")
         record = json.loads(out)
@@ -131,6 +143,16 @@ class TestVerifyVerb:
         assert code == EXIT_OK
         records = [json.loads(line) for line in out.splitlines()]
         assert records and all(r["agree"] for r in records)
+
+    def test_readme_jobs_form(self):
+        grid = "len<=2,mult<=3,cmin<=1,rows<=3"
+        code, out, _ = invoke("verify", "--grid", grid, "--jobs", "2")
+        assert code == EXIT_OK
+        assert out == invoke("verify", "--grid", grid)[1]
+
+    def test_jobs_must_be_positive(self):
+        code, _, err = invoke("verify", "--grid", "len<=1", "--jobs", "0")
+        assert code == EXIT_INVALID and "error" in err
 
     def test_bad_grid_spec(self):
         code, _, _ = invoke("verify", "--grid", "width<=3")

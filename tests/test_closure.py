@@ -1,12 +1,21 @@
 """Breadth-first class exploration and canonical forms."""
 
+import random
+import time
+
 import pytest
 
 from emseg.blocks import BlockTuple, tempered_block
-from emseg.closure import are_equivalent, canonical, closure, neighbors
+from emseg.closure import (
+    are_equivalent, canonical, closure, exchange_neighbors, neighbors,
+)
 from emseg.core import (
     SegmentError, arthur_parameter, check_star, group_sign, parse, render,
 )
+from emseg.count import count_tempered
+from emseg.sdata import theta1
+
+from conftest import rand_tempered
 
 X1 = "[0,0;0;+][1,1;0;-]"
 X1_PSIS = {((1, 1), (3, 1)), ((1, 1), (1, 3)), ((2, 2),)}
@@ -50,6 +59,83 @@ class TestClosure:
     def test_rejects_vanishing_seed(self):
         with pytest.raises(SegmentError):
             closure(parse("[2,-2;1;+]"))
+
+
+def _reference_closure(seed, max_states, max_depth):
+    """The closure search written plainly: neighbors() per state, then one
+    union-find over exchange_neighbors() of every visited state."""
+    seen = {seed.rows: seed}
+    frontier = [seed]
+    exhausted = True
+    for depth in range(max_depth + 1):
+        if not frontier:
+            break
+        if depth == max_depth:
+            exhausted = False
+            break
+        nxt = []
+        for state in frontier:
+            for cand in neighbors(state):
+                if cand.rows in seen:
+                    continue
+                if len(seen) >= max_states:
+                    exhausted = False
+                    break
+                seen[cand.rows] = cand
+                nxt.append(cand)
+            if not exhausted:
+                break
+        if not exhausted:
+            break
+        frontier = nxt
+    parent = {rows: rows for rows in seen}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for rows, state in seen.items():
+        for nb in exchange_neighbors(state):
+            if nb.rows in seen:
+                parent[find(nb.rows)] = find(rows)
+    best = {}
+    for rows, state in seen.items():
+        root, key = find(rows), render(state).encode()
+        best[root] = min(best.get(root, key), key)
+    psi = frozenset(arthur_parameter(s) for s in seen.values())
+    return frozenset(best.values()), psi, len(seen), exhausted
+
+
+class TestAgainstReference:
+    # 46 states in 11 exchange classes, 66 in 33, 81 in 81.
+    SEEDS = [
+        tempered_block(BlockTuple(0, (3, 3, 3)), 1),
+        tempered_block(BlockTuple(0, (1, 3, 1, 1)), -1),
+        theta1(tempered_block(BlockTuple(0, (1, 1, 1, 1)), 1)),
+    ]
+
+    @pytest.mark.parametrize("limits", [
+        (100000, 64), (1, 64), (10, 64), (30, 64), (100000, 1), (100000, 2),
+        (25, 3),
+    ])
+    def test_truncated_and_exhausted_runs(self, limits):
+        for seed in self.SEEDS:
+            report = closure(seed, *limits)
+            assert (report.nodes, report.psi, report.states,
+                    report.exhausted) == _reference_closure(seed, *limits)
+
+    def test_count_matches_closure_on_random_tempered(self):
+        rng = random.Random(20261018)
+        start = time.perf_counter()
+        checked = 0
+        while checked < 300:
+            ms = rand_tempered(rng, max_cols=5, max_mult=5)
+            if len(ms.rows) > 9:
+                continue
+            assert count_tempered(ms).value == len(closure(ms).psi), ms
+            checked += 1
+        assert time.perf_counter() - start < 2.0
 
 
 class TestNeighbors:

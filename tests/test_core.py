@@ -119,8 +119,10 @@ class TestParseRender:
     def test_json_errors(self):
         with pytest.raises(ParseError):
             from_json("not json")
-        with pytest.raises(ParseError):
-            from_json('{"cols": []}')
+        for text in ('{"cols": []}', '{"rows": 5}', '{"rows": "x"}',
+                     '[{"A": 1, "B": 0, "l": 0, "eta": 1}]'):
+            with pytest.raises(ParseError):
+                from_json(text)
 
 
 rows_strategy = st.builds(

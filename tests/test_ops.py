@@ -8,6 +8,7 @@ from emseg.core import (
     MultiSegment, OrderError, Row, SegmentError, arthur_parameter, check_star,
     group_sign, make_row, multi_segment, parse, render, validate,
 )
+from emseg.closure import neighbors
 from emseg.ops import (
     NoExchangeError, T1, T2, T3, T3PRIME, dual, dual_ui_dual, merge_condition,
     merge_hats, op_D, op_M, op_S, op_U, row_exchange, split_circles, to_sorted,
@@ -259,3 +260,36 @@ def test_braid_relation_sample(rng):
             continue
         assert lhs.rows == rhs.rows
         checked += 1
+
+
+def _operator_outputs(ms):
+    """Every result row_exchange, ui, split_circles and dual give on ms."""
+    outs = []
+    for k in range(len(ms.rows) - 1):
+        try:
+            outs.append(row_exchange(ms, k).out)
+        except SegmentError:
+            pass
+        outs.append(ui(ms, k).out)
+    for k, r in enumerate(ms.rows):
+        for X in range(r.B, r.A):
+            try:
+                outs.append(split_circles(ms, k, X))
+            except SegmentError:
+                pass
+    try:
+        outs.append(dual(ms))
+    except OrderError:
+        pass
+    return outs
+
+
+def test_results_equal_checked_construction(rng):
+    """Operators check only the rows they create; what they return must be
+    exactly what the public constructor builds from the same rows."""
+    for _ in range(150):
+        ms = rand_sorted_ms(rng, require_star=True)
+        for state in [ms] + neighbors(ms):
+            for out in _operator_outputs(state) + neighbors(state):
+                assert all(type(r) is Row for r in out.rows)
+                assert out == MultiSegment(out.rows, out.mode)
