@@ -85,8 +85,9 @@ def _column_groups(ms):
     return groups
 
 
-def block_decompose(ms):
-    """Greedy split of a tempered multi-segment into maximal blocks.
+def block_tuples(ms):
+    """Greedy split of a tempered multi-segment into maximal blocks, as
+    (BlockTuple, sign of the first column) pairs in column order.
 
     A block continues across a column step of +1 with flipped sign; an even
     multiplicity leaves one row behind to start the next block; a gap or a
@@ -97,30 +98,35 @@ def block_decompose(ms):
     if any(ms.rows[i].B > ms.rows[i + 1].B for i in range(len(ms.rows) - 1)):
         raise SegmentError("tempered input must be sorted by column")
     blocks = []
-    cur = []
+    mults = []
+    c_min = eta = last = None
 
     def close():
-        if cur:
-            blocks.append(MultiSegment(tuple(cur), ms.mode))
-            cur.clear()
+        if mults:
+            blocks.append((BlockTuple(c_min, tuple(mults)), eta))
+            mults.clear()
 
     for c, m, s in _column_groups(ms):
-        row = Row(c, c, 0, s)
-        if cur and cur[-1].B + 1 == c and cur[-1].eta == -s:
-            take = m if m % 2 == 1 else m - 1
-            cur.extend([row] * take)
-            if m % 2 == 0:
-                close()
-                cur.append(row)
-        else:
+        if not (mults and c_min + len(mults) == c and last == -s):
             close()
-            take = m if m % 2 == 1 else m - 1
-            cur.extend([row] * take)
-            if m % 2 == 0:
-                close()
-                cur.append(row)
+            c_min, eta = c, s
+        mults.append(m if m % 2 == 1 else m - 1)
+        if m % 2 == 0:
+            close()
+            c_min, eta = c, s
+            mults.append(1)
+        last = s
     close()
     return blocks
+
+
+def block_decompose(ms):
+    """The blocks of block_tuples as multi-segments in the mode of ms.
+
+    Their rows are the single-circle rows of ms, which are already checked.
+    """
+    return [MultiSegment._of(_block_rows(bt, eta), ms.mode)
+            for bt, eta in block_tuples(ms)]
 
 
 def block_tuple(block):
@@ -161,13 +167,19 @@ def classify_boundary(b1, b2):
     return Boundary(kind, H_col, N_col)
 
 
-def tempered_block(bt, eta=1):
-    """The tempered multi-segment with the given multiplicities, signs
-    alternating between columns starting from eta."""
+def _block_rows(bt, eta):
+    """Single-circle rows with the given multiplicities, signs alternating
+    between columns starting from eta."""
     rows = []
     s = eta
     for i, m in enumerate(bt.mults):
         c = bt.c_min + i
         rows.extend([Row(c, c, 0, s)] * m)
         s = -s
-    return MultiSegment(tuple(rows))
+    return tuple(rows)
+
+
+def tempered_block(bt, eta=1):
+    """The tempered multi-segment with the given multiplicities, signs
+    alternating between columns starting from eta."""
+    return MultiSegment(_block_rows(bt, eta))

@@ -2,10 +2,11 @@
 
 Bulk output is JSON lines; human-readable symbol grids sit behind --pretty.
 Exit codes: 0 success, 1 invalid input, 2 limits exceeded, 3 internal
-invariant violation.
+error (an invariant violation or any other unexpected exception).
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -119,9 +120,17 @@ def _cmd_render(args, out):
     return EXIT_OK
 
 
+# How many consecutive rows, starting at row k, each operator acts on.
+_K_SPAN = {"exchange": 2, "ui": 2, "dual-ui-dual": 2, "merge": 2, "split": 1}
+
+
 def _cmd_apply(args, out):
     ms = _read_ms(args, mode="relaxed" if args.relaxed else "strict")
     op = args.op
+    span = _K_SPAN.get(op)
+    if span is not None and not 0 <= args.k <= len(ms) - span:
+        raise CliInputError("--k %d is out of range for --op %s on %d rows"
+                            % (args.k, op, len(ms)))
     if op == "exchange":
         res = row_exchange(ms, args.k)
         result, applied, tag = res.out, res.applied, None
@@ -328,12 +337,17 @@ def build_parser():
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """build_parser, once per process: parse_args leaves the parser as it was."""
+    return build_parser()
+
+
 def run(argv=None, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args, out)
     except CliInputError as e:
         err.write("error: %s\n" % e)
@@ -349,6 +363,10 @@ def run(argv=None, out=None, err=None):
         return EXIT_INTERNAL
     except BrokenPipeError:
         return EXIT_OK
+    except Exception as e:
+        message = " ".join(str(e).split())
+        err.write("internal error: %s: %s\n" % (type(e).__name__, message))
+        return EXIT_INTERNAL
 
 
 def main():

@@ -70,6 +70,11 @@ def _check_sign(eta):
         raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
 
 
+def _check_mode(mode):
+    if mode not in (STRICT, RELAXED):
+        raise SegmentError("unknown mode %r" % (mode,))
+
+
 def weak_normalize(row):
     """Store eta as +1 whenever the row has no circles (2l = b)."""
     if 2 * row.l == row.b and row.eta != 1:
@@ -110,8 +115,7 @@ class MultiSegment:
     mode: str = STRICT
 
     def __post_init__(self):
-        if self.mode not in (STRICT, RELAXED):
-            raise SegmentError("unknown mode %r" % (self.mode,))
+        _check_mode(self.mode)
         rows = tuple(
             make_row(r.A, r.B, r.l, r.eta, self.mode) if isinstance(r, Row)
             else make_row(*r, mode=self.mode)
@@ -238,7 +242,8 @@ def parse(text, mode=STRICT):
         except SegmentError as e:
             raise ParseError(str(e), pos) from e
         pos = m.end()
-    return MultiSegment(tuple(rows), mode)
+    _check_mode(mode)
+    return MultiSegment._of(tuple(rows), mode)
 
 
 def render(ms):
@@ -270,7 +275,8 @@ def from_json(text, mode=STRICT):
                                  item["eta"], mode))
         except (KeyError, TypeError) as e:
             raise ParseError("bad row object %r" % (item,), 0) from e
-    return MultiSegment(tuple(rows), mode)
+    _check_mode(mode)
+    return MultiSegment._of(tuple(rows), mode)
 
 
 def render_grid(ms, unicode_symbols=False):

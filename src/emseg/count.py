@@ -3,9 +3,7 @@
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .blocks import (
-    BlockTuple, block_decompose, block_tuple, tempered_block,
-)
+from .blocks import BlockTuple, block_tuples, tempered_block
 from .closure import closure
 from .core import SegmentError, arthur_parameter
 from .sdata import build, enumerate_S, enumerate_ST
@@ -19,21 +17,28 @@ class PacketCount:
     method: str
 
 
-@lru_cache(maxsize=None)
+# Each block is counted once per query, so the cache only needs to hold a
+# few recent blocks; it must not grow with the input.
+_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def _count_rec(c_min, mults):
-    if not mults:
-        return 1
-    if len(mults) == 1:
-        return 1
-    prev = _count_rec(c_min, mults[:-1])
-    prev2 = _count_rec(c_min, mults[:-2])
-    if c_min == 0:
-        if mults[-2] == 1:
-            return 3 * prev
-        return 4 * prev - prev2
-    if mults[-2] == 1:
-        return 2 * prev
-    return 3 * prev - prev2
+    """The two-term recursion over the columns of one block, as a loop.
+
+    Adding a column multiplies the count by 3 from column 0 (2 from a
+    column >= 1) when the column before it has multiplicity 1, and
+    otherwise gives 4 * prev - prev2 (3 * prev - prev2).  Blocks of zero
+    or one column count 1.
+    """
+    factor = 3 if c_min == 0 else 2
+    prev2, prev = 1, 1
+    for m in mults[:-1]:
+        if m == 1:
+            prev2, prev = prev, factor * prev
+        else:
+            prev2, prev = prev, (factor + 1) * prev - prev2
+    return prev
 
 
 def count_block_recursive(M):
@@ -64,10 +69,8 @@ def count_block_closure(M, eta=1, **limits):
 def count_tempered(ms):
     """Product over the block decomposition; only the first block may use
     the start-at-zero recursion."""
-    blocks = block_decompose(ms)
     total = 1
-    for i, blk in enumerate(blocks):
-        bt = block_tuple(blk)
+    for i, (bt, _) in enumerate(block_tuples(ms)):
         c_min = bt.c_min if i == 0 else max(bt.c_min, 1)
         total *= _count_rec(0 if c_min == 0 else 1, bt.mults)
     return PacketCount(total, RECURSION)

@@ -3,6 +3,7 @@
 import io
 import json
 
+from emseg import cli
 from emseg.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_LIMITS, EXIT_OK, run,
 )
@@ -77,6 +78,18 @@ class TestApply:
                               "--dsl", "[1,0;0;+]")
         assert code == EXIT_INVALID
 
+    def test_k_outside_the_rows_is_invalid(self):
+        two_rows = "[0,0;0;+][1,1;0;-]"
+        for op in ("exchange", "ui", "dual-ui-dual", "merge", "split"):
+            for k in ("-5", "-1", "2"):
+                code, out, err = invoke("apply", "--op", op, "--k", k,
+                                        "--X", "0", "--dsl", two_rows)
+                assert (code, out) == (EXIT_INVALID, ""), (op, k)
+                assert "--k" in err
+        code, _, err = invoke("apply", "--op", "ui", "--k", "1",
+                              "--dsl", two_rows)
+        assert code == EXIT_INVALID and "--k" in err
+
 
 class TestBlocksVerb:
     def test_decomposition_lines(self):
@@ -111,6 +124,40 @@ class TestCountVerb:
             code, out, _ = invoke("count", "--M", "1,1", "--cmin", "0",
                                   "--method", method)
             assert code == EXIT_OK and json.loads(out)["value"] == 3
+
+    def test_long_block_by_multiplicities(self):
+        code, out, err = invoke("count", "--M", ",".join(["1"] * 3000))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {"value": 3 ** 2999, "method": "recursion"}
+
+    def test_long_block_by_symbol(self):
+        long_block = [(1, 3, 5)[i % 3] for i in range(1500)]
+        blocks = [(0, long_block), (1502, [3, 1, 5, 1])]
+        rows = []
+        for c_min, mults in blocks:
+            for i, m in enumerate(mults):
+                sign = "+" if i % 2 == 0 else "-"
+                rows.append("[%d,%d;0;%s]" % (c_min + i, c_min + i, sign) * m)
+        code, out, err = invoke("count", "--dsl", "".join(rows))
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["value"] == _reference_product(blocks)
+
+
+def _reference_product(blocks):
+    """The paper's two-term recursion per block, multiplied over blocks in
+    column order; only the first block may count from column 0."""
+    total = 1
+    for i, (c_min, mults) in enumerate(blocks):
+        from_zero = c_min == 0 and i == 0
+        prev2, prev = 1, 1
+        for k in range(1, len(mults)):
+            if from_zero:
+                cur = 3 * prev if mults[k - 1] == 1 else 4 * prev - prev2
+            else:
+                cur = 2 * prev if mults[k - 1] == 1 else 3 * prev - prev2
+            prev2, prev = prev, cur
+        total *= prev
+    return total
 
 
 class TestClosureVerb:
@@ -157,6 +204,35 @@ class TestVerifyVerb:
     def test_bad_grid_spec(self):
         code, _, _ = invoke("verify", "--grid", "width<=3")
         assert code == EXIT_INVALID
+
+
+class TestRun:
+    def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
+        def broken(ms):
+            raise RuntimeError("broken\ncount")
+
+        monkeypatch.setattr(cli, "count_tempered", broken)
+        code, out, err = invoke("count", "--dsl", "[0,0;0;+][1,1;0;-]")
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == "internal error: RuntimeError: broken count\n"
+
+    def test_parser_is_reused_without_leaking_state(self, monkeypatch):
+        symbol = "[0,0;0;+][1,1;0;-]"
+        invoke("count", "--dsl", symbol)
+        built = []
+        build_parser = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        assert invoke("closure", "--dsl", symbol, "--limit", "1")[0] == EXIT_LIMITS
+        code, out, _ = invoke("closure", "--dsl", symbol)
+        assert code == EXIT_OK and json.loads(out)["psi"] == 3
+        assert invoke("parse", "--dsl", "[1,0;5;+]", "--relaxed")[0] == EXIT_OK
+        assert invoke("parse", "--dsl", "[1,0;5;+]")[0] == EXIT_INVALID
+        assert built == []
 
 
 def test_determinism():

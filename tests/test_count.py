@@ -2,8 +2,9 @@
 
 import pytest
 
-from emseg.blocks import BlockTuple
-from emseg.core import SegmentError, parse
+from emseg import core
+from emseg.blocks import BlockTuple, block_decompose
+from emseg.core import RELAXED, STRICT, SegmentError, from_json, parse, to_json
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, grid_instances,
@@ -18,12 +19,12 @@ class TestRecursive:
         assert count_block_recursive(BlockTuple(3, (1,))).value == 1
 
     def test_powers_of_three_at_zero(self):
-        for k in range(5):
+        for k in [*range(5), 10 ** 5 - 1]:
             M = BlockTuple(0, (1,) * (k + 1))
             assert count_block_recursive(M).value == 3 ** k
 
     def test_powers_of_two_past_zero(self):
-        for n in range(1, 6):
+        for n in [*range(1, 6), 10 ** 5]:
             M = BlockTuple(1, (1,) * n)
             assert count_block_recursive(M).value == 2 ** (n - 1)
 
@@ -79,6 +80,39 @@ class TestTempered:
     def test_requires_tempered(self):
         with pytest.raises(SegmentError):
             count_tempered(parse("[1,0;0;+]"))
+
+
+class TestOneCheckPerRow:
+    """The count path checks each row once, when it is parsed."""
+
+    SYMBOL = "[0,0;0;+][1,1;0;-][1,1;0;-][2,2;0;+][4,4;0;+][5,5;0;-]"
+
+    @pytest.fixture
+    def make_row_calls(self, monkeypatch):
+        calls = []
+        real = core.make_row
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "make_row", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_parse_and_from_json_check_each_row_once(self, make_row_calls, mode):
+        ms = parse(self.SYMBOL, mode)
+        assert len(make_row_calls) == len(ms) == 6
+        make_row_calls.clear()
+        assert from_json(to_json(ms), mode) == ms
+        assert len(make_row_calls) == 6
+
+    def test_decompose_and_count_check_no_row(self, make_row_calls):
+        ms = parse(self.SYMBOL)
+        make_row_calls.clear()
+        assert len(block_decompose(ms)) == 3
+        assert count_tempered(ms).value == 3 * 2 * 2
+        assert make_row_calls == []
 
 
 class TestMulti:
