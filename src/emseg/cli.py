@@ -22,7 +22,7 @@ from .count import (
 from .ops import (
     dual, dual_ui_dual, merge_hats, row_exchange, split_circles, to_sorted, ui,
 )
-from .sdata import build, enumerate_S, enumerate_ST, trivial_T
+from .sdata import build, enumerate_S, enumerate_ST
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -43,18 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise CliInputError(message)
 
 
-def _read_text(args):
-    if getattr(args, "dsl", None) is not None:
-        return args.dsl
-    if getattr(args, "json_text", None) is not None:
-        return args.json_text
-    return sys.stdin.read()
-
-
 def _read_ms(args, mode="strict"):
-    text = _read_text(args).strip()
-    if not text:
-        return parse("", mode)
+    """The input symbol: --dsl and --json pick their parser, stdin is sniffed."""
+    if args.dsl is not None:
+        return parse(args.dsl, mode)
+    if args.json_text is not None:
+        return from_json(args.json_text, mode)
+    text = sys.stdin.read().strip()
     if text.startswith("{"):
         return from_json(text, mode)
     return parse(text, mode)
@@ -255,18 +250,20 @@ def _cmd_verify(args, out):
             results = list(pool.map(verify_instance, instances))
     else:
         results = [verify_instance(M) for M in instances]
-    ok = True
     for record in results:
         out.write(json.dumps(record) + "\n")
-        ok = ok and record["agree"]
-    if not ok:
-        raise AssertionError("count methods disagree on the grid")
+    bad = ["(c_min %d, mults %s)" % (r["c_min"], r["mults"])
+           for r in results if not r["agree"]]
+    if bad:
+        raise AssertionError(
+            "count methods disagree on the grid at " + ", ".join(bad))
     return EXIT_OK
 
 
 def _add_input_flags(p):
-    p.add_argument("--dsl", help="row list in the [A,B;l;s] notation")
-    p.add_argument("--json", dest="json_text", help="row list as JSON")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dsl", help="row list in the [A,B;l;s] notation")
+    source.add_argument("--json", dest="json_text", help="row list as JSON")
     p.add_argument("--format", choices=("dsl", "json"), default="json",
                    help="output format for multi-segments")
     p.add_argument("--pretty", action="store_true",

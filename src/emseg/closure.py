@@ -6,7 +6,7 @@ versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import (
     MultiSegment, _psi, check_star, order_admissible, order_sorted, render,
@@ -52,7 +52,7 @@ def exchange_neighbors(ms):
         except SegmentError:
             continue
         if res.applied and res.out.rows != ms.rows:
-            out.append(_strictify(res.out))
+            out.append(res.out)
     return out
 
 
@@ -61,7 +61,7 @@ def _ui_and_split_neighbors(ms):
     for k in range(len(ms.rows) - 1):
         res = ui(ms, k)
         if res.applied:
-            out.append(_strictify(res.out))
+            out.append(res.out)
     for k, r in enumerate(ms.rows):
         if r.l == 0 and r.A > r.B:
             for X in range(r.B, r.A):

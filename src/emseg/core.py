@@ -10,7 +10,7 @@ non-vanishing condition).
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 STRICT = "strict"
 RELAXED = "relaxed"

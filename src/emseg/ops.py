@@ -1,8 +1,9 @@
 """The operator calculus on multi-segments.
 
 Row exchange, union-intersection (all types), the dual involution, hat
-merging, circle-row splitting, and the higher-level separation / merge /
-unhook / dualize composites used by the lift family.
+merging, circle-row splitting, and the higher-level separation / unhook /
+dualize composites used by the lift family.  The composites move rows by
+chains of plain row exchanges.
 """
 
 from dataclasses import dataclass
@@ -11,7 +12,7 @@ from typing import Optional
 from .core import (
     MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED,
     alpha_beta, make_row, order_admissible, order_sorted, row_is_strict,
-    validate, weak_normalize,
+    weak_normalize,
 )
 
 T1, T2, T3, T3PRIME = "T1", "T2", "T3", "T3prime"
@@ -218,120 +219,31 @@ def merge_hats(ms, k):
         raise OrderError("merge requires (P') order")
     if not merge_condition(r1, r2):
         return OpResult(ms, False)
-    d = dual(ms)
-    n = len(rows)
-    pos = n - 2 - k  # image of r2 sits right before the image of r1
-    res = ui(d, pos)
-    if not res.applied or res.type_tag != T3PRIME:
+    # In the dual the image of r2 sits right before the image of r1.
+    res = dual_ui_dual(ms, len(rows) - 2 - k)
+    if res.type_tag != T3PRIME:
         return OpResult(ms, False)
-    out = dual(to_sorted(res.out))
     merged = weak_normalize(Row(r1.A, -r2.l, r2.l, r1.eta))
     expect = rows[:k] + (merged,) + rows[k + 2:]
-    if tuple(out.rows) != expect:
+    if res.out.rows != expect:
         raise SegmentError("hat merge composite disagrees with the closed form")
-    return OpResult(out, True, T3PRIME)
-
-
-def _track_exchange(state, k):
-    """Row exchange on a (ms, ids) pair, keeping row identities aligned."""
-    ms, ids = state
-    res = row_exchange(ms, k)
-    if not res.applied:
-        return None
-    ids = ids[:k] + (ids[k + 1], ids[k]) + ids[k + 2:]
-    return (res.out, ids)
-
-
-def _exchange_down(state, pos, steps):
-    """Move the row at pos downward past `steps` following rows."""
-    for _ in range(steps):
-        state = _track_exchange(state, pos)
-        if state is None:
-            return None
-        pos += 1
-    return state, pos
-
-
-def _exchange_up(state, pos, steps):
-    """Move the row at pos upward past `steps` preceding rows."""
-    for _ in range(steps):
-        state = _track_exchange(state, pos - 1)
-        if state is None:
-            return None
-        pos -= 1
-    return state, pos
-
-
-def ui_pair(ms, i, j):
-    """Union-intersection of the (possibly non-adjacent) rows i < j.
-
-    Searches for a chain of row exchanges making the pair adjacent, applies
-    ui there, and restores the original order (minus the deleted row for a
-    type 3' application).
-    """
-    rows = ms.rows
-    n = len(rows)
-    if not (0 <= i < j < n):
-        raise SegmentError("need positions i < j")
-    if not (rows[i].A < rows[j].A and rows[i].B < rows[j].B):
-        return OpResult(ms, False)
-    start = (ms, tuple(range(n)))
-    seen = {(start[0].rows, start[1])}
-    frontier = [start]
-    found = None
-    while frontier and found is None:
-        nxt = []
-        for state in frontier:
-            cur, ids = state
-            p = ids.index(i)
-            if p + 1 < n and ids[p + 1] == j and ui_type(cur, p) is not None:
-                found = (state, p)
-                break
-            for k in range(n - 1):
-                moved = _track_exchange(state, k)
-                if moved is not None and (moved[0].rows, moved[1]) not in seen:
-                    seen.add((moved[0].rows, moved[1]))
-                    nxt.append(moved)
-        frontier = nxt
-    if found is None:
-        return OpResult(ms, False)
-    (cur, ids), p = found
-    res = ui(cur, p)
-    tag = res.type_tag
-    if tag == T3PRIME:
-        ids = ids[:p + 1] + ids[p + 2:]
-    goal = tuple(x for x in range(n) if not (tag == T3PRIME and x == j))
-    out = _restore_order(res.out, ids, goal)
-    if out is None:
-        return OpResult(ms, False)
-    return OpResult(out, True, tag)
-
-
-def _restore_order(ms, ids, goal):
-    """Row-exchange until the identity sequence matches goal."""
-    if ids == goal:
-        return ms
-    start = (ms, ids)
-    seen = {(ms.rows, ids)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for state in frontier:
-            for k in range(len(ids) - 1):
-                moved = _track_exchange(state, k)
-                if moved is None or (moved[0].rows, moved[1]) in seen:
-                    continue
-                if moved[1] == goal:
-                    return moved[0]
-                seen.add((moved[0].rows, moved[1]))
-                nxt.append(moved)
-        frontier = nxt
-    return None
+    return res
 
 
 # ---------------------------------------------------------------------------
-# Separation / unhook / dualize / merge composites
+# Separation / unhook / dualize composites
 # ---------------------------------------------------------------------------
+
+def _exchange_chain(ms, ks):
+    """Apply row_exchange at each position of ks in turn; None as soon as
+    one of them does not apply."""
+    for k in ks:
+        res = row_exchange(ms, k)
+        if not res.applied:
+            return None
+        ms = res.out
+    return ms
+
 
 def op_S(ms, chain, c):
     """Separate the last c circles of the all-circles row at `chain`.
@@ -343,24 +255,20 @@ def op_S(ms, chain, c):
     r = rows[chain]
     if r.l != 0 or not (1 <= c < r.circles):
         return OpResult(ms, False)
-    state = (ms, tuple(range(len(rows))))
     pos = chain
-    while pos + 1 < len(rows) and state[0].rows[pos + 1].B <= r.A - c:
-        moved = _exchange_down(state, pos, 1)
-        if moved is None:
-            return OpResult(ms, False)
-        state, pos = moved
-    cur, ids = state
+    while pos + 1 < len(rows) and rows[pos + 1].B <= r.A - c:
+        pos += 1
+    cur = _exchange_chain(ms, range(chain, pos))
+    if cur is None:
+        return OpResult(ms, False)
     try:
         split = split_circles(cur, pos, r.A - c)
     except SegmentError:
         return OpResult(ms, False)
-    ids = ids[:pos] + (ids[pos], -1) + ids[pos + 1:]
-    state = (split, ids)
-    moved = _exchange_up(state, pos, pos - chain)
-    if moved is None:
+    out = _exchange_chain(split, range(pos - 1, chain - 1, -1))
+    if out is None:
         return OpResult(ms, False)
-    return OpResult(moved[0][0], True)
+    return OpResult(out, True)
 
 
 def op_U(ms, hat, c):
@@ -373,13 +281,10 @@ def op_U(ms, hat, c):
     h = rows[hat]
     if not h.is_hat or not (1 <= c < h.circles):
         return OpResult(ms, False)
-    n = len(rows)
-    state = (ms, tuple(range(n)))
-    moved = _exchange_down(state, hat, n - 1 - hat)
-    if moved is None:
+    pos = len(rows) - 1
+    cur = _exchange_chain(ms, range(hat, pos))
+    if cur is None:
         return OpResult(ms, False)
-    state, pos = moved
-    cur = state[0]
     bottom = cur.rows[pos]
     if bottom.l != 0:
         return OpResult(ms, False)
@@ -387,16 +292,10 @@ def op_U(ms, hat, c):
         split = split_circles(cur, pos, bottom.A - c)
     except SegmentError:
         return OpResult(ms, False)
-    ids = state[1][:pos] + (state[1][pos], -1) + state[1][pos + 1:]
-    moved = _exchange_up((split, ids), pos, pos - hat)
-    if moved is None:
+    out = _exchange_chain(split, range(pos - 1, hat - 1, -1))
+    if out is None:
         return OpResult(ms, False)
-    return OpResult(moved[0][0], True)
-
-
-def op_M(ms, hat):
-    """Merge the hat at `hat` with the hat right after it."""
-    return merge_hats(ms, hat)
+    return OpResult(out, True)
 
 
 def op_D(ms, hat, target):
@@ -415,24 +314,15 @@ def op_D(ms, hat, target):
     if not order_sorted(rows):
         raise OrderError("dualized merge requires (P') order")
     n = len(rows)
-    d = dual(ms)
-    ids = tuple(reversed(range(n)))
     p_target = n - 1 - target
-    p_hat = n - 1 - hat
-    state = (d, ids)
-    moved = _exchange_down(state, p_target, p_hat - 1 - p_target)
-    if moved is None:
+    pos = n - 2 - hat  # right before the image of the hat
+    cur = _exchange_chain(dual(ms), range(p_target, pos))
+    if cur is None or ui_type(cur, pos) != T3PRIME:
         return OpResult(ms, False)
-    state, pos = moved
-    if ui_type(state[0], pos) != T3PRIME:
+    out = _exchange_chain(ui(cur, pos).out, range(pos - 1, p_target - 1, -1))
+    if out is None:
         return OpResult(ms, False)
-    res = ui(state[0], pos)
-    ids = state[1][:pos + 1] + state[1][pos + 2:]
-    moved = _exchange_up((res.out, ids), pos, pos - p_target)
-    if moved is None:
-        return OpResult(ms, False)
-    out = dual(to_sorted(moved[0][0]))
-    return OpResult(out, True, T3PRIME)
+    return OpResult(dual(to_sorted(out)), True, T3PRIME)
 
 
 def dual_ui_dual(ms, k):

@@ -6,9 +6,8 @@ interval as hats.  Leftover column multiplicity becomes single-circle
 multiples.  Signs follow the odd-alternating assignment.
 """
 
-from .blocks import BlockTuple
 from .core import MultiSegment, Row, SegmentError, weak_normalize
-from .ops import OpResult, op_D, op_M, op_S, op_U
+from .ops import merge_hats, op_D, op_S, op_U
 
 CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
 
@@ -218,7 +217,7 @@ def theta_family(M, S, T=None, eta=1):
     if labels1[first][0] == HAT:
         if first != 1:
             raise SegmentError("top-column hat is not the first row of the block")
-        res2 = op_M(t1, 0)
+        res2 = merge_hats(t1, 0)
         if not res2.applied:
             raise SegmentError("hat merge for the second lift failed")
         t2 = res2.out

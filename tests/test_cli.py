@@ -49,6 +49,21 @@ class TestParseRender:
             code, _, err = invoke("parse", "--json", payload)
             assert code == EXIT_INVALID and "error" in err
 
+    def test_input_flags_pick_the_parser(self):
+        for flag, text, message in (
+                ("--json", "[0,0;0;+]", "invalid JSON"),
+                ("--dsl", '{"rows":[]}', "expected a row of the form"),
+                ("--json", "[1,2]", 'expected an object with a "rows" list')):
+            code, out, err = invoke("parse", flag, text)
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err.startswith("error: " + message)
+
+    def test_input_flags_clash(self):
+        code, out, err = invoke("parse", "--dsl", "[1,0;0;+]",
+                                "--json", '{"rows":[]}')
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "not allowed with argument" in err
+
     def test_unknown_flag(self):
         code, _, err = invoke("parse", "--bogus")
         assert code == EXIT_INVALID
@@ -200,6 +215,24 @@ class TestVerifyVerb:
     def test_jobs_must_be_positive(self):
         code, _, err = invoke("verify", "--grid", "len<=1", "--jobs", "0")
         assert code == EXIT_INVALID and "error" in err
+
+    def test_disagreement_names_the_instances(self, monkeypatch):
+        verify_instance = cli.verify_instance
+
+        def one_disagrees(M):
+            record = verify_instance(M)
+            if (M.c_min, M.mults) == (1, (1, 3)):
+                record["closure"] += 1
+                record["agree"] = False
+            return record
+
+        monkeypatch.setattr(cli, "verify_instance", one_disagrees)
+        code, out, err = invoke("verify", "--grid",
+                                "len<=2,mult<=3,cmin<=1,rows<=4", "--jobs", "1")
+        assert code == EXIT_INTERNAL
+        assert err == ("invariant violation: count methods disagree on the "
+                       "grid at (c_min 1, mults [1, 3])\n")
+        assert sum(not json.loads(line)["agree"] for line in out.splitlines()) == 1
 
     def test_bad_grid_spec(self):
         code, _, _ = invoke("verify", "--grid", "width<=3")

@@ -7,15 +7,17 @@ import pytest
 
 from emseg.blocks import BlockTuple, tempered_block
 from emseg.closure import (
-    are_equivalent, canonical, closure, exchange_neighbors, neighbors,
+    _other_neighbors, _valid_state, are_equivalent, canonical, closure,
+    exchange_neighbors, neighbors,
 )
 from emseg.core import (
-    SegmentError, arthur_parameter, check_star, group_sign, parse, render,
+    RELAXED, STRICT, SegmentError, arthur_parameter, check_star, group_sign,
+    parse, render, row_is_strict,
 )
 from emseg.count import count_tempered
 from emseg.sdata import theta1
 
-from conftest import rand_tempered
+from conftest import rand_sorted_ms, rand_tempered
 
 X1 = "[0,0;0;+][1,1;0;-]"
 X1_PSIS = {((1, 1), (3, 1)), ((1, 1), (1, 3)), ((2, 2),)}
@@ -155,6 +157,40 @@ class TestNeighbors:
     def test_single_circle_has_no_neighbors(self):
         assert neighbors(parse("[0,0;0;+]")) == []
 
+
+class TestCandidateModes:
+    @staticmethod
+    def _check(cand):
+        assert (cand.mode == STRICT) == all(
+            row_is_strict(r) for r in cand.rows), render(cand)
+
+    def test_strict_mode_exactly_when_rows_are_strict(self):
+        """The moves set the mode themselves, so the search needs no
+        re-tagging of its candidates."""
+        seeds = [parse(X1), tempered_block(BlockTuple(0, (1, 3, 1)), 1),
+                 theta1(tempered_block(BlockTuple(0, (1, 1, 1, 1)), 1))]
+        for seed in seeds:
+            seen = {seed.rows}
+            frontier = [seed]
+            while frontier:
+                nxt = []
+                for state in frontier:
+                    for cand in exchange_neighbors(state) + _other_neighbors(state):
+                        self._check(cand)
+                        if cand.rows not in seen and _valid_state(cand):
+                            seen.add(cand.rows)
+                            nxt.append(cand)
+                frontier = nxt
+            assert len(seen) == closure(seed).states
+
+    def test_relaxed_candidates_are_tagged_relaxed(self, rng):
+        modes = set()
+        for _ in range(300):
+            ms = rand_sorted_ms(rng, require_star=True)
+            for cand in exchange_neighbors(ms) + _other_neighbors(ms):
+                self._check(cand)
+                modes.add(cand.mode)
+        assert modes == {STRICT, RELAXED}
 
 class TestCanonical:
     def test_order_invariance(self):

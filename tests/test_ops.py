@@ -1,6 +1,7 @@
 """The operator calculus: exchanges, merges, duals, splits, composites."""
 
 import random
+import time
 
 import pytest
 
@@ -11,8 +12,8 @@ from emseg.core import (
 from emseg.closure import neighbors
 from emseg.ops import (
     NoExchangeError, T1, T2, T3, T3PRIME, dual, dual_ui_dual, merge_condition,
-    merge_hats, op_D, op_M, op_S, op_U, row_exchange, split_circles, to_sorted,
-    ui, ui_pair, ui_type,
+    merge_hats, op_D, op_S, op_U, row_exchange, split_circles, to_sorted, ui,
+    ui_type,
 )
 
 from conftest import rand_nested_pair, rand_row, rand_sorted_ms
@@ -224,11 +225,52 @@ class TestComposites:
         assert res.applied and res.type_tag == T3PRIME
         assert render(res.out) == "[1,0;0;+]"
 
-    def test_pairwise_ui_distant_rows(self):
+    def test_ui_first_pair_of_three_rows(self):
         ms = parse("[0,0;0;+][1,1;0;-][1,1;0;-]")
-        res = ui_pair(ms, 0, 2)
-        assert res.applied
+        res = ui(ms, 0)
+        assert res.applied and res.type_tag == T3PRIME
         assert render(res.out) == "[1,0;0;+][1,1;0;-]"
+
+
+def _rand_hat(rng):
+    l = rng.randint(1, 4)
+    return make_row(rng.randint(l, l + 4), -l, l, rng.choice([1, -1]))
+
+
+def _rand_circles_row(rng):
+    B = rng.randint(-2, 4)
+    A = rng.randint(abs(B), abs(B) + 4)
+    return make_row(A, B, 0, rng.choice([1, -1]))
+
+
+def _split_psi(ms, i, c):
+    """psi(ms) with row i's (a, b) replaced by its support split at A - c."""
+    r = ms.rows[i]
+    X = r.A - c
+    pieces = [(X, r.B), (r.A, X + 1)]
+    pairs = [(x.a, x.b) for j, x in enumerate(ms.rows) if j != i]
+    pairs += [(A + B + 1, A - B + 1) for A, B in pieces]
+    return tuple(sorted(pairs))
+
+
+def test_separate_and_unhook_split_the_moved_support(rng):
+    """Row exchanges keep supports, so op_S and op_U change psi only by
+    splitting the moved row's support at A - c."""
+    start = time.perf_counter()
+    makers = (rand_row, _rand_hat, _rand_circles_row)
+    applied = {op_S: 0, op_U: 0}
+    for _ in range(400):
+        rows = [rng.choice(makers)(rng) for _ in range(rng.randint(1, 5))]
+        ms = MultiSegment(tuple(sorted(rows, key=lambda r: (r.B, r.A))))
+        for i, r in enumerate(ms.rows):
+            for c in range(1, r.circles):
+                for op in (op_S, op_U):
+                    res = op(ms, i, c)
+                    if res.applied:
+                        assert arthur_parameter(res.out) == _split_psi(ms, i, c)
+                        applied[op] += 1
+    assert min(applied.values()) >= 50, applied
+    assert time.perf_counter() - start < 1.0
 
 
 def test_braid_relation_sample(rng):
