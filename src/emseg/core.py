@@ -65,11 +65,6 @@ class Row(NamedTuple):
         return self.B == -self.l
 
 
-def _check_sign(eta):
-    if eta not in (1, -1):
-        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
-
-
 def _check_mode(mode):
     if mode not in (STRICT, RELAXED):
         raise SegmentError("unknown mode %r" % (mode,))
@@ -84,19 +79,21 @@ def weak_normalize(row):
 
 def make_row(A, B, l, eta, mode=STRICT):
     """Build a weak-normalized row, checking the invariants for the mode."""
-    for name, v in (("A", A), ("B", B), ("l", l)):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ScopeError("%s must be an integer, got %r" % (name, v))
-    _check_sign(eta)
+    if not type(A) is type(B) is type(l) is int:  # plain ints skip the loop
+        for name, v in (("A", A), ("B", B), ("l", l)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ScopeError("%s must be an integer, got %r" % (name, v))
+    if eta not in (1, -1):
+        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
     if A < B:
         raise SegmentError("need A >= B, got [%d,%d]" % (A, B))
     if A + B < 0:
         raise SegmentError("need A + B >= 0, got [%d,%d]" % (A, B))
-    row = Row(A, B, l, eta)
-    if mode == STRICT and not (0 <= 2 * l <= row.b):
+    b = A - B + 1
+    if mode == STRICT and not (0 <= 2 * l <= b):
         raise SegmentError(
-            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, row.b))
-    return weak_normalize(row)
+            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, b))
+    return weak_normalize(Row(A, B, l, eta))
 
 
 def row_is_strict(row):
@@ -168,14 +165,15 @@ def order_sorted(rows):
 
 
 def validate(ms, criterion="P"):
-    """True iff the order satisfies (P) or (P') and the rows fit the mode."""
+    """True iff the order satisfies (P) or (P') and the rows fit the mode;
+    (P') implies (P), so B-sorted rows skip the O(n^2) check of (P)."""
     if criterion not in ("P", "Pprime"):
         raise ValueError("criterion must be 'P' or 'Pprime'")
     if ms.mode == STRICT and not all(row_is_strict(r) for r in ms.rows):
         return False
     if criterion == "Pprime":
         return order_sorted(ms.rows)
-    return order_admissible(ms.rows)
+    return order_sorted(ms.rows) or order_admissible(ms.rows)
 
 
 def arthur_parameter(ms):

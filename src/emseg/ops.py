@@ -97,7 +97,13 @@ def row_exchange(ms, k):
 
 
 def ui_type(ms, k):
-    """The union-intersection type at position k, or None."""
+    """The union-intersection type at position k, or None.
+
+    Domains: T3' joins two circle rows whose supports abut (B_2 = A_1 + 1)
+    into one row.  T1, T2 and T3 keep the intersection [B_2, A_1] as row
+    k+1, so they need B_2 <= A_1; strict rows satisfying their equations
+    always have it, relaxed rows (l < 0) need not.
+    """
     rows = ms.rows
     if not (0 <= k < len(rows) - 1):
         return None
@@ -105,12 +111,16 @@ def ui_type(ms, k):
     if not (r2.A > r1.A and r2.B > r1.B):
         return None
     eps = (-1) ** (r1.A - r1.B) * r1.eta * r2.eta
+    if eps == -1 and r1.l == r2.l == 0 and r2.B == r1.A + 1:
+        return T3PRIME
+    if r2.B > r1.A:
+        return None
     if eps == 1 and r2.A - r2.l == r1.A - r1.l:
         return T1
     if eps == 1 and r2.B + r2.l == r1.B + r1.l:
         return T2
     if eps == -1 and r2.B + r2.l == r1.A - r1.l + 1:
-        return T3PRIME if r1.l == r2.l == 0 else T3
+        return T3
     return None
 
 

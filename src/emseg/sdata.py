@@ -6,51 +6,47 @@ interval as hats.  Leftover column multiplicity becomes single-circle
 multiples.  Signs follow the odd-alternating assignment.
 """
 
-from .core import MultiSegment, Row, SegmentError, weak_normalize
+from itertools import product
+
+from .core import STRICT, MultiSegment, Row, SegmentError, make_row
 from .ops import merge_hats, op_D, op_S, op_U
 
 CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
-
-
-def _interval_ok(iv, lo, hi):
-    return lo <= iv[0] <= iv[1] <= hi
+_RANK = {CHAIN: 0, HAT: 0, MULTIPLE: 1, ZCHAIN: 2}
 
 
 def validate_S(M, S):
     """Validity of an S-tuple: consecutive nonempty intervals covering the
     column range, weakly increasing, overlapping only at single points where
-    the next interval is wider and the column multiplicity exceeds one."""
-    if not S:
+    the next interval is wider and the column multiplicity exceeds one.
+
+    One pass over adjacent pairs decides this: the first interval starts at
+    c_min, the last ends at c_max, and each next interval starts at b + 1,
+    or at b when it is wider and mult(b) > 1.  Weak increase is transitive,
+    and a touch between non-adjacent intervals would force a one-point
+    interval between them, which the adjacent-pair rule already rejects.
+    """
+    if not S or S[0][0] != M.c_min or S[-1][1] != M.c_max:
         return False
-    lo, hi = M.c_min, M.c_max
-    if any(not _interval_ok(iv, lo, hi) for iv in S):
-        return False
-    covered = set()
+    prev = None
     for a, b in S:
-        covered.update(range(a, b + 1))
-    if covered != set(range(lo, hi + 1)):
-        return False
-    for i in range(len(S)):
-        for j in range(i + 1, len(S)):
-            if S[i][1] > S[j][0]:
-                return False  # elements must be weakly increasing across sets
-            if S[i][1] == S[j][0]:
-                c = S[j][0]
-                if j - i != 1 or S[j][1] == S[j][0] or M.mult(c) <= 1:
-                    return False
+        if a > b:
+            return False
+        if prev is not None and a != prev + 1 and not (
+                a == prev < b and M.mult(prev) > 1):
+            return False
+        prev = b
     return True
 
 
 def _partition_consecutive(parts, iv):
-    if not parts:
+    if not parts or parts[-1][1] != iv[1]:
         return False
-    if parts[0][0] != iv[0] or parts[-1][1] != iv[1]:
-        return False
-    for j in range(len(parts)):
-        if parts[j][0] > parts[j][1]:
+    nxt = iv[0]
+    for p in parts:
+        if p[0] != nxt or p[0] > p[1]:
             return False
-        if j and parts[j][0] != parts[j - 1][1] + 1:
-            return False
+        nxt = p[1] + 1
     return True
 
 
@@ -73,14 +69,19 @@ def trivial_T(S):
 
 
 def enumerate_S(M):
-    """All valid S-tuples, in generation order."""
+    """All valid S-tuples, in generation order.
+
+    Every tuple generated is valid, so none is filtered: each interval
+    starts right after the last one ends, or on its last column when that
+    column's multiplicity exceeds one (an overlap start), and an
+    overlapping interval gets an end e >= nxt > s, so it is wider.
+    """
     lo, hi = M.c_min, M.c_max
     out = []
 
     def extend(prefix, nxt):
         if nxt > hi:
-            if validate_S(M, tuple(prefix)):
-                out.append(tuple(prefix))
+            out.append(tuple(prefix))
             return
         starts = [nxt]
         if prefix and prefix[-1][1] == nxt - 1 and M.mult(nxt - 1) > 1:
@@ -98,89 +99,76 @@ def enumerate_S(M):
 def _partitions_of(iv, min_first):
     """All upward partitions of the interval, first part >= min_first wide."""
     a, b = iv
-    res = []
-
-    def rec(start, acc):
-        for end in range(start, b + 1):
-            part = (start, end)
-            if not acc and end - start + 1 < min_first:
-                continue
-            if end == b:
-                res.append(tuple(acc + [part]))
-            else:
-                rec(end + 1, acc + [part])
-
-    rec(a, [])
-    return res
+    if a > b:
+        return [()]
+    return [((a, e),) + rest for e in range(a + min_first - 1, b + 1)
+            for rest in _partitions_of((e + 1, b), 1)]
 
 
 def enumerate_ST(M):
-    """All valid (S, T) pairs for a block starting at zero."""
+    """All valid (S, T) pairs for a block starting at zero.
+
+    Every pair generated is valid, so none is filtered: each S comes from
+    enumerate_S, and _partitions_of gives each interval its upward
+    partitions with the chain of an overlapping interval (a z-chain) at
+    least two columns wide.
+    """
     if M.c_min != 0:
         raise SegmentError("T-refinements only apply to blocks starting at 0")
     out = []
     for S in enumerate_S(M):
-        choices = []
-        for i, iv in enumerate(S):
-            overlap = i > 0 and S[i - 1][1] == iv[0]
-            choices.append(_partitions_of(iv, 2 if overlap else 1))
-        def product(i, acc):
-            if i == len(choices):
-                T = tuple(acc)
-                if validate_T(M, S, T):
-                    out.append((S, T))
-                return
-            for parts in choices[i]:
-                product(i + 1, acc + [parts])
-        product(0, [])
+        choices = [_partitions_of(iv, 2 if i and S[i - 1][1] == iv[0] else 1)
+                   for i, iv in enumerate(S)]
+        out.extend((S, T) for T in product(*choices))
     return out
 
 
 def build_labeled(M, S, T=None, eta=1):
-    """Construct the multi-segment and the per-row category labels."""
+    """Construct the multi-segment and the per-row category labels; after
+    (S, T) and the coverage are checked, each row is made once."""
     if not validate_S(M, S):
         raise SegmentError("invalid S-tuple for %r" % (M,))
     if T is None:
         T = trivial_T(S)
     if not validate_T(M, S, T):
         raise SegmentError("invalid T-refinement")
+    lo = M.c_min
+    # Items are (B, rank, A, l, kind, origin).  On valid (S, T) two items
+    # agree in (B, rank) only if they are equal multiples, so sorting the
+    # plain tuples is the stable sort by (B, rank).
     items = []
-    coverage = {c: 0 for c in range(M.c_min, M.c_max + 1)}
+    coverage = [0] * (M.c_max - lo + 1)
     for i, parts in enumerate(T):
-        for c in range(S[i][0], S[i][1] + 1):
-            coverage[c] += 1
+        for j in range(S[i][0] - lo, S[i][1] - lo + 1):
+            coverage[j] += 1
         lo0, hi0 = parts[0]
         kind = ZCHAIN if (i and S[i - 1][1] == S[i][0]) else CHAIN
-        items.append((Row(hi0, lo0, 0, 1), kind, (i, 0)))
-        for j, (lo, hi) in enumerate(parts[1:], start=1):
-            items.append((Row(hi, -lo, lo, 1), HAT, (i, j)))
-    for c in range(M.c_min, M.c_max + 1):
-        extra = M.mult(c) - coverage[c]
-        if extra < 0:
+        items.append((lo0, _RANK[kind], hi0, 0, kind, (i, 0)))
+        for j, (p, q) in enumerate(parts[1:], start=1):
+            items.append((-p, 0, q, p, HAT, (i, j)))
+    for c, (mult, covered) in enumerate(zip(M.mults, coverage), lo):
+        if mult < covered:
             raise SegmentError("column %d covered more often than its multiplicity" % c)
-        for _ in range(extra):
-            items.append((Row(c, c, 0, 1), MULTIPLE, None))
-    cat_rank = {CHAIN: 0, HAT: 0, MULTIPLE: 1, ZCHAIN: 2}
-    items.sort(key=lambda it: (it[0].B, cat_rank[it[1]]))
+        items.extend([(c, 1, c, 0, MULTIPLE, None)] * (mult - covered))
+    items.sort()
     rows = []
     labels = []
     sign = eta
-    prev = None
-    for row, kind, origin in items:
+    prev = prev_kind = None
+    for B, _, A, l, kind, origin in items:
         if prev is not None:
-            p_row, p_kind = prev
-            step = (-1) ** p_row.circles * p_row.eta
+            step = (-1) ** prev.circles * prev.eta
             if kind == MULTIPLE:
                 sign = -step
-            elif p_kind == MULTIPLE:
-                sign = step if row.B > p_row.B else -step
+            elif prev_kind == MULTIPLE:
+                sign = step if B > prev.B else -step
             else:
                 sign = step
-        row = weak_normalize(row._replace(eta=sign))
-        rows.append(row)
+        prev = make_row(A, B, l, sign)
+        prev_kind = kind
+        rows.append(prev)
         labels.append((kind, origin))
-        prev = (row, kind)
-    return MultiSegment(tuple(rows)), tuple(labels)
+    return MultiSegment._of(tuple(rows), STRICT), tuple(labels)
 
 
 def build(M, S, T=None, eta=1):

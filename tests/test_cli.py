@@ -88,6 +88,13 @@ class TestApply:
         assert code == EXIT_OK and record["type"] == "T3prime"
         assert record["result"] == "[1,0;0;+]"
 
+    def test_ui_outside_its_domain_is_not_applied(self):
+        code, out, _ = invoke("apply", "--op", "ui", "--k", "0", "--relaxed",
+                              "--format", "dsl", "--dsl", "[2,2;-1;-][4,3;-2;-]")
+        record = json.loads(out)
+        assert code == EXIT_OK and not record["applied"]
+        assert record["result"] == "[2,2;-1;-][4,3;-2;-]"
+
     def test_split_requires_column(self):
         code, _, err = invoke("apply", "--op", "split", "--k", "0",
                               "--dsl", "[1,0;0;+]")

@@ -26,3 +26,26 @@ def test_no_unused_imports():
     assert SOURCES
     unused = {p.name: found for p in SOURCES if (found := _unused_imports(p))}
     assert unused == {}
+
+
+def _unreferenced_private_functions():
+    """Module-level _private functions no module of the package refers to."""
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in Path(emseg.__file__).parent.glob("*.py")}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted((name, node.name) for name, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and node.name not in referenced)
+
+
+def test_no_unreferenced_private_functions():
+    assert _unreferenced_private_functions() == []

@@ -6,8 +6,9 @@ import time
 import pytest
 
 from emseg.core import (
-    MultiSegment, OrderError, Row, SegmentError, arthur_parameter, check_star,
-    group_sign, make_row, multi_segment, parse, render, validate,
+    RELAXED, STRICT, MultiSegment, OrderError, Row, SegmentError,
+    arthur_parameter, check_star, group_sign, make_row, multi_segment, parse,
+    render, validate,
 )
 from emseg.closure import neighbors
 from emseg.ops import (
@@ -99,6 +100,37 @@ class TestUnionIntersection:
         assert res.applied
         assert res.out.rows[0].A == 2 and res.out.rows[0].B == 0
         assert res.out.rows[1].A == 1 and res.out.rows[1].B == 1
+
+    def test_relaxed_pair_with_empty_intersection_not_applicable(self):
+        ms = parse("[2,2;-1;-][4,3;-2;-]", RELAXED)
+        assert ui_type(ms, 0) is None
+        res = ui(ms, 0)
+        assert not res.applied and res.out is ms
+
+    def test_applied_outputs_are_valid_rows(self, rng):
+        """On strict and relaxed inputs, every applied ui builds rows that
+        make_row accepts in the output's mode."""
+        applied = {STRICT: 0, RELAXED: 0}
+        for i in range(3000):
+            mode = (STRICT, RELAXED)[i % 2]
+            rows = []
+            for _ in range(rng.randint(2, 4)):
+                B = rng.randint(-3, 4)
+                A = rng.randint(max(B, -B), max(B, -B) + 4)
+                b = A - B + 1
+                l = (rng.randint(0, b // 2) if mode == STRICT
+                     else rng.randint(-b, b))
+                rows.append(Row(A, B, l, rng.choice((1, -1))))
+            rows.sort(key=lambda r: (r.B, r.A))
+            ms = MultiSegment(tuple(rows), mode)
+            for k in range(len(rows) - 1):
+                res = ui(ms, k)
+                if res.applied:
+                    applied[ms.mode] += 1
+                    out = res.out
+                    assert all(make_row(*r, mode=out.mode) == r
+                               for r in out.rows), (render(ms), k)
+        assert min(applied.values()) > 50
 
     def test_supports_cross_after_merge(self, rng):
         for _ in range(300):

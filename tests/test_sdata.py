@@ -1,15 +1,23 @@
 """Class coordinates for blocks: interval data, construction, lift family."""
 
+import functools
+import itertools
+import time
+
 import pytest
 
+from emseg import sdata
 from emseg.blocks import BlockTuple, tempered_block
 from emseg.closure import closure
 from emseg.core import (
-    SegmentError, arthur_parameter, check_star, render, validate,
+    MultiSegment, Row, SegmentError, arthur_parameter, check_star, render,
+    validate, weak_normalize,
 )
+from emseg.count import grid_instances
 from emseg.sdata import (
-    build, build_labeled, enumerate_S, enumerate_ST, theta1, theta_family,
-    theta2_matches_theta4, trivial_T, validate_S, validate_T,
+    CHAIN, HAT, MULTIPLE, ZCHAIN, build, build_labeled, enumerate_S,
+    enumerate_ST, theta1, theta_family, theta2_matches_theta4, trivial_T,
+    validate_S, validate_T,
 )
 
 ELEVEN_ROW_M = BlockTuple(0, (1, 1, 3, 1, 1, 3, 1, 1, 3, 1))
@@ -170,3 +178,215 @@ class TestTheta:
         M = BlockTuple(0, (1, 3))
         assert theta2_matches_theta4(M, ((0, 0), (1, 1)))
         assert not theta2_matches_theta4(M, ((0, 1),))
+
+
+def _small_blocks(max_cols, c_min):
+    """Every block at c_min of at most max_cols columns with multiplicities
+    in {1, 3, 5}."""
+    for n in range(1, max_cols + 1):
+        for mults in itertools.product((1, 3, 5), repeat=n):
+            yield BlockTuple(c_min, mults)
+
+
+def _all_pairs_validate_S(M, S):
+    """The rule validate_S implemented before it became one pass over
+    adjacent pairs: every interval in range, full coverage, and every pair
+    of intervals weakly increasing, touching only when adjacent, with the
+    later one wider and the column multiplicity above one."""
+    if not S:
+        return False
+    lo, hi = M.c_min, M.c_max
+    if any(not lo <= a <= b <= hi for a, b in S):
+        return False
+    covered = set()
+    for a, b in S:
+        covered.update(range(a, b + 1))
+    if covered != set(range(lo, hi + 1)):
+        return False
+    for i in range(len(S)):
+        for j in range(i + 1, len(S)):
+            if S[i][1] > S[j][0]:
+                return False
+            if S[i][1] == S[j][0]:
+                c = S[j][0]
+                if j - i != 1 or S[j][1] == S[j][0] or M.mult(c) <= 1:
+                    return False
+    return True
+
+
+def _filtered_S(M):
+    """S-tuples from a generator that ignores the multiplicity condition on
+    overlap starts, filtered by validate_S."""
+    lo, hi = M.c_min, M.c_max
+    out = []
+
+    def extend(prefix, nxt):
+        if nxt > hi:
+            if validate_S(M, tuple(prefix)):
+                out.append(tuple(prefix))
+            return
+        starts = [nxt, nxt - 1] if prefix else [nxt]
+        for s in starts:
+            for e in range(nxt, hi + 1):
+                prefix.append((s, e))
+                extend(prefix, e + 1)
+                prefix.pop()
+
+    extend([], lo)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _upward_partitions(a, b):
+    if a > b:
+        return [()]
+    return [((a, e),) + rest for e in range(a, b + 1)
+            for rest in _upward_partitions(e + 1, b)]
+
+
+def _filtered_ST(M):
+    """Every S from _filtered_S with every upward partition of each of its
+    intervals, filtered by validate_T."""
+    return [(S, T) for S in _filtered_S(M)
+            for T in itertools.product(*(_upward_partitions(a, b) for a, b in S))
+            if validate_T(M, S, T)]
+
+
+class TestValidByConstruction:
+    """The enumerations generate only valid data, so they equal a wider
+    generator filtered by validate_S and validate_T."""
+
+    @pytest.mark.parametrize("c_min", [0, 2])
+    def test_enumerate_S_equals_generate_then_filter(self, c_min):
+        start = time.monotonic()
+        for M in _small_blocks(6, c_min):
+            assert enumerate_S(M) == _filtered_S(M), M
+        assert time.monotonic() - start <= 2.0
+
+    def test_enumerate_ST_equals_generate_then_filter(self):
+        start = time.monotonic()
+        for M in _small_blocks(5, 0):
+            assert enumerate_ST(M) == _filtered_ST(M), M
+        assert time.monotonic() - start <= 2.0
+
+    def test_linear_validate_S_matches_all_pairs_rule(self, rng):
+        accepted = 0
+        for _ in range(4000):
+            M = BlockTuple(rng.choice((0, 1, 2)),
+                           tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 5))))
+            if rng.random() < 0.5:
+                S = list(rng.choice(enumerate_S(M)))
+                for _ in range(rng.randint(0, 2)):
+                    k = rng.randrange(len(S))
+                    a, b = S[k]
+                    S[k] = (a + rng.randint(-1, 1), b + rng.randint(-1, 1))
+            else:
+                S = []
+                for _ in range(rng.randint(0, 4)):
+                    a = rng.randint(M.c_min - 1, M.c_max + 1)
+                    S.append((a, a + rng.randint(-1, 3)))
+            S = tuple(S)
+            want = _all_pairs_validate_S(M, S)
+            assert validate_S(M, S) == want, (M, S)
+            accepted += want
+        assert 500 < accepted < 3500
+
+
+def _reference_build_labeled(M, S, T, eta):
+    """The construction as it read before rows were made once: Row, sign,
+    weak_normalize, then the public constructor over all rows."""
+    items = []
+    for i, parts in enumerate(T):
+        lo0, hi0 = parts[0]
+        kind = ZCHAIN if (i and S[i - 1][1] == S[i][0]) else CHAIN
+        items.append((Row(hi0, lo0, 0, 1), kind, (i, 0)))
+        for j, (lo, hi) in enumerate(parts[1:], start=1):
+            items.append((Row(hi, -lo, lo, 1), HAT, (i, j)))
+    covered = [c for a, b in S for c in range(a, b + 1)]
+    for c in range(M.c_min, M.c_max + 1):
+        items += [(Row(c, c, 0, 1), MULTIPLE, None)] * (M.mult(c) - covered.count(c))
+    rank = {CHAIN: 0, HAT: 0, MULTIPLE: 1, ZCHAIN: 2}
+    items.sort(key=lambda it: (it[0].B, rank[it[1]]))
+    rows, labels, sign, prev = [], [], eta, None
+    for row, kind, origin in items:
+        if prev is not None:
+            step = (-1) ** prev[0].circles * prev[0].eta
+            if kind == MULTIPLE:
+                sign = -step
+            elif prev[1] == MULTIPLE:
+                sign = step if row.B > prev[0].B else -step
+            else:
+                sign = step
+        row = weak_normalize(row._replace(eta=sign))
+        rows.append(row)
+        labels.append((kind, origin))
+        prev = (row, kind)
+    return MultiSegment(tuple(rows)), tuple(labels)
+
+
+def _members(M):
+    if M.c_min == 0:
+        return enumerate_ST(M)
+    return [(S, None) for S in enumerate_S(M)]
+
+
+class TestBuildOnce:
+    def test_same_as_public_constructor(self):
+        built = 0
+        for M in grid_instances():
+            for S, T in _members(M):
+                for eta in (1, -1):
+                    ms, labels = build_labeled(M, S, T, eta)
+                    want = _reference_build_labeled(
+                        M, S, T or trivial_T(S), eta)
+                    assert (ms.rows, ms.mode, labels) == (
+                        want[0].rows, want[0].mode, want[1])
+                    assert ms == MultiSegment(ms.rows)
+                    assert all(type(r) is Row for r in ms.rows)
+                    built += 1
+        assert built > 1000
+
+    def test_errors(self):
+        M = BlockTuple(0, (1, 1))
+        with pytest.raises(SegmentError) as err:
+            build(M, ((1, 1), (0, 0)))
+        assert str(err.value) == (
+            "invalid S-tuple for BlockTuple(c_min=0, mults=(1, 1))")
+        with pytest.raises(SegmentError) as err:
+            build(BlockTuple(1, (1, 1)), ((1, 2),), (((1, 1), (2, 2)),))
+        assert str(err.value) == "invalid T-refinement"
+        with pytest.raises(SegmentError) as err:
+            build(M, ((0, 1),), None, 0)
+        assert str(err.value) == "eta must be +1 or -1, got 0"
+        # Valid (S, T) cover no column more often than a positive
+        # multiplicity allows; a block that skipped that check can.
+        unchecked = object.__new__(BlockTuple)
+        object.__setattr__(unchecked, "c_min", 0)
+        object.__setattr__(unchecked, "mults", (1, 0))
+        with pytest.raises(SegmentError) as err:
+            build(unchecked, ((0, 1),))
+        assert str(err.value) == (
+            "column 1 covered more often than its multiplicity")
+
+    def test_one_make_row_per_row(self, monkeypatch):
+        made, inits = [], []
+        real_make_row = sdata.make_row
+        real_post_init = MultiSegment.__post_init__
+
+        def counted_make_row(*args, **kwargs):
+            made.append(args)
+            return real_make_row(*args, **kwargs)
+
+        def counted_post_init(self):
+            inits.append(self)
+            real_post_init(self)
+
+        monkeypatch.setattr(sdata, "make_row", counted_make_row)
+        monkeypatch.setattr(MultiSegment, "__post_init__", counted_post_init)
+        M = BlockTuple(0, (1, 3, 1, 3))
+        rows = 0
+        for S, T in enumerate_ST(M):
+            rows += len(build(M, S, T, -1).rows)
+        rows += len(build(ELEVEN_ROW_M, ELEVEN_ROW_S, ELEVEN_ROW_T, 1).rows)
+        assert len(made) == rows
+        assert inits == []
