@@ -72,7 +72,7 @@ def _check_mode(mode):
 
 def weak_normalize(row):
     """Store eta as +1 whenever the row has no circles (2l = b)."""
-    if 2 * row.l == row.b and row.eta != 1:
+    if row.eta != 1 and 2 * row.l == row.A - row.B + 1:
         return row._replace(eta=1)
     return row
 
@@ -185,7 +185,7 @@ def arthur_parameter(ms):
 
 def _psi(rows):
     """arthur_parameter without the order check, for admissible rows."""
-    return tuple(sorted((r.a, r.b) for r in rows))
+    return tuple(sorted((A + B + 1, A - B + 1) for A, B, _, _ in rows))
 
 
 def group_sign(ms):
@@ -313,19 +313,3 @@ def render_grid(ms, unicode_symbols=False):
 def circle_count(ms):
     """Total number of circles C(E) over all rows."""
     return sum(r.circles for r in ms.rows)
-
-
-def alpha_beta(rows):
-    """Prefix sums of a and suffix sums of b, per row position."""
-    n = len(rows)
-    alphas = []
-    total_a = 0
-    for r in rows:
-        alphas.append(total_a)
-        total_a += r.a
-    betas = [0] * n
-    total_b = 0
-    for i in range(n - 1, -1, -1):
-        betas[i] = total_b
-        total_b += rows[i].b
-    return alphas, betas

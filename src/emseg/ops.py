@@ -4,15 +4,20 @@ Row exchange, union-intersection (all types), the dual involution, hat
 merging, circle-row splitting, and the higher-level separation / unhook /
 dualize composites used by the lift family.  The composites move rows by
 chains of plain row exchanges.
+
+Each operator's formula lives once, in a row-level core that maps plain
+rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_rows,
+sort_rows, split_points and split_pair.  The operators on multi-segments
+check their arguments, call the core and build the new rows with make_row;
+the closure search calls the cores directly.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED,
-    alpha_beta, make_row, order_admissible, order_sorted, row_is_strict,
-    weak_normalize,
+    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED, make_row,
+    order_admissible, order_sorted, row_is_strict, weak_normalize,
 )
 
 T1, T2, T3, T3PRIME = "T1", "T2", "T3", "T3prime"
@@ -27,6 +32,11 @@ class OpResult:
 
 class NoExchangeError(SegmentError):
     """Row exchange requested on a pair it is not defined for."""
+
+
+def _non_nesting(k):
+    return NoExchangeError(
+        "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
 
 
 def _supports_nest(r1, r2):
@@ -49,65 +59,43 @@ def _with_new_rows(rows, new):
     return MultiSegment._of(tuple(rows), mode)
 
 
-def row_exchange(ms, k):
-    """Swap rows k and k+1 with the compensating (l, eta) changes.
+# ---------------------------------------------------------------------------
+# Row-level cores: each operator's formula, on plain rows
+# ---------------------------------------------------------------------------
 
-    If the swapped order would be inadmissible the input is returned with
-    applied=False.  The output may be a relaxed symbol.
-    """
-    rows = list(ms.rows)
-    if not (0 <= k < len(rows) - 1):
-        raise SegmentError("no adjacent pair at position %d" % k)
-    r1, r2 = rows[k], rows[k + 1]
-    if not _supports_nest(r1, r2):
-        if r2.A > r1.A and r2.B > r1.B:
-            return OpResult(ms, False)
-        raise NoExchangeError(
-            "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
-    eps = (-1) ** (r1.A - r1.B) * r1.eta * r2.eta
-    if r1.B <= r2.B and r1.A >= r2.A:
+def exchange_pair(r1, r2):
+    """The new (row k, row k+1) of the nesting pair r1, r2 at k, k+1,
+    weak-normalized: the rows swap places and trade (l, eta)."""
+    A1, B1, l1, eta1 = r1
+    A2, B2, l2, eta2 = r2
+    b1, b2 = A1 - B1 + 1, A2 - B2 + 1
+    c1, c2 = b1 - 2 * l1, b2 - 2 * l2  # circles
+    eps = (-1) ** (A1 - B1) * eta1 * eta2
+    if B1 <= B2 and A1 >= A2:
         # Case 1: supp(r1) contains supp(r2); equality lands here too.
-        new_r2 = Row(r2.A, r2.B, r2.l, (-1) ** (r1.A - r1.B) * r2.eta)
+        new_r2 = Row(A2, B2, l2, (-1) ** (A1 - B1) * eta2)
         if eps == 1:
-            if r1.circles < 2 * r2.circles:
-                new_r1 = Row(r1.A, r1.B, r1.b - (r1.l + r2.circles),
-                             (-1) ** (r2.A - r2.B) * r1.eta)
+            if c1 < 2 * c2:
+                new_r1 = Row(A1, B1, b1 - (l1 + c2), (-1) ** (A2 - B2) * eta1)
             else:
-                new_r1 = Row(r1.A, r1.B, r1.l + r2.circles,
-                             (-1) ** (r2.A - r2.B + 1) * r1.eta)
+                new_r1 = Row(A1, B1, l1 + c2, (-1) ** (A2 - B2 + 1) * eta1)
         else:
-            new_r1 = Row(r1.A, r1.B, r1.l - r2.circles,
-                         (-1) ** (r2.A - r2.B + 1) * r1.eta)
+            new_r1 = Row(A1, B1, l1 - c2, (-1) ** (A2 - B2 + 1) * eta1)
     else:
         # Case 2: supp(r1) strictly inside supp(r2).
-        new_r1 = Row(r1.A, r1.B, r1.l, (-1) ** (r2.A - r2.B) * r1.eta)
+        new_r1 = Row(A1, B1, l1, (-1) ** (A2 - B2) * eta1)
         if eps == 1:
-            if r2.circles < 2 * r1.circles:
-                new_r2 = Row(r2.A, r2.B, r2.b - (r2.l + r1.circles),
-                             (-1) ** (r1.A - r1.B) * r2.eta)
+            if c2 < 2 * c1:
+                new_r2 = Row(A2, B2, b2 - (l2 + c1), (-1) ** (A1 - B1) * eta2)
             else:
-                new_r2 = Row(r2.A, r2.B, r2.l + r1.circles,
-                             (-1) ** (r1.A - r1.B + 1) * r2.eta)
+                new_r2 = Row(A2, B2, l2 + c1, (-1) ** (A1 - B1 + 1) * eta2)
         else:
-            new_r2 = Row(r2.A, r2.B, r2.l - r1.circles,
-                         (-1) ** (r1.A - r1.B + 1) * r2.eta)
-    rows[k] = new_r2
-    rows[k + 1] = new_r1
-    return OpResult(_with_new_rows(rows, (k, k + 1)), True)
+            new_r2 = Row(A2, B2, l2 - c1, (-1) ** (A1 - B1 + 1) * eta2)
+    return weak_normalize(new_r2), weak_normalize(new_r1)
 
 
-def ui_type(ms, k):
-    """The union-intersection type at position k, or None.
-
-    Domains: T3' joins two circle rows whose supports abut (B_2 = A_1 + 1)
-    into one row.  T1, T2 and T3 keep the intersection [B_2, A_1] as row
-    k+1, so they need B_2 <= A_1; strict rows satisfying their equations
-    always have it, relaxed rows (l < 0) need not.
-    """
-    rows = ms.rows
-    if not (0 <= k < len(rows) - 1):
-        return None
-    r1, r2 = rows[k], rows[k + 1]
+def pair_ui_type(r1, r2):
+    """The union-intersection type of the adjacent rows r1, r2, or None."""
     if not (r2.A > r1.A and r2.B > r1.B):
         return None
     eps = (-1) ** (r1.A - r1.B) * r1.eta * r2.eta
@@ -124,13 +112,9 @@ def ui_type(ms, k):
     return None
 
 
-def ui(ms, k):
-    """Union-intersection of adjacent rows k, k+1."""
-    tag = ui_type(ms, k)
-    if tag is None:
-        return OpResult(ms, False)
-    rows = list(ms.rows)
-    r1, r2 = rows[k], rows[k + 1]
+def ui_rows(r1, r2, tag):
+    """The row(s) replacing r1, r2 under the union-intersection of type
+    tag, weak-normalized: one row for T3', two otherwise."""
     d = r2.A - r1.A
     if tag == T1:
         new1 = Row(r2.A, r1.B, r1.l, r1.eta)
@@ -143,62 +127,152 @@ def ui(ms, k):
         new2 = Row(r1.A, r2.B, r2.l, (-1) ** d * r2.eta)
     else:
         new1 = Row(r2.A, r1.B, r1.l, r1.eta)
+        if tag == T3PRIME:
+            return (weak_normalize(new1),)
         if r2.l <= r1.l:
             new2 = Row(r1.A, r2.B, r2.l, (-1) ** d * r2.eta)
         else:
             new2 = Row(r1.A, r2.B, r1.l, (-1) ** (d + 1) * r2.eta)
-    if tag == T3PRIME:
-        rows[k: k + 2] = [new1]
-        new = (k,)
-    else:
-        rows[k: k + 2] = [new1, new2]
-        new = (k, k + 1)
-    return OpResult(_with_new_rows(rows, new), True, tag)
+    return weak_normalize(new1), weak_normalize(new2)
+
+
+def dual_rows(rows):
+    """The dual of (P')-sorted rows: reversed, [A,B] -> [A,-B], l -> l + B,
+    and eta times (-1)^(alpha + beta), where alpha sums a over the rows
+    before and beta sums b over the rows after; weak-normalized."""
+    out = []
+    alpha = 0
+    beta = sum(r.A - r.B + 1 for r in rows)
+    for A, B, l, eta in rows:
+        beta -= A - B + 1
+        out.append(weak_normalize(
+            Row(A, -B, l + B, (-1) ** (alpha + beta) * eta)))
+        alpha += A + B + 1
+    out.reverse()
+    return out
+
+
+def sort_rows(rows):
+    """Row-exchange the list rows into (P') order in place (stable bubble
+    pass).  Returns None when sorted, or the position k of a pair out of
+    order whose supports do not nest, which no exchange can sort."""
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(rows) - 1):
+            r1, r2 = rows[k], rows[k + 1]
+            if r1.B > r2.B:
+                if not _supports_nest(r1, r2):
+                    return k
+                rows[k], rows[k + 1] = exchange_pair(r1, r2)
+                changed = True
+    return None
+
+
+def split_points(r):
+    """The X at which row r can split: none unless r is all circles
+    (l = 0); the low part [X, B] needs X >= |B|, the high part [A, X + 1]
+    needs X < A."""
+    return range(abs(r.B), r.A) if r.l == 0 else range(0)
+
+
+def split_pair(r, X):
+    """The (low, high) rows of the all-circles row r split at X; they have
+    l = 0, so they are weak-normalized as they stand."""
+    return (Row(X, r.B, 0, r.eta),
+            Row(r.A, X + 1, 0, -((-1) ** (X - r.B)) * r.eta))
+
+
+# ---------------------------------------------------------------------------
+# The operators on multi-segments
+# ---------------------------------------------------------------------------
+
+def row_exchange(ms, k):
+    """Swap rows k and k+1 with the compensating (l, eta) changes.
+
+    If the swapped order would be inadmissible the input is returned with
+    applied=False.  The output may be a relaxed symbol.
+    """
+    rows = list(ms.rows)
+    if not (0 <= k < len(rows) - 1):
+        raise SegmentError("no adjacent pair at position %d" % k)
+    r1, r2 = rows[k], rows[k + 1]
+    if not _supports_nest(r1, r2):
+        if r2.A > r1.A and r2.B > r1.B:
+            return OpResult(ms, False)
+        raise _non_nesting(k)
+    rows[k: k + 2] = exchange_pair(r1, r2)
+    return OpResult(_with_new_rows(rows, (k, k + 1)), True)
+
+
+def ui_type(ms, k):
+    """The union-intersection type at position k, or None.
+
+    Domains: T3' joins two circle rows whose supports abut (B_2 = A_1 + 1)
+    into one row.  T1, T2 and T3 keep the intersection [B_2, A_1] as row
+    k+1, so they need B_2 <= A_1; strict rows satisfying their equations
+    always have it, relaxed rows (l < 0) need not.
+    """
+    rows = ms.rows
+    if not (0 <= k < len(rows) - 1):
+        return None
+    return pair_ui_type(rows[k], rows[k + 1])
+
+
+def ui(ms, k):
+    """Union-intersection of adjacent rows k, k+1."""
+    tag = ui_type(ms, k)
+    if tag is None:
+        return OpResult(ms, False)
+    rows = list(ms.rows)
+    new = ui_rows(rows[k], rows[k + 1], tag)
+    rows[k: k + 2] = new
+    return OpResult(_with_new_rows(rows, range(k, k + len(new))), True, tag)
 
 
 def dual(ms):
     """The combinatorial involution: rows reversed, [A,B] -> [A,-B]."""
     if not order_sorted(ms.rows):
         raise OrderError("dual requires (P') order; sort via row exchanges first")
-    alphas, betas = alpha_beta(ms.rows)
-    out = [Row(r.A, -r.B, r.l + r.B, (-1) ** (alphas[i] + betas[i]) * r.eta)
-           for i, r in enumerate(ms.rows)]
-    out.reverse()
+    out = dual_rows(ms.rows)
     return _with_new_rows(out, range(len(out)))
 
 
 def to_sorted(ms):
-    """Row-exchange the multi-segment into (P') order (stable bubble pass)."""
-    cur = ms
-    n = len(cur.rows)
-    changed = True
-    while changed:
-        changed = False
-        for k in range(n - 1):
-            if cur.rows[k].B > cur.rows[k + 1].B:
-                res = row_exchange(cur, k)
-                if not res.applied:
-                    raise OrderError("could not sort to (P') at position %d" % k)
-                cur = res.out
-                changed = True
-    return cur
+    """Row-exchange the multi-segment into (P') order (stable bubble pass).
+
+    Raises NoExchangeError at a pair out of order whose supports do not
+    nest, which only an inadmissible order has.
+    """
+    if order_sorted(ms.rows):
+        return ms
+    rows = list(ms.rows)
+    k = sort_rows(rows)
+    if k is not None:
+        raise _non_nesting(k)
+    return _with_new_rows(rows, range(len(rows)))
 
 
 def split_circles(ms, k, X):
-    """Split the all-circles row k at X; exact inverse of ui type 3'."""
+    """Split the all-circles row k at X; exact inverse of ui type 3'.
+
+    Raises SegmentError when row k has triangles or X is not one of its
+    split_points, and OrderError when the split leaves an inadmissible
+    order.
+    """
     rows = list(ms.rows)
     r = rows[k]
     if r.l != 0:
         raise SegmentError("split requires an all-circles row (l = 0)")
-    if not (r.B <= X <= r.A - 1):
-        raise SegmentError("split point %d outside [%d,%d)" % (X, r.B, r.A))
-    low = Row(X, r.B, 0, r.eta)
-    high = Row(r.A, X + 1, 0, -((-1) ** (X - r.B)) * r.eta)
-    rows[k: k + 1] = [low, high]
+    points = split_points(r)
+    if X not in points:
+        raise SegmentError("split point %d outside [%d,%d)"
+                           % (X, points.start, points.stop))
+    rows[k: k + 1] = split_pair(r, X)
     if not order_admissible(rows):
         raise OrderError("split at %d leaves an inadmissible order" % X)
-    rows[k] = make_row(*low, mode=ms.mode)
-    rows[k + 1] = make_row(*high, mode=ms.mode)
+    rows[k] = make_row(*rows[k], mode=ms.mode)
+    rows[k + 1] = make_row(*rows[k + 1], mode=ms.mode)
     return MultiSegment._of(tuple(rows), ms.mode)
 
 
@@ -260,6 +334,8 @@ def op_S(ms, chain, c):
 
     The row is exchanged down past every following row whose support starts
     at A - c or earlier, split there, and the low part exchanged back up.
+    An exchange on the way raises NoExchangeError when the input's order
+    is inadmissible there.
     """
     rows = ms.rows
     r = rows[chain]
@@ -285,7 +361,8 @@ def op_U(ms, hat, c):
     """Unhook c circles from the hat at `hat` into a fresh top-column row.
 
     The hat is exchanged to the bottom (unfolding its triangles), split, and
-    the low part exchanged back to its place.
+    the low part exchanged back to its place.  An exchange on the way
+    raises NoExchangeError when the input's order is inadmissible there.
     """
     rows = ms.rows
     h = rows[hat]
@@ -336,7 +413,11 @@ def op_D(ms, hat, target):
 
 
 def dual_ui_dual(ms, k):
-    """The raising operator dual . ui_k . dual on a (P')-sorted input."""
+    """The raising operator dual . ui_k . dual on a (P')-sorted input.
+
+    Raises OrderError on unsorted input, and NoExchangeError when the ui
+    result cannot be sorted back.
+    """
     d = dual(ms)
     res = ui(d, k)
     if not res.applied:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from emseg.core import MultiSegment, Row, check_star, make_row
+from emseg.core import STRICT, MultiSegment, Row, check_star, make_row
 
 
 def rand_row(rng, lo=-3, hi=5):
@@ -24,6 +24,25 @@ def rand_sorted_ms(rng, max_rows=5, require_star=False):
         rows = sorted((rand_row(rng) for _ in range(n)),
                       key=lambda r: (r.B, r.A))
         ms = MultiSegment(tuple(rows))
+        if not require_star or check_star(ms):
+            return ms
+
+
+def rand_mode_ms(rng, mode, sort=True, require_star=False):
+    """A random multi-segment of 2-4 rows in the given mode, sorted by B
+    unless sort is False; relaxed rows take l anywhere in [-b, b]."""
+    while True:
+        rows = []
+        for _ in range(rng.randint(2, 4)):
+            B = rng.randint(-3, 4)
+            A = rng.randint(max(B, -B), max(B, -B) + 4)
+            b = A - B + 1
+            l = (rng.randint(0, b // 2) if mode == STRICT
+                 else rng.randint(-b, b))
+            rows.append(Row(A, B, l, rng.choice((1, -1))))
+        if sort:
+            rows.sort(key=lambda r: (r.B, r.A))
+        ms = MultiSegment(tuple(rows), mode)
         if not require_star or check_star(ms):
             return ms
 

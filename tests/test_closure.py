@@ -5,22 +5,33 @@ import time
 
 import pytest
 
-from emseg.blocks import BlockTuple, tempered_block
+from emseg.blocks import (
+    TYPE3, BlockTuple, block_decompose, block_tuples, classify_boundary,
+    tempered_block,
+)
 from emseg.closure import (
-    _other_neighbors, _valid_state, are_equivalent, canonical, closure,
-    exchange_neighbors, neighbors,
+    _as_multisegment, _moves, _valid_move, _valid_state, are_equivalent,
+    canonical, closure, exchange_neighbors, neighbors,
 )
 from emseg.core import (
-    RELAXED, STRICT, SegmentError, arthur_parameter, check_star, group_sign,
-    parse, render, row_is_strict,
+    RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter,
+    check_star, group_sign, order_sorted, parse, render, row_is_strict,
 )
-from emseg.count import count_tempered
+from emseg.count import count_tempered, grid_instances
+from emseg.ops import dual, row_exchange, split_circles, to_sorted, ui
 from emseg.sdata import theta1
 
-from conftest import rand_sorted_ms, rand_tempered
+from conftest import rand_mode_ms, rand_sorted_ms, rand_tempered
 
 X1 = "[0,0;0;+][1,1;0;-]"
 X1_PSIS = {((1, 1), (3, 1)), ((1, 1), (1, 3)), ((2, 2),)}
+
+
+@pytest.fixture(scope="module")
+def grid_closures():
+    """(seed, closure report) for every grid instance, both signs."""
+    seeds = [tempered_block(M, eta) for M in grid_instances() for eta in (1, -1)]
+    return [(seed, closure(seed)) for seed in seeds]
 
 
 class TestClosure:
@@ -111,21 +122,52 @@ def _reference_closure(seed, max_states, max_depth):
 
 class TestAgainstReference:
     # 46 states in 11 exchange classes, 66 in 33, 81 in 81.
+    # The Type3 seed is the block (1, 1, 1) followed, one column on, by
+    # (1, 3, 1) with the sign repeated: 117 states in 45 classes.
+    TYPE3_SEED = MultiSegment(tempered_block(BlockTuple(0, (1, 1, 1)), 1).rows
+                              + tempered_block(BlockTuple(3, (1, 3, 1)), 1).rows)
     SEEDS = [
         tempered_block(BlockTuple(0, (3, 3, 3)), 1),
         tempered_block(BlockTuple(0, (1, 3, 1, 1)), -1),
         theta1(tempered_block(BlockTuple(0, (1, 1, 1, 1)), 1)),
+        TYPE3_SEED,
+        theta1(tempered_block(BlockTuple(0, (1, 3, 1)), 1)),
     ]
 
+    def test_type3_seed_has_two_blocks(self):
+        first, second = block_decompose(self.TYPE3_SEED)
+        assert classify_boundary(first, second).kind == TYPE3
+
+    # (8, 64) stops on an exchange move of the (3, 3, 3) seed's fourth
+    # state; a later exchange of that state leads to a visited state, an
+    # edge the search records after the limit.
     @pytest.mark.parametrize("limits", [
         (100000, 64), (1, 64), (10, 64), (30, 64), (100000, 1), (100000, 2),
-        (25, 3),
+        (25, 3), (8, 64),
     ])
     def test_truncated_and_exhausted_runs(self, limits):
         for seed in self.SEEDS:
             report = closure(seed, *limits)
             assert (report.nodes, report.psi, report.states,
                     report.exhausted) == _reference_closure(seed, *limits)
+
+    def test_one_exchange_class_per_parameter(self, rng, grid_closures):
+        """Within these closures the Arthur parameter picks out one
+        row-exchange class: on the grid (both signs), on the lifts of its
+        c_min = 0 blocks and on random multi-block seeds."""
+        start = time.perf_counter()
+        seeds = [theta1(tempered_block(M, 1))
+                 for M in grid_instances() if M.c_min == 0]
+        while len(seeds) < 243:
+            ms = rand_tempered(rng, max_cols=5, max_mult=3)
+            if len(ms.rows) <= 9 and len(block_tuples(ms)) >= 2:
+                seeds.append(ms)
+        reports = grid_closures + [(seed, closure(seed)) for seed in seeds]
+        for seed, report in reports:
+            assert report.exhausted
+            assert len(report.nodes) == len(report.psi), render(seed)
+        assert len(reports) == 415
+        assert time.perf_counter() - start < 4.0
 
     def test_count_matches_closure_on_random_tempered(self):
         rng = random.Random(20261018)
@@ -158,6 +200,11 @@ class TestNeighbors:
         assert neighbors(parse("[0,0;0;+]")) == []
 
 
+def _candidates(ms):
+    """Every move of ms as a multi-segment, before the validity filter."""
+    return [_as_multisegment(cand, lo, hi) for cand, lo, hi, _ in _moves(ms.rows)]
+
+
 class TestCandidateModes:
     @staticmethod
     def _check(cand):
@@ -175,9 +222,9 @@ class TestCandidateModes:
             while frontier:
                 nxt = []
                 for state in frontier:
-                    for cand in exchange_neighbors(state) + _other_neighbors(state):
+                    for cand in _candidates(state):
                         self._check(cand)
-                        if cand.rows not in seen and _valid_state(cand):
+                        if cand.rows not in seen and _valid_state(cand.rows):
                             seen.add(cand.rows)
                             nxt.append(cand)
                 frontier = nxt
@@ -187,10 +234,95 @@ class TestCandidateModes:
         modes = set()
         for _ in range(300):
             ms = rand_sorted_ms(rng, require_star=True)
-            for cand in exchange_neighbors(ms) + _other_neighbors(ms):
+            for cand in _candidates(ms):
                 self._check(cand)
                 modes.add(cand.mode)
         assert modes == {STRICT, RELAXED}
+
+
+def _ui_and_splits(ms):
+    """What ui and split_circles give on ms, in search order."""
+    outs = [res.out for res in (ui(ms, k) for k in range(len(ms.rows) - 1))
+            if res.applied]
+    for k, r in enumerate(ms.rows):
+        if r.l == 0:
+            for X in range(r.B, r.A):
+                try:
+                    outs.append(split_circles(ms, k, X))
+                except SegmentError:
+                    pass
+    return outs
+
+
+def _reference_moves(ms):
+    """Every move of ms through the public operators, in search order:
+    exchanges that change ms, ui and splits, and, on (P')-sorted input,
+    ui and splits of the dual brought back by to_sorted and dual."""
+    outs = []
+    for k in range(len(ms.rows) - 1):
+        try:
+            res = row_exchange(ms, k)
+        except SegmentError:
+            continue
+        if res.applied and res.out.rows != ms.rows:
+            outs.append(res.out)
+    outs += _ui_and_splits(ms)
+    if order_sorted(ms.rows):
+        for moved in _ui_and_splits(dual(ms)):
+            try:
+                outs.append(dual(to_sorted(moved)))
+            except SegmentError:
+                pass
+    return [out.rows for out in outs]
+
+
+class TestMoves:
+    def test_moves_are_the_public_operators_moves(self, rng):
+        """_moves yields what the public operators give, in the same order,
+        and changes only rows[lo:hi]; on a valid state its local check
+        agrees with _valid_state on every candidate."""
+        start = time.perf_counter()
+        checked = 0
+        for i in range(500):
+            star = i % 2 == 0
+            if i % 4 < 2:
+                ms = rand_sorted_ms(rng, require_star=star)
+            else:
+                ms = rand_mode_ms(rng, RELAXED, require_star=star)
+            moves = list(_moves(ms.rows))
+            assert [cand for cand, _, _, _ in moves] == _reference_moves(ms)
+            for cand, lo, hi, _ in moves:
+                assert cand[:lo] == ms.rows[:lo]
+                assert cand[hi:] == ms.rows[len(ms.rows) - len(cand) + hi:]
+            if _valid_state(ms.rows):
+                for cand, lo, hi, _ in moves:
+                    assert _valid_move(cand, lo, hi) == _valid_state(cand)
+                    checked += 1
+        assert checked > 500
+        assert time.perf_counter() - start < 2.0
+
+    def test_unsorted_states_keep_their_moves(self):
+        """Many of the closure's states are admissible but unsorted; their
+        moves match the public operators too."""
+        seed = theta1(tempered_block(BlockTuple(0, (1, 3, 1)), 1))
+        seen = {seed.rows}
+        frontier = [seed]
+        unsorted = 0
+        while frontier:
+            nxt = []
+            for state in frontier:
+                unsorted += not order_sorted(state.rows)
+                moves = list(_moves(state.rows))
+                assert [c for c, _, _, _ in moves] == _reference_moves(state)
+                for cand, lo, hi, _ in moves:
+                    assert _valid_move(cand, lo, hi) == _valid_state(cand)
+                for nb in neighbors(state):
+                    if nb.rows not in seen:
+                        seen.add(nb.rows)
+                        nxt.append(nb)
+            frontier = nxt
+        assert len(seen) == 66 and unsorted >= 20
+
 
 class TestCanonical:
     def test_order_invariance(self):
@@ -201,3 +333,29 @@ class TestCanonical:
     def test_equivalence_check(self):
         assert are_equivalent(parse(X1), parse("[1,0;0;+]"))
         assert not are_equivalent(parse(X1), parse("[0,0;0;+]"))
+
+    def test_walks_only_valid_states(self):
+        """An exchange takes this node of X1's closure to
+        [0,0;0;-][1,-1;0;-], where B + l = -1; its key is not the class's."""
+        member = parse("[1,-1;1;+][0,0;0;-]")
+        assert canonical(member) in closure(parse(X1)).nodes
+        assert are_equivalent(parse(X1), member)
+
+    def test_rejects_what_closure_rejects(self):
+        vanishing = parse("[2,-2;1;+]")
+        with pytest.raises(SegmentError, match="closure seed"):
+            canonical(vanishing)
+        assert not are_equivalent(parse("[2,-1;1;+]"), vanishing)
+
+    def test_node_keys_are_their_own_canonical_forms(self, grid_closures):
+        """On every grid closure (both signs) each node key is canonical,
+        and are_equivalent puts one key of each closure in its class."""
+        start = time.perf_counter()
+        keys = 0
+        for seed, report in grid_closures:
+            for key in report.nodes:
+                assert canonical(parse(key.decode())) == key
+            keys += len(report.nodes)
+            assert are_equivalent(seed, parse(max(report.nodes).decode()))
+        assert keys == 1804
+        assert time.perf_counter() - start < 3.0

@@ -49,3 +49,27 @@ def _unreferenced_private_functions():
 
 def test_no_unreferenced_private_functions():
     assert _unreferenced_private_functions() == []
+
+
+def _row_constructions(name):
+    """Names of the module-level functions of the module `name` that call
+    Row(...), with None for a call outside any function."""
+    path = Path(emseg.__file__).parent / name
+    tree = ast.parse(path.read_text(), str(path))
+    found = set()
+    for node in tree.body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else None
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id == "Row"):
+                found.add(owner)
+    return found
+
+
+def test_operator_formulas_live_in_the_row_level_cores():
+    """Rows are made only by the row-level cores of ops and by merge_hats's
+    closed form, so no formula is copied into a wrapper or the search."""
+    cores = {"exchange_pair", "ui_rows", "dual_rows", "split_pair",
+             "merge_hats"}
+    assert _row_constructions("ops.py") <= cores
+    assert _row_constructions("closure.py") == set()

@@ -1,7 +1,9 @@
 """The operator calculus: exchanges, merges, duals, splits, composites."""
 
 import random
+import re
 import time
+from collections import Counter
 
 import pytest
 
@@ -12,12 +14,12 @@ from emseg.core import (
 )
 from emseg.closure import neighbors
 from emseg.ops import (
-    NoExchangeError, T1, T2, T3, T3PRIME, dual, dual_ui_dual, merge_condition,
-    merge_hats, op_D, op_S, op_U, row_exchange, split_circles, to_sorted, ui,
-    ui_type,
+    NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
+    merge_condition, merge_hats, op_D, op_S, op_U, row_exchange,
+    split_circles, to_sorted, ui, ui_type,
 )
 
-from conftest import rand_nested_pair, rand_row, rand_sorted_ms
+from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
 
 
 class TestRowExchange:
@@ -112,18 +114,8 @@ class TestUnionIntersection:
         make_row accepts in the output's mode."""
         applied = {STRICT: 0, RELAXED: 0}
         for i in range(3000):
-            mode = (STRICT, RELAXED)[i % 2]
-            rows = []
-            for _ in range(rng.randint(2, 4)):
-                B = rng.randint(-3, 4)
-                A = rng.randint(max(B, -B), max(B, -B) + 4)
-                b = A - B + 1
-                l = (rng.randint(0, b // 2) if mode == STRICT
-                     else rng.randint(-b, b))
-                rows.append(Row(A, B, l, rng.choice((1, -1))))
-            rows.sort(key=lambda r: (r.B, r.A))
-            ms = MultiSegment(tuple(rows), mode)
-            for k in range(len(rows) - 1):
+            ms = rand_mode_ms(rng, (STRICT, RELAXED)[i % 2])
+            for k in range(len(ms.rows) - 1):
                 res = ui(ms, k)
                 if res.applied:
                     applied[ms.mode] += 1
@@ -367,3 +359,77 @@ def test_results_equal_checked_construction(rng):
             for out in _operator_outputs(state) + neighbors(state):
                 assert all(type(r) is Row for r in out.rows)
                 assert out == MultiSegment(out.rows, out.mode)
+
+
+NON_NESTING = (NoExchangeError, r"rows \d+,\d+ have non-nesting supports")
+# The errors each operator documents, as (exact type, message pattern).
+DOCUMENTED = {
+    row_exchange: [NON_NESTING, (SegmentError, "no adjacent pair")],
+    dual: [(OrderError, "dual requires")],
+    to_sorted: [NON_NESTING],
+    split_circles: [(SegmentError, "split (requires|point)"),
+                    (OrderError, "split at")],
+    dual_ui_dual: [(OrderError, "dual requires"), NON_NESTING],
+    op_S: [NON_NESTING],
+    op_U: [NON_NESTING],
+    op_D: [(OrderError, "dualized merge requires")],
+    merge_hats: [(SegmentError, "merge requires two hats"),
+                 (OrderError, r"merge requires \(P'\)")],
+}
+
+
+def _operator_calls(ms):
+    """(operator, arguments) for every position each operator takes."""
+    n = len(ms.rows)
+    yield to_sorted, ()
+    yield dual, ()
+    for k in range(n - 1):
+        yield row_exchange, (k,)
+        yield dual_ui_dual, (k,)
+        yield merge_hats, (k,)
+    for k, r in enumerate(ms.rows):
+        for X in range(r.B - 1, r.A + 1):
+            yield split_circles, (k, X)
+        for c in range(1, r.circles):
+            yield op_S, (k, c)
+            yield op_U, (k, c)
+        for target in range(k + 1, n):
+            yield op_D, (k, target)
+
+
+def test_operators_never_build_invalid_rows(rng):
+    """On random strict and relaxed inputs, sorted or not, every operator
+    answers applied=False, raises an error it documents, or returns rows
+    that make_row accepts in the output's mode."""
+    start = time.perf_counter()
+    makers = (rand_row, _rand_hat, _rand_circles_row)
+    applied = Counter()
+    for i in range(1500):
+        if i % 3 == 0:
+            # A hat, a circles row ending where op_D can absorb it, and
+            # more rows.
+            hat = _rand_hat(rng)
+            A = hat.l - 1
+            rows = [hat, make_row(A, rng.randint(-A, A), 0, rng.choice((1, -1)))]
+            rows += [rng.choice(makers)(rng) for _ in range(rng.randint(0, 2))]
+            ms = MultiSegment(tuple(sorted(rows, key=lambda r: (r.B, r.A))))
+        else:
+            ms = rand_mode_ms(rng, (STRICT, RELAXED)[i % 2], sort=i % 4 < 2)
+        for op, args in _operator_calls(ms):
+            try:
+                res = op(ms, *args)
+            except SegmentError as e:
+                assert any(type(e) is cls and re.match(pattern, str(e))
+                           for cls, pattern in DOCUMENTED[op]), (
+                    op.__name__, render(ms), args, str(e))
+                continue
+            if isinstance(res, OpResult):
+                if not res.applied:
+                    continue
+                res = res.out
+            assert all(make_row(*r, mode=res.mode) == r for r in res.rows), (
+                op.__name__, render(ms), args)
+            applied[op] += 1
+    assert set(applied) == set(DOCUMENTED)
+    assert min(applied.values()) >= 50, applied
+    assert time.perf_counter() - start < 1.5
