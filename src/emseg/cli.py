@@ -72,13 +72,13 @@ def _parse_eta(text):
     raise CliInputError("eta must be + or -, got %r" % (text,))
 
 
-def _parse_block_tuple(args):
+def _parse_block_tuple(text, c_min):
     try:
-        mults = tuple(int(x) for x in args.M.replace(" ", "").split(","))
+        mults = tuple(int(x) for x in text.replace(" ", "").split(","))
     except ValueError:
         raise CliInputError("--M must be a comma-separated integer list")
     try:
-        return BlockTuple(args.cmin, mults)
+        return BlockTuple(c_min, mults)
     except SegmentError as e:
         raise CliInputError(str(e))
 
@@ -175,7 +175,7 @@ def _cmd_blocks(args, out):
 
 
 def _cmd_enumerate(args, out):
-    M = _parse_block_tuple(args)
+    M = _parse_block_tuple(args.M, args.cmin)
     eta = _parse_eta(args.eta)
     if args.with_T:
         if M.c_min != 0:
@@ -195,17 +195,20 @@ def _cmd_enumerate(args, out):
 
 
 def _cmd_count(args, out):
-    if args.M is not None:
-        M = _parse_block_tuple(args)
-        if args.method == "recursion":
+    if args.M is None:
+        if args.method is not None or args.cmin is not None:
+            raise CliInputError("--method and --cmin need --M")
+        pc = count_tempered(_read_ms(args))
+    else:
+        if args.dsl is not None or args.json_text is not None:
+            raise CliInputError("--M counts a block and takes no symbol input")
+        M = _parse_block_tuple(args.M, args.cmin or 0)
+        if args.method in (None, "recursion"):
             pc = count_block_recursive(M)
         elif args.method == "enumeration":
             pc = count_block_enumerative(M)
         else:
             pc = count_block_closure(M)
-    else:
-        ms = _read_ms(args)
-        pc = count_tempered(ms)
     out.write(json.dumps({"value": pc.value, "method": pc.method}) + "\n")
     return EXIT_OK
 
@@ -264,8 +267,15 @@ def _add_input_flags(p):
     source = p.add_mutually_exclusive_group()
     source.add_argument("--dsl", help="row list in the [A,B;l;s] notation")
     source.add_argument("--json", dest="json_text", help="row list as JSON")
+
+
+def _add_output_flags(p):
     p.add_argument("--format", choices=("dsl", "json"), default="json",
                    help="output format for multi-segments")
+    _add_pretty_flag(p)
+
+
+def _add_pretty_flag(p):
     p.add_argument("--pretty", action="store_true",
                    help="also draw the symbol grid")
 
@@ -276,16 +286,19 @@ def build_parser():
 
     p = sub.add_parser("parse", help="parse and normalize a row list")
     _add_input_flags(p)
+    _add_output_flags(p)
     p.add_argument("--relaxed", action="store_true",
                    help="accept symbols with out-of-range l")
     p.set_defaults(func=_cmd_parse)
 
     p = sub.add_parser("render", help="render a row list to DSL text")
     _add_input_flags(p)
+    _add_pretty_flag(p)
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("apply", help="apply one operator")
     _add_input_flags(p)
+    _add_output_flags(p)
     p.add_argument("--op", required=True,
                    choices=("exchange", "ui", "dual", "dual-ui-dual",
                             "sort", "split", "merge"))
@@ -303,17 +316,16 @@ def build_parser():
     p.add_argument("--cmin", type=int, default=0)
     p.add_argument("--with-T", dest="with_T", action="store_true")
     p.add_argument("--eta", default="+")
-    p.add_argument("--format", choices=("dsl", "json"), default="json")
-    p.add_argument("--pretty", action="store_true")
+    _add_output_flags(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", help="count packets")
     _add_input_flags(p)
     p.add_argument("--M", help="comma-separated multiplicities")
-    p.add_argument("--cmin", type=int, default=0)
+    p.add_argument("--cmin", type=int, help="first column of --M (default 0)")
     p.add_argument("--method",
                    choices=("recursion", "enumeration", "closure"),
-                   default="recursion")
+                   help="counting method for --M (default recursion)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("closure", help="breadth-first class exploration")

@@ -6,18 +6,18 @@ versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 
 The search works on row tuples.  _moves computes every move of a state with
-the row-level cores of ops, as a candidate row tuple; the candidate is
-looked up among the visited states first, and only a new one is checked,
-and only on the rows the move changed (see _valid_move).  A new state is
-stored once, as the tuple that is both its key in the index and its entry
-in the state list, with make_row run on its changed rows only.
+the row-level cores of ops, as a candidate row tuple of weak-normalized
+rows; the candidate is looked up among the visited states first, and only
+a new one is checked, on the rows the move may have changed (see
+_valid_move).  A new state is stored as the tuple the cores built, once:
+it is both its key in the index and its entry in the state list.
 """
 
 from dataclasses import dataclass
 
 from .core import (
-    MultiSegment, _psi, make_row, order_admissible, order_sorted, render,
-    row_is_strict, STRICT,
+    MultiSegment, _psi, order_admissible, order_sorted, render, row_is_strict,
+    STRICT,
 )
 from .ops import (
     SegmentError, _supports_nest, _with_new_rows, dual_rows, exchange_pair,
@@ -52,7 +52,7 @@ def _valid_state(rows):
 
 def _valid_move(rows, lo, hi):
     """_valid_state of the output rows of a move of a valid state, where
-    rows[lo:hi] are the new rows and the others are the parent's.
+    every row outside rows[lo:hi] is a row of the parent.
 
     Only the new rows need the strict and check_star tests, because no
     move breaks (P):
@@ -101,12 +101,13 @@ def _local_moves(rows):
 def _moves(rows):
     """Every single operator move of the row tuple rows, in search order,
     as (candidate rows, lo, hi, exchange): rows[:lo] and rows[hi:] of the
-    candidate are rows of the input, rows[lo:hi] are new, and exchange
+    candidate are rows of the input, rows[lo:hi] may be new, and exchange
     tells the row exchanges from the other moves.
 
     Exchanges come first, then the ui and split moves, then, when rows is
     (P')-sorted, the ui and split moves of the dual taken back by sorting
-    and dualizing.
+    and dualizing.  A dual-conjugated candidate is new throughout: every
+    row of it is the output of dual_rows.
     """
     for cand, lo, hi in _exchange_moves(rows):
         yield cand, lo, hi, True
@@ -116,18 +117,9 @@ def _moves(rows):
         return
     for moved, _, _ in _local_moves(tuple(dual_rows(rows))):
         moved = list(moved)
-        if sort_rows(moved) is not None:
-            continue
-        cand = tuple(dual_rows(moved))
-        # The new rows lie between the longest common prefix and suffix.
-        n = min(len(rows), len(cand))
-        lo = 0
-        while lo < n and cand[lo] == rows[lo]:
-            lo += 1
-        cut = 0
-        while cut < n - lo and cand[-1 - cut] == rows[-1 - cut]:
-            cut += 1
-        yield cand, lo, len(cand) - cut, False
+        if sort_rows(moved) is None:
+            cand = tuple(dual_rows(moved))
+            yield cand, 0, len(cand), False
 
 
 def _as_multisegment(cand, lo, hi):
@@ -160,11 +152,13 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     Each state is one row tuple, both its key in index and its entry in
     states.  A move's candidate is looked up in index before it is
     checked; a miss is checked with _valid_move, which looks only at what
-    the move changed, and a new state gets make_row on its new rows only.
+    the move changed.  The search stops at the first new valid state past
+    max_states, or after max_depth levels.
     """
     seed = _seed_rows(ms)
     # States are expanded in the order they are found, so states[start:]
-    # is the frontier and exchange_edges[i] belongs to states[i].
+    # is the frontier and exchange_edges[i] belongs to states[i].  A state
+    # left mid-expansion by the state limit gets no entry.
     states = [seed]
     index = {seed: 0}
     exchange_edges = []
@@ -176,28 +170,22 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
         for rows in states[start:end]:
             edges = []
             for cand, lo, hi, exchange in _moves(rows):
-                if full and not exchange:
-                    break
                 j = index.get(cand)
                 if j is None:
                     # A state in index already passed _valid_state.
-                    if full or not _valid_move(cand, lo, hi):
+                    if not _valid_move(cand, lo, hi):
                         continue
                     if len(states) >= max_states:
-                        # Nothing more is added, but the remaining
-                        # exchanges may still lead to visited states.
                         full = True
-                        continue
+                        break
                     j = len(states)
-                    cand = (cand[:lo] + tuple(make_row(*r) for r in cand[lo:hi])
-                            + cand[hi:])
                     index[cand] = j
                     states.append(cand)
                 if exchange:
                     edges.append(j)
-            exchange_edges.append(edges)
             if full:
                 break
+            exchange_edges.append(edges)
         start = end
         depth += 1
     exhausted = not full and start >= len(states)
@@ -214,8 +202,8 @@ def _key(rows):
 def _component_keys(states, index, exchange_edges):
     """Canonical key per row-exchange component among the visited states.
 
-    exchange_edges holds the edges of the states the search expanded; the
-    others are looked up here.
+    exchange_edges holds the edges of the states the search expanded in
+    full; the edges of the others are looked up here.
     """
     parent = list(range(len(states)))
 

@@ -79,8 +79,9 @@ def weak_normalize(row):
 
 def make_row(A, B, l, eta, mode=STRICT):
     """Build a weak-normalized row, checking the invariants for the mode."""
-    if not type(A) is type(B) is type(l) is int:  # plain ints skip the loop
-        for name, v in (("A", A), ("B", B), ("l", l)):
+    # Plain ints skip the loop.
+    if not type(A) is type(B) is type(l) is type(eta) is int:
+        for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ScopeError("%s must be an integer, got %r" % (name, v))
     if eta not in (1, -1):
@@ -165,12 +166,11 @@ def order_sorted(rows):
 
 
 def validate(ms, criterion="P"):
-    """True iff the order satisfies (P) or (P') and the rows fit the mode;
-    (P') implies (P), so B-sorted rows skip the O(n^2) check of (P)."""
+    """True iff the order satisfies (P) or (P'); (P') implies (P), so
+    B-sorted rows skip the O(n^2) check of (P).  The rows fit the mode by
+    construction: make_row checked each of them under it."""
     if criterion not in ("P", "Pprime"):
         raise ValueError("criterion must be 'P' or 'Pprime'")
-    if ms.mode == STRICT and not all(row_is_strict(r) for r in ms.rows):
-        return False
     if criterion == "Pprime":
         return order_sorted(ms.rows)
     return order_sorted(ms.rows) or order_admissible(ms.rows)

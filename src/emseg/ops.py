@@ -329,6 +329,21 @@ def _exchange_chain(ms, ks):
     return ms
 
 
+def _split_moved(ms, i, pos, c):
+    """Exchange row i down to pos, split its last c circles off there (at
+    A - c) and exchange the low part back up to i; not applied as soon as
+    one step does not apply."""
+    cur = _exchange_chain(ms, range(i, pos))
+    if cur is None:
+        return OpResult(ms, False)
+    try:
+        cur = split_circles(cur, pos, cur.rows[pos].A - c)
+    except SegmentError:
+        return OpResult(ms, False)
+    out = _exchange_chain(cur, range(pos - 1, i - 1, -1))
+    return OpResult(ms, False) if out is None else OpResult(out, True)
+
+
 def op_S(ms, chain, c):
     """Separate the last c circles of the all-circles row at `chain`.
 
@@ -344,45 +359,21 @@ def op_S(ms, chain, c):
     pos = chain
     while pos + 1 < len(rows) and rows[pos + 1].B <= r.A - c:
         pos += 1
-    cur = _exchange_chain(ms, range(chain, pos))
-    if cur is None:
-        return OpResult(ms, False)
-    try:
-        split = split_circles(cur, pos, r.A - c)
-    except SegmentError:
-        return OpResult(ms, False)
-    out = _exchange_chain(split, range(pos - 1, chain - 1, -1))
-    if out is None:
-        return OpResult(ms, False)
-    return OpResult(out, True)
+    return _split_moved(ms, chain, pos, c)
 
 
 def op_U(ms, hat, c):
     """Unhook c circles from the hat at `hat` into a fresh top-column row.
 
     The hat is exchanged to the bottom (unfolding its triangles), split, and
-    the low part exchanged back to its place.  An exchange on the way
+    the low part exchanged back to its place; the split does not apply
+    when the hat keeps a triangle at the bottom.  An exchange on the way
     raises NoExchangeError when the input's order is inadmissible there.
     """
-    rows = ms.rows
-    h = rows[hat]
+    h = ms.rows[hat]
     if not h.is_hat or not (1 <= c < h.circles):
         return OpResult(ms, False)
-    pos = len(rows) - 1
-    cur = _exchange_chain(ms, range(hat, pos))
-    if cur is None:
-        return OpResult(ms, False)
-    bottom = cur.rows[pos]
-    if bottom.l != 0:
-        return OpResult(ms, False)
-    try:
-        split = split_circles(cur, pos, bottom.A - c)
-    except SegmentError:
-        return OpResult(ms, False)
-    out = _exchange_chain(split, range(pos - 1, hat - 1, -1))
-    if out is None:
-        return OpResult(ms, False)
-    return OpResult(out, True)
+    return _split_moved(ms, hat, len(ms.rows) - 1, c)
 
 
 def op_D(ms, hat, target):

@@ -3,6 +3,8 @@
 import io
 import json
 
+import pytest
+
 from emseg import cli
 from emseg.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_LIMITS, EXIT_OK, run,
@@ -48,6 +50,26 @@ class TestParseRender:
                         '[{"A": 1, "B": 0, "l": 0, "eta": 1}]'):
             code, _, err = invoke("parse", "--json", payload)
             assert code == EXIT_INVALID and "error" in err
+
+    def test_json_sign_must_be_an_integer(self):
+        for eta in ("true", "1.0"):
+            payload = '{"rows":[{"A":1,"B":0,"l":0,"eta":%s}]}' % eta
+            code, out, err = invoke("parse", "--json", payload)
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err.startswith("error: eta must be an integer")
+
+    @pytest.mark.parametrize("verb, flag", [
+        ("render", "--format"), ("blocks", "--format"), ("count", "--format"),
+        ("closure", "--format"), ("blocks", "--pretty"), ("count", "--pretty"),
+        ("closure", "--pretty"),
+    ])
+    def test_output_flags_only_where_they_act(self, verb, flag):
+        argv = [verb, "--dsl", "[0,0;0;+][1,1;0;-]", flag]
+        if flag == "--format":
+            argv.append("dsl")
+        code, out, err = invoke(*argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "unrecognized arguments: " + flag in err
 
     def test_input_flags_pick_the_parser(self):
         for flag, text, message in (
@@ -146,6 +168,19 @@ class TestCountVerb:
             code, out, _ = invoke("count", "--M", "1,1", "--cmin", "0",
                                   "--method", method)
             assert code == EXIT_OK and json.loads(out)["value"] == 3
+
+    @pytest.mark.parametrize("argv", [
+        ("--dsl", "[0,0;0;+][1,1;0;-]", "--method", "closure"),
+        ("--dsl", "[0,0;0;+][1,1;0;-]", "--cmin", "0"),
+        ("--json", '{"rows":[]}', "--method", "recursion"),
+        ("--method", "enumeration"),
+        ("--M", "1,1", "--dsl", "[0,0;0;+][1,1;0;-]"),
+        ("--M", "1,1", "--cmin", "0", "--json", '{"rows":[]}'),
+    ])
+    def test_block_flags_and_symbol_input_do_not_mix(self, argv):
+        code, out, err = invoke("count", *argv)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err.startswith("error: ") and "--M" in err
 
     def test_long_block_by_multiplicities(self):
         code, out, err = invoke("count", "--M", ",".join(["1"] * 3000))

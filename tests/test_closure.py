@@ -1,6 +1,7 @@
 """Breadth-first class exploration and canonical forms."""
 
 import random
+import sys
 import time
 
 import pytest
@@ -15,7 +16,8 @@ from emseg.closure import (
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter,
-    check_star, group_sign, order_sorted, parse, render, row_is_strict,
+    check_star, group_sign, make_row, order_sorted, parse, render,
+    row_is_strict,
 )
 from emseg.count import count_tempered, grid_instances
 from emseg.ops import dual, row_exchange, split_circles, to_sorted, ui
@@ -72,6 +74,24 @@ class TestClosure:
     def test_rejects_vanishing_seed(self):
         with pytest.raises(SegmentError):
             closure(parse("[2,-2;1;+]"))
+
+    def test_calls_no_make_row(self, monkeypatch):
+        """The search stores the rows the row-level cores built; make_row
+        is not called, in full runs or in runs cut by either limit."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return make_row(*args, **kwargs)
+
+        seed = theta1(tempered_block(BlockTuple(0, (1, 3, 1)), 1))
+        for name, module in list(sys.modules.items()):
+            if name.startswith("emseg") and hasattr(module, "make_row"):
+                monkeypatch.setattr(module, "make_row", counted)
+        reports = [closure(seed), closure(seed, 8), closure(seed, 100000, 2)]
+        assert [(r.states, r.exhausted) for r in reports] == [
+            (66, True), (8, False), (7, False)]
+        assert calls == []
 
 
 def _reference_closure(seed, max_states, max_depth):
@@ -140,7 +160,8 @@ class TestAgainstReference:
 
     # (8, 64) stops on an exchange move of the (3, 3, 3) seed's fourth
     # state; a later exchange of that state leads to a visited state, an
-    # edge the search records after the limit.
+    # edge _component_keys looks up, since the search records no edges for
+    # the state it stops in.
     @pytest.mark.parametrize("limits", [
         (100000, 64), (1, 64), (10, 64), (30, 64), (100000, 1), (100000, 2),
         (25, 3), (8, 64),
@@ -154,7 +175,8 @@ class TestAgainstReference:
     def test_one_exchange_class_per_parameter(self, rng, grid_closures):
         """Within these closures the Arthur parameter picks out one
         row-exchange class: on the grid (both signs), on the lifts of its
-        c_min = 0 blocks and on random multi-block seeds."""
+        c_min = 0 blocks and on random multi-block seeds.  It does not in
+        general (see test_two_exchange_classes_can_share_a_parameter)."""
         start = time.perf_counter()
         seeds = [theta1(tempered_block(M, 1))
                  for M in grid_instances() if M.c_min == 0]
@@ -168,6 +190,22 @@ class TestAgainstReference:
             assert len(report.nodes) == len(report.psi), render(seed)
         assert len(reports) == 415
         assert time.perf_counter() - start < 4.0
+
+    def test_two_exchange_classes_can_share_a_parameter(self):
+        """Two of the three nodes of this closure have one Arthur
+        parameter, and each is its own canonical form: the nodes come from
+        the union-find over exchange edges, not from grouping on psi."""
+        seed = parse("[2,-2;2;-][0,0;0;+][0,0;0;+][1,1;0;-]")
+        report = closure(seed)
+        assert (report.states, len(report.nodes), len(report.psi)) == (8, 3, 2)
+        psi = ((1, 1), (1, 1), (1, 5), (3, 1))
+        shared = {key for key in report.nodes
+                  if arthur_parameter(parse(key.decode())) == psi}
+        assert shared == {b"[0,0;0;+][0,0;0;+][1,1;0;-][2,-2;2;-]",
+                          b"[2,-2;2;-][0,0;0;+][0,0;0;+][1,1;0;-]"}
+        assert all(canonical(parse(key.decode())) == key for key in shared)
+        assert (report.nodes, report.psi, report.states,
+                report.exhausted) == _reference_closure(seed, 100000, 64)
 
     def test_count_matches_closure_on_random_tempered(self):
         rng = random.Random(20261018)

@@ -35,6 +35,9 @@ class TestMakeRow:
             make_row(1.5, 0, 0, 1)
         with pytest.raises(ScopeError):
             make_row(True, 0, 0, 1)
+        for eta in (True, 1.0, -1.0):
+            with pytest.raises(ScopeError, match="eta must be an integer"):
+                make_row(1, 0, 0, eta)
 
     def test_rejects_reversed_support(self):
         with pytest.raises(SegmentError):
@@ -123,6 +126,10 @@ class TestParseRender:
                      '[{"A": 1, "B": 0, "l": 0, "eta": 1}]'):
             with pytest.raises(ParseError):
                 from_json(text)
+        for eta in ("true", "1.0"):
+            with pytest.raises(ScopeError, match="eta must be an integer"):
+                from_json('{"rows": [{"A": 1, "B": 0, "l": 0, "eta": %s}]}'
+                          % eta)
 
 
 rows_strategy = st.builds(

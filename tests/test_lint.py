@@ -51,9 +51,9 @@ def test_no_unreferenced_private_functions():
     assert _unreferenced_private_functions() == []
 
 
-def _row_constructions(name):
+def _callers(name, callee):
     """Names of the module-level functions of the module `name` that call
-    Row(...), with None for a call outside any function."""
+    callee(...), with None for a call outside any function."""
     path = Path(emseg.__file__).parent / name
     tree = ast.parse(path.read_text(), str(path))
     found = set()
@@ -61,7 +61,7 @@ def _row_constructions(name):
         owner = node.name if isinstance(node, ast.FunctionDef) else None
         for sub in ast.walk(node):
             if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                    and sub.func.id == "Row"):
+                    and sub.func.id == callee):
                 found.add(owner)
     return found
 
@@ -71,5 +71,12 @@ def test_operator_formulas_live_in_the_row_level_cores():
     closed form, so no formula is copied into a wrapper or the search."""
     cores = {"exchange_pair", "ui_rows", "dual_rows", "split_pair",
              "merge_hats"}
-    assert _row_constructions("ops.py") <= cores
-    assert _row_constructions("closure.py") == set()
+    assert _callers("ops.py", "Row") <= cores
+    assert _callers("closure.py", "Row") == set()
+
+
+def test_closure_trusts_the_rows_the_cores_build():
+    """The search stores the row tuples the cores built: closure.py checks
+    no row again with make_row and builds no MultiSegment(...)."""
+    assert _callers("closure.py", "make_row") == set()
+    assert _callers("closure.py", "MultiSegment") == set()
