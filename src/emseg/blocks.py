@@ -1,6 +1,7 @@
 """Tempered structure: alternating signs, block decomposition, boundaries."""
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .core import MultiSegment, Row, SegmentError
 
@@ -47,7 +48,7 @@ class Boundary:
 def is_tempered(ms):
     """All rows single circles, rows in one column sharing a sign."""
     col_sign = {}
-    for r in ms.rows:
+    for r in dict.fromkeys(ms.rows):
         if r.A != r.B or r.l != 0:
             return False
         if col_sign.setdefault(r.B, r.eta) != r.eta:
@@ -75,14 +76,10 @@ def last_circle_sign(row):
     return (-1) ** (row.circles - 1) * row.eta
 
 
-def _column_groups(ms):
-    groups = []
-    for r in ms.rows:
-        if groups and groups[-1][0] == r.B:
-            groups[-1][1] += 1
-        else:
-            groups.append([r.B, 1, r.eta])
-    return groups
+def _runs(rows):
+    """(row, multiplicity) for each run of equal consecutive rows.  On a
+    tempered input equal rows are equal columns, so a run is a column."""
+    return [(r, len(list(g))) for r, g in groupby(rows)]
 
 
 def block_tuples(ms):
@@ -95,7 +92,8 @@ def block_tuples(ms):
     """
     if not is_tempered(ms):
         raise SegmentError("block decomposition requires a tempered input")
-    if any(ms.rows[i].B > ms.rows[i + 1].B for i in range(len(ms.rows) - 1)):
+    runs = _runs(ms.rows)
+    if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
         raise SegmentError("tempered input must be sorted by column")
     blocks = []
     mults = []
@@ -106,7 +104,7 @@ def block_tuples(ms):
             blocks.append((BlockTuple(c_min, tuple(mults)), eta))
             mults.clear()
 
-    for c, m, s in _column_groups(ms):
+    for (_, c, _, s), m in runs:
         if not (mults and c_min + len(mults) == c and last == -s):
             close()
             c_min, eta = c, s
@@ -135,11 +133,11 @@ def block_tuple(block):
         return EMPTY_BLOCK
     if not is_tempered(block):
         raise SegmentError("block_tuple requires a tempered block")
-    groups = _column_groups(block)
-    c_min = groups[0][0]
-    mults = [0] * (groups[-1][0] - c_min + 1)
-    for c, m, _ in groups:
-        mults[c - c_min] += m
+    runs = _runs(block.rows)
+    c_min = runs[0][0].B
+    mults = [0] * (runs[-1][0].B - c_min + 1)
+    for r, m in runs:
+        mults[r.B - c_min] += m
     if any(m == 0 for m in mults):
         raise SegmentError("block has a column gap")
     return BlockTuple(c_min, tuple(mults))

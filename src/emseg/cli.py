@@ -316,7 +316,7 @@ def build_parser():
     p.add_argument("--cmin", type=int, default=0)
     p.add_argument("--with-T", dest="with_T", action="store_true")
     p.add_argument("--eta", default="+")
-    _add_output_flags(p)
+    _add_pretty_flag(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("count", help="count packets")

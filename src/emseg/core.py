@@ -218,30 +218,46 @@ def shift(ms, d):
 # Parsing and rendering
 # ---------------------------------------------------------------------------
 
-_ROW_RE = re.compile(r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*([+-])\s*\]")
+# One item of the DSL up to its closing "]", with the whitespace before it.
+_ITEM_RE = re.compile(
+    r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*([+-])\s*")
+_EXPECTED_ROW = "expected a row of the form [A,B;l;s]"
+
+
+def _position(pieces, i):
+    """Position in the text of the first non-space character of pieces[i],
+    where the text is "]".join(pieces)."""
+    piece = pieces[i]
+    return sum(map(len, pieces[:i])) + i + len(piece) - len(piece.lstrip())
 
 
 def parse(text, mode=STRICT):
-    """Parse the row DSL: a concatenation of [A,B;l;s] items."""
-    rows = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _ROW_RE.match(text, pos)
-        if not m:
-            raise ParseError("expected a row of the form [A,B;l;s]", pos)
-        A, B, l = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        eta = 1 if m.group(4) == "+" else -1
+    """Parse the row DSL: a concatenation of [A,B;l;s] items.
+
+    The text is split at each "]"; every piece but the last must be one
+    item, and the last only whitespace.  Each distinct piece is matched and
+    checked once, in order of first appearance, so an error names the
+    first bad item of the text.
+    """
+    pieces = text.split("]")
+    items = pieces[:-1]
+    made = {}
+    for item in dict.fromkeys(items):
+        m = _ITEM_RE.fullmatch(item)
+        if m is None:
+            raise ParseError(
+                _EXPECTED_ROW, _position(pieces, items.index(item)))
+        A, B, l, s = m.groups()
         try:
-            rows.append(make_row(A, B, l, eta, mode))
+            made[item] = make_row(int(A), int(B), int(l),
+                                  1 if s == "+" else -1, mode)
         except SegmentError as e:
-            raise ParseError(str(e), pos) from e
-        pos = m.end()
+            raise ParseError(
+                str(e), _position(pieces, items.index(item))) from e
+    if pieces[-1].strip():
+        raise ParseError(_EXPECTED_ROW, _position(pieces, len(items)))
     _check_mode(mode)
-    return MultiSegment._of(tuple(rows), mode)
+    return MultiSegment._of(tuple(map(made.__getitem__, items)), mode)
 
 
 def render(ms):
@@ -273,6 +289,8 @@ def from_json(text, mode=STRICT):
                                  item["eta"], mode))
         except (KeyError, TypeError) as e:
             raise ParseError("bad row object %r" % (item,), 0) from e
+        except SegmentError as e:
+            raise ParseError(str(e), 0) from e
     _check_mode(mode)
     return MultiSegment._of(tuple(rows), mode)
 

@@ -1,13 +1,17 @@
 """Tempered structure: decomposition into blocks and boundary taxonomy."""
 
+import random
+
 import pytest
 
 from emseg.blocks import (
     BlockTuple, EMPTY_BLOCK, TYPE1, TYPE2, TYPE3, block_decompose, block_tuple,
     classify_boundary, eta_of, is_alternating, is_tempered, last_circle_sign,
-    remove_column, tempered_block,
+    block_tuples, remove_column, tempered_block,
 )
-from emseg.core import Row, SegmentError, multi_segment, parse, render
+from emseg.core import (
+    RELAXED, Row, SegmentError, multi_segment, parse, render,
+)
 
 from conftest import rand_tempered
 
@@ -114,3 +118,134 @@ def test_tempered_block_alternates():
     assert render(ms) == ("[0,0;0;+][1,1;0;-][1,1;0;-][1,1;0;-][2,2;0;+]")
     assert is_tempered(ms)
     assert len(block_decompose(ms)) == 1
+
+
+# The row-by-row versions that block_tuples, block_tuple and is_tempered
+# replaced, kept as oracles.
+
+def _reference_is_tempered(ms):
+    col_sign = {}
+    for r in ms.rows:
+        if r.A != r.B or r.l != 0:
+            return False
+        if col_sign.setdefault(r.B, r.eta) != r.eta:
+            return False
+    return True
+
+
+def _reference_column_groups(ms):
+    groups = []
+    for r in ms.rows:
+        if groups and groups[-1][0] == r.B:
+            groups[-1][1] += 1
+        else:
+            groups.append([r.B, 1, r.eta])
+    return groups
+
+
+def _reference_block_tuples(ms):
+    if not _reference_is_tempered(ms):
+        raise SegmentError("block decomposition requires a tempered input")
+    if any(ms.rows[i].B > ms.rows[i + 1].B for i in range(len(ms.rows) - 1)):
+        raise SegmentError("tempered input must be sorted by column")
+    blocks = []
+    mults = []
+    c_min = eta = last = None
+
+    def close():
+        if mults:
+            blocks.append((BlockTuple(c_min, tuple(mults)), eta))
+            mults.clear()
+
+    for c, m, s in _reference_column_groups(ms):
+        if not (mults and c_min + len(mults) == c and last == -s):
+            close()
+            c_min, eta = c, s
+        mults.append(m if m % 2 == 1 else m - 1)
+        if m % 2 == 0:
+            close()
+            c_min, eta = c, s
+            mults.append(1)
+        last = s
+    close()
+    return blocks
+
+
+def _reference_block_tuple(block):
+    if not block.rows:
+        return EMPTY_BLOCK
+    if not _reference_is_tempered(block):
+        raise SegmentError("block_tuple requires a tempered block")
+    groups = _reference_column_groups(block)
+    c_min = groups[0][0]
+    mults = [0] * (groups[-1][0] - c_min + 1)
+    for c, m, _ in groups:
+        mults[c - c_min] += m
+    if any(m == 0 for m in mults):
+        raise SegmentError("block has a column gap")
+    return BlockTuple(c_min, tuple(mults))
+
+
+def _disturbed_tempered(rng):
+    """Tempered rows in sorted columns, then maybe one sign flipped, one
+    row of several columns (or with a triangle pair) put in, and the rows
+    shuffled or two neighbours swapped."""
+    cols = sorted(rng.sample(range(12), rng.randint(0, 6)))
+    rows = []
+    for c in cols:
+        rows += [Row(c, c, 0, rng.choice((1, -1)))] * rng.randint(1, 4)
+    k = rng.random()
+    if k < 0.2 and rows:
+        i = rng.randrange(len(rows))
+        rows[i] = rows[i]._replace(eta=-rows[i].eta)
+    elif k < 0.35:
+        B = rng.randint(0, 5)
+        rows.insert(rng.randint(0, len(rows)),
+                    Row(B + rng.randint(0, 2), B, rng.choice((0, 0, 1)),
+                        rng.choice((1, -1))))
+    k = rng.random()
+    if k < 0.3:
+        rng.shuffle(rows)
+    elif k < 0.45 and len(rows) > 1:
+        i = rng.randrange(len(rows) - 1)
+        rows[i], rows[i + 1] = rows[i + 1], rows[i]
+    return multi_segment(rows, RELAXED)
+
+
+def _outcome(f, ms):
+    try:
+        return "ok", f(ms)
+    except (SegmentError, IndexError) as e:
+        return type(e), str(e)
+
+
+class TestAgainstRowByRow:
+    PAIRS = [(is_tempered, _reference_is_tempered),
+             (block_tuples, _reference_block_tuples),
+             (block_tuple, _reference_block_tuple)]
+
+    def test_random_inputs(self):
+        rng = random.Random(20261018)
+        seen = set()
+        for _ in range(3000):
+            ms = _disturbed_tempered(rng)
+            for new, old in self.PAIRS:
+                kind, value = _outcome(old, ms)
+                assert _outcome(new, ms) == (kind, value), (new, ms.rows)
+                if kind is SegmentError or new is is_tempered:
+                    seen.add(value)
+        assert {True, False,
+                "block decomposition requires a tempered input",
+                "tempered input must be sorted by column",
+                "block_tuple requires a tempered block",
+                "block has a column gap"} <= seen
+
+    def test_untempered_wins_over_unsorted(self):
+        ms = parse("[1,1;0;+][0,0;0;+][0,0;0;-]")
+        for f in (block_tuples, _reference_block_tuples):
+            with pytest.raises(SegmentError, match="requires a tempered"):
+                f(ms)
+        ms = parse("[2,1;0;+][0,0;0;+]")
+        for f in (block_tuples, _reference_block_tuples):
+            with pytest.raises(SegmentError, match="requires a tempered"):
+                f(ms)

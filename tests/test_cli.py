@@ -148,9 +148,16 @@ class TestBlocksVerb:
 class TestEnumerateVerb:
     def test_tuples_emitted(self):
         code, out, _ = invoke("enumerate", "--M", "1,1", "--cmin", "0",
-                              "--with-T", "--format", "dsl")
+                              "--with-T")
         assert code == EXIT_OK
         assert len(out.splitlines()) == 3
+
+    def test_takes_no_format(self):
+        """Every member is printed as a JSON line with its DSL, so there is
+        no format to choose."""
+        code, out, err = invoke("enumerate", "--M", "1,1", "--format", "dsl")
+        assert (code, out) == (EXIT_INVALID, "")
+        assert "unrecognized arguments: --format" in err
 
     def test_refinement_needs_zero_start(self):
         code, _, _ = invoke("enumerate", "--M", "1,1", "--cmin", "1",

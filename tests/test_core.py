@@ -2,14 +2,16 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from emseg.core import (
-    MultiSegment, ParseError, Row, ScopeError, SegmentError, arthur_parameter,
-    check_star, circle_count, from_json, group_sign, make_row, multi_segment,
-    parse, render, render_grid, shift, to_json, validate, weak_normalize,
+    RELAXED, STRICT, MultiSegment, ParseError, Row, ScopeError, SegmentError,
+    _check_mode, arthur_parameter, check_star, circle_count, from_json,
+    group_sign, make_row, multi_segment, parse, render, render_grid, shift,
+    to_json, validate, weak_normalize,
 )
 
 THREE_ROW = "[4,-1;2;+][3,2;1;+][4,4;0;-]"
@@ -127,9 +129,139 @@ class TestParseRender:
             with pytest.raises(ParseError):
                 from_json(text)
         for eta in ("true", "1.0"):
-            with pytest.raises(ScopeError, match="eta must be an integer"):
+            with pytest.raises(ParseError, match="eta must be an integer"):
                 from_json('{"rows": [{"A": 1, "B": 0, "l": 0, "eta": %s}]}'
                           % eta)
+
+    def test_signs_equal_to_one_are_still_rejected(self):
+        """1 == True == 1.0 and they hash alike, so no constructor may
+        reuse a row checked for one of them for another."""
+        for eta in (True, 1.0):
+            with pytest.raises(ScopeError, match="eta must be an integer"):
+                multi_segment([(1, 0, 0, 1), (1, 0, 0, eta)])
+            with pytest.raises(ScopeError, match="eta must be an integer"):
+                MultiSegment((Row(1, 0, 0, 1), Row(1, 0, 0, eta)))
+            with pytest.raises(ParseError, match="eta must be an integer"):
+                from_json(json.dumps({"rows": [
+                    {"A": 1, "B": 0, "l": 0, "eta": 1},
+                    {"A": 1, "B": 0, "l": 0, "eta": eta}]}))
+
+
+_ROW_RE = re.compile(
+    r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*([+-])\s*\]")
+
+
+def _reference_parse(text, mode=STRICT):
+    """The loop parser parse replaced: one regex match and one make_row per
+    row, in text order."""
+    rows = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ROW_RE.match(text, pos)
+        if not m:
+            raise ParseError("expected a row of the form [A,B;l;s]", pos)
+        A, B, l = int(m.group(1)), int(m.group(2)), int(m.group(3))
+        eta = 1 if m.group(4) == "+" else -1
+        try:
+            rows.append(make_row(A, B, l, eta, mode))
+        except SegmentError as e:
+            raise ParseError(str(e), pos) from e
+        pos = m.end()
+    _check_mode(mode)
+    return MultiSegment._of(tuple(rows), mode)
+
+
+def _outcome(parser, text, mode):
+    try:
+        ms = parser(text, mode)
+    except SegmentError as e:
+        return type(e), str(e), getattr(e, "position", None)
+    return ms.rows, ms.mode
+
+
+_SPACES = [" ", "\n", "\t", "\xa0", "\x1c", ""]
+_NOISE = "[],;+-0123456789 x\xa0\x1c\u0663"
+
+
+def _random_item(rng):
+    def ws():
+        return rng.choice(_SPACES) if rng.random() < 0.3 else ""
+    B = rng.randint(-4, 6)
+    A, l = B + rng.randint(-1, 6), rng.randint(-1, 4)
+    return "%s[%s%d%s,%s%d%s;%s%d%s;%s%s%s]" % (
+        ws(), ws(), A, ws(), ws(), B, ws(), ws(), l, ws(), ws(),
+        rng.choice("+-"), ws())
+
+
+def _random_text(rng):
+    """Items drawn from a small pool, so they repeat, then a few edits."""
+    pool = [_random_item(rng) for _ in range(rng.randint(1, 4))]
+    text = "".join(rng.choice(pool) for _ in range(rng.randint(0, 8)))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        k = rng.randint(0, len(text))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:k] + rng.choice(_NOISE) + text[k:]
+        elif edit == 1:
+            text = text[:k] + text[k + 1:]
+        else:
+            text = text[:k] + text[k:].replace("]", "", 1)
+    if rng.random() < 0.2:
+        text += rng.choice(_SPACES)
+    if rng.random() < 0.1:
+        text += text[:rng.randint(0, len(text))]
+    return text
+
+
+class TestParseAgainstReference:
+    MODES = (STRICT, RELAXED, "loose")
+
+    def test_random_and_mutated_texts(self):
+        rng = random.Random(20261018)
+        kinds = set()
+        for _ in range(3000):
+            text = _random_text(rng)
+            for mode in self.MODES:
+                expected = _outcome(_reference_parse, text, mode)
+                assert _outcome(parse, text, mode) == expected, (text, mode)
+                kinds.add(expected[0] if len(expected) == 3 else "rows")
+        assert kinds == {"rows", ParseError, SegmentError}
+
+    @pytest.mark.parametrize("text", [
+        "",
+        " \n\xa0\x1c",
+        "[1,0;0;+]" * 5,
+        "[1,0;0;+] [1,0;0;+]\xa0[1,0;0;+]\x1c[2,2;0;-]",
+        "[ 1 , 0 ; 0 ; + ]\n[1,0;0;+]",
+        "[1,0;0;+][0,1;0;+][0,1;0;+]",
+        "[1,0;0;+][1,0;2;-][1,0;0;+][1,0;2;-]",
+        "[1,0;0;+]x[1,0;0;+]",
+        "[1,0;0;+][1,0;0;+",
+        "[1,0;0;+]]",
+        "[\u0663,1;0;-]",
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fixed_texts(self, text, mode):
+        assert _outcome(parse, text, mode) == _outcome(
+            _reference_parse, text, mode)
+
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_repeated_unterminated_tail(self, mode):
+        """The tail equals an earlier item but has no "]": it is reported
+        at its own position, not at its twin's."""
+        with pytest.raises(ParseError) as exc:
+            parse("[5,4;0;-]\n[4,0;1;-]\n[4,0;1;-", mode)
+        assert exc.value.position == 20
+
+    def test_unknown_mode_is_checked_after_the_rows(self):
+        with pytest.raises(ParseError):
+            parse("[1,0;2;+]x", "loose")
+        with pytest.raises(SegmentError, match="unknown mode"):
+            parse("[1,0;2;+]", "loose")
 
 
 rows_strategy = st.builds(

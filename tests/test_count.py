@@ -4,7 +4,9 @@ import pytest
 
 from emseg import core
 from emseg.blocks import BlockTuple, block_decompose
-from emseg.core import RELAXED, STRICT, SegmentError, from_json, parse, to_json
+from emseg.core import (
+    RELAXED, STRICT, SegmentError, from_json, make_row, parse, to_json,
+)
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, grid_instances,
@@ -83,7 +85,8 @@ class TestTempered:
 
 
 class TestOneCheckPerRow:
-    """The count path checks each row once, when it is parsed."""
+    """The count path checks rows only when it parses them, each distinct
+    item once."""
 
     SYMBOL = "[0,0;0;+][1,1;0;-][1,1;0;-][2,2;0;+][4,4;0;+][5,5;0;-]"
 
@@ -101,11 +104,26 @@ class TestOneCheckPerRow:
 
     @pytest.mark.parametrize("mode", [STRICT, RELAXED])
     def test_parse_and_from_json_check_each_row_once(self, make_row_calls, mode):
+        """parse checks each distinct item once ([1,1;0;-] repeats);
+        from_json checks every row."""
         ms = parse(self.SYMBOL, mode)
-        assert len(make_row_calls) == len(ms) == 6
+        assert len(ms) == 6
+        assert len(make_row_calls) == len(set(make_row_calls)) == 5
+        assert set(make_row_calls) == {(*r, mode) for r in ms}
+        assert all(make_row(*r, mode) == r for r in ms)
         make_row_calls.clear()
         assert from_json(to_json(ms), mode) == ms
         assert len(make_row_calls) == 6
+
+    def test_parse_checks_a_long_symbol_once_per_column(self, make_row_calls):
+        text = "".join("[%d,%d;0;%s]" % (c, c, "+-"[c % 2]) * 100
+                       for c in range(1000))
+        ms = parse(text)
+        assert len(ms) == 10 ** 5
+        assert len(make_row_calls) <= 1000
+        make_row_calls.clear()
+        count_tempered(ms)
+        assert make_row_calls == []
 
     def test_decompose_and_count_check_no_row(self, make_row_calls):
         ms = parse(self.SYMBOL)

@@ -28,27 +28,47 @@ def test_no_unused_imports():
     assert unused == {}
 
 
-def _unreferenced_private_functions():
-    """Module-level _private functions no module of the package refers to."""
-    trees = {p.name: ast.parse(p.read_text(), str(p))
-             for p in Path(emseg.__file__).parent.glob("*.py")}
+def _module_privates(node):
+    """The _private names a module-level statement defines: a function, or
+    the plain names an assignment binds."""
+    if isinstance(node, ast.FunctionDef):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _unreferenced_privates(trees):
+    """Module-level _private functions and _NAME = ... assignments that no
+    module of trees (file name -> ast) reads."""
     referenced = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    return sorted((name, node.name) for name, tree in trees.items()
+    return sorted((name, private) for name, tree in trees.items()
                   for node in tree.body
-                  if isinstance(node, ast.FunctionDef)
-                  and node.name.startswith("_")
-                  and not node.name.startswith("__")
-                  and node.name not in referenced)
+                  for private in _module_privates(node)
+                  if private not in referenced)
 
 
-def test_no_unreferenced_private_functions():
-    assert _unreferenced_private_functions() == []
+def test_no_unreferenced_private_names():
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in Path(emseg.__file__).parent.glob("*.py")}
+    assert _unreferenced_privates(trees) == []
+
+
+def test_unreferenced_private_names_are_found():
+    source = ("_ROW_RE = 1\n_USED: int = 2\n_SPAN = _USED\n__all__ = []\n"
+              "def _helper():\n    return _SPAN\n")
+    assert _unreferenced_privates({"m.py": ast.parse(source)}) == [
+        ("m.py", "_ROW_RE"), ("m.py", "_helper")]
 
 
 def _callers(name, callee):
