@@ -76,10 +76,14 @@ def last_circle_sign(row):
     return (-1) ** (row.circles - 1) * row.eta
 
 
-def _runs(rows):
-    """(row, multiplicity) for each run of equal consecutive rows.  On a
-    tempered input equal rows are equal columns, so a run is a column."""
-    return [(r, len(list(g))) for r, g in groupby(rows)]
+def _column_runs(ms):
+    """(row, multiplicity) for each run of equal consecutive rows of a
+    tempered ms, which must be sorted by column.  On a tempered input equal
+    rows are equal columns, so a run is a column."""
+    runs = [(r, len(list(g))) for r, g in groupby(ms.rows)]
+    if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
+        raise SegmentError("tempered input must be sorted by column")
+    return runs
 
 
 def block_tuples(ms):
@@ -92,9 +96,7 @@ def block_tuples(ms):
     """
     if not is_tempered(ms):
         raise SegmentError("block decomposition requires a tempered input")
-    runs = _runs(ms.rows)
-    if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
-        raise SegmentError("tempered input must be sorted by column")
+    runs = _column_runs(ms)
     blocks = []
     mults = []
     c_min = eta = last = None
@@ -133,7 +135,7 @@ def block_tuple(block):
         return EMPTY_BLOCK
     if not is_tempered(block):
         raise SegmentError("block_tuple requires a tempered block")
-    runs = _runs(block.rows)
+    runs = _column_runs(block)
     c_min = runs[0][0].B
     mults = [0] * (runs[-1][0].B - c_min + 1)
     for r, m in runs:

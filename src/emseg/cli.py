@@ -9,6 +9,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import repeat
 
 from .blocks import BlockTuple, block_decompose, block_tuple, classify_boundary
 from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
@@ -22,7 +23,7 @@ from .count import (
 from .ops import (
     dual, dual_ui_dual, merge_hats, row_exchange, split_circles, to_sorted, ui,
 )
-from .sdata import build, enumerate_S, enumerate_ST
+from .sdata import build, iter_S, iter_ST
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -180,10 +181,10 @@ def _cmd_enumerate(args, out):
     if args.with_T:
         if M.c_min != 0:
             raise CliInputError("--with-T needs --cmin 0")
-        tuples = enumerate_ST(M)
+        members = iter_ST(M)
     else:
-        tuples = [(S, None) for S in enumerate_S(M)]
-    for S, T in tuples:
+        members = zip(iter_S(M), repeat(None))
+    for S, T in members:
         ms = build(M, S, T, eta)
         record = {"S": [list(iv) for iv in S], "dsl": render(ms)}
         if T is not None:

@@ -161,8 +161,10 @@ def order_admissible(rows):
 
 
 def order_sorted(rows):
-    """Order property (P'): B non-decreasing."""
-    return all(rows[i].B <= rows[i + 1].B for i in range(len(rows) - 1))
+    """Order property (P'): B non-decreasing, i.e. the list of B is its own
+    sort."""
+    Bs = [r.B for r in rows]
+    return Bs == sorted(Bs)
 
 
 def validate(ms, criterion="P"):
@@ -185,7 +187,7 @@ def arthur_parameter(ms):
 
 def _psi(rows):
     """arthur_parameter without the order check, for admissible rows."""
-    return tuple(sorted((A + B + 1, A - B + 1) for A, B, _, _ in rows))
+    return tuple(sorted([(A + B + 1, A - B + 1) for A, B, _, _ in rows]))
 
 
 def group_sign(ms):

@@ -2,11 +2,12 @@
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 
 from .blocks import BlockTuple, block_tuples, tempered_block
 from .closure import closure
 from .core import SegmentError, arthur_parameter
-from .sdata import build, enumerate_S, enumerate_ST
+from .sdata import build, iter_S, iter_ST
 
 RECURSION, ENUMERATION, CLOSURE = "recursion", "enumeration", "closure"
 
@@ -48,13 +49,8 @@ def count_block_recursive(M):
 
 def count_block_enumerative(M, eta=1):
     """Distinct packets among all built class members."""
-    psis = set()
-    if M.c_min == 0:
-        for S, T in enumerate_ST(M):
-            psis.add(arthur_parameter(build(M, S, T, eta)))
-    else:
-        for S in enumerate_S(M):
-            psis.add(arthur_parameter(build(M, S, None, eta)))
+    members = iter_ST(M) if M.c_min == 0 else zip(iter_S(M), repeat(None))
+    psis = {arthur_parameter(build(M, S, T, eta)) for S, T in members}
     return PacketCount(len(psis), ENUMERATION)
 
 

@@ -6,13 +6,12 @@ interval as hats.  Leftover column multiplicity becomes single-circle
 multiples.  Signs follow the odd-alternating assignment.
 """
 
-from itertools import product
+from itertools import chain, product, repeat
 
-from .core import STRICT, MultiSegment, Row, SegmentError, make_row
+from .core import STRICT, MultiSegment, Row, ScopeError, SegmentError
 from .ops import merge_hats, op_D, op_S, op_U
 
 CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
-_RANK = {CHAIN: 0, HAT: 0, MULTIPLE: 1, ZCHAIN: 2}
 
 
 def validate_S(M, S):
@@ -68,112 +67,183 @@ def trivial_T(S):
     return tuple((iv,) for iv in S)
 
 
-def enumerate_S(M):
-    """All valid S-tuples, in generation order.
+def iter_S(M):
+    """Yield every valid S-tuple, in generation order.
 
     Every tuple generated is valid, so none is filtered: each interval
     starts right after the last one ends, or on its last column when that
     column's multiplicity exceeds one (an overlap start), and an
-    overlapping interval gets an end e >= nxt > s, so it is wider.
+    overlapping interval gets an end e >= nxt > s, so it is wider.  The
+    search is depth first over an explicit stack of sibling iterators, so
+    the tuples stream out one at a time.
     """
     lo, hi = M.c_min, M.c_max
-    out = []
-
-    def extend(prefix, nxt):
-        if nxt > hi:
-            out.append(tuple(prefix))
-            return
-        starts = [nxt]
-        if prefix and prefix[-1][1] == nxt - 1 and M.mult(nxt - 1) > 1:
-            starts.append(nxt - 1)
-        for s in starts:
-            for e in range(max(s, nxt), hi + 1):
-                prefix.append((s, e))
-                extend(prefix, e + 1)
+    if lo > hi:
+        yield ()
+        return
+    # nexts[c - lo]: the intervals that may follow one ending at c - 1, in
+    # order; O(n^2) pairs for n columns, built once and shared.
+    nexts = []
+    for c in range(lo, hi + 1):
+        starts = (c, c - 1) if c > lo and M.mult(c - 1) > 1 else (c,)
+        nexts.append([(s, e) for s in starts for e in range(c, hi + 1)])
+    prefix = []
+    stack = [iter(nexts[0])]
+    while stack:
+        for iv in stack[-1]:
+            if iv[1] == hi:
+                yield (*prefix, iv)
+            else:
+                prefix.append(iv)
+                stack.append(iter(nexts[iv[1] + 1 - lo]))
+                break
+        else:
+            stack.pop()
+            if prefix:
                 prefix.pop()
 
-    extend([], lo)
-    return out
+
+def enumerate_S(M):
+    """All valid S-tuples, in generation order (the list of iter_S)."""
+    return list(iter_S(M))
 
 
 def _partitions_of(iv, min_first):
-    """All upward partitions of the interval, first part >= min_first wide."""
+    """All upward partitions of the interval, first part >= min_first wide.
+
+    The partitions of each upper part [k, b] are built once, from the top
+    down, and shared by every partition that ends with them.
+    """
     a, b = iv
-    if a > b:
-        return [()]
+    tails = {b + 1: [()]}
+    for k in range(b, a, -1):
+        tails[k] = [((k, e),) + rest for e in range(k, b + 1)
+                    for rest in tails[e + 1]]
     return [((a, e),) + rest for e in range(a + min_first - 1, b + 1)
-            for rest in _partitions_of((e + 1, b), 1)]
+            for rest in tails[e + 1]]
 
 
-def enumerate_ST(M):
-    """All valid (S, T) pairs for a block starting at zero.
+def iter_ST(M):
+    """Every valid (S, T) pair for a block starting at zero, as an iterator
+    in the order of enumerate_ST.
 
     Every pair generated is valid, so none is filtered: each S comes from
-    enumerate_S, and _partitions_of gives each interval its upward
-    partitions with the chain of an overlapping interval (a z-chain) at
-    least two columns wide.
+    iter_S, and _partitions_of gives each interval its upward partitions
+    with the chain of an overlapping interval (a z-chain) at least two
+    columns wide.
     """
     if M.c_min != 0:
         raise SegmentError("T-refinements only apply to blocks starting at 0")
-    out = []
-    for S in enumerate_S(M):
-        choices = [_partitions_of(iv, 2 if i and S[i - 1][1] == iv[0] else 1)
-                   for i, iv in enumerate(S)]
-        out.extend((S, T) for T in product(*choices))
-    return out
+    return chain.from_iterable(
+        zip(repeat(S), product(*[
+            _partitions_of(iv, 2 if i and S[i - 1][1] == iv[0] else 1)
+            for i, iv in enumerate(S)]))
+        for S in iter_S(M))
 
 
-def build_labeled(M, S, T=None, eta=1):
-    """Construct the multi-segment and the per-row category labels; after
-    (S, T) and the coverage are checked, each row is made once."""
+def enumerate_ST(M):
+    """All valid (S, T) pairs for a block starting at zero (the list of
+    iter_ST)."""
+    return list(iter_ST(M))
+
+
+def _rows(M, S, T, eta):
+    """The checks and the rows of build_labeled, which build shares:
+    (rows, items), where items are the sorted (B, rank, A, l, n, i, j) the
+    rows come from, one per chain, hat or run of n equal multiples, with
+    (i, j) the origin of a chain or hat in T.
+
+    The rank puts chains and hats (0) before the multiples (1) and the
+    z-chain (2) of one column.  No two items agree in (B, rank), so the
+    plain tuple sort is the sort by (B, rank).
+    """
     if not validate_S(M, S):
         raise SegmentError("invalid S-tuple for %r" % (M,))
     if T is None:
         T = trivial_T(S)
-    if not validate_T(M, S, T):
+    elif not validate_T(M, S, T):
         raise SegmentError("invalid T-refinement")
+    for x in chain(chain.from_iterable(S),
+                   chain.from_iterable(chain.from_iterable(T))):
+        if type(x) is not int:
+            raise ScopeError("S and T endpoints must be integers, got %r"
+                             % (x,))
     lo = M.c_min
-    # Items are (B, rank, A, l, kind, origin).  On valid (S, T) two items
-    # agree in (B, rank) only if they are equal multiples, so sorting the
-    # plain tuples is the stable sort by (B, rank).
+    free = [m - 1 for m in M.mults]
     items = []
-    coverage = [0] * (M.c_max - lo + 1)
     for i, parts in enumerate(T):
-        for j in range(S[i][0] - lo, S[i][1] - lo + 1):
-            coverage[j] += 1
         lo0, hi0 = parts[0]
-        kind = ZCHAIN if (i and S[i - 1][1] == S[i][0]) else CHAIN
-        items.append((lo0, _RANK[kind], hi0, 0, kind, (i, 0)))
-        for j, (p, q) in enumerate(parts[1:], start=1):
-            items.append((-p, 0, q, p, HAT, (i, j)))
-    for c, (mult, covered) in enumerate(zip(M.mults, coverage), lo):
-        if mult < covered:
-            raise SegmentError("column %d covered more often than its multiplicity" % c)
-        items.extend([(c, 1, c, 0, MULTIPLE, None)] * (mult - covered))
+        if i and S[i - 1][1] == lo0:  # a z-chain, on an overlap column
+            free[lo0 - lo] -= 1
+            items.append((lo0, 2, hi0, 0, 1, i, 0))
+        else:
+            items.append((lo0, 0, hi0, 0, 1, i, 0))
+        for j in range(1, len(parts)):
+            p, q = parts[j]
+            items.append((-p, 0, q, p, 1, i, j))
+    for c, n in enumerate(free, lo):
+        if n < 0:
+            raise SegmentError(
+                "column %d covered more often than its multiplicity" % c)
+        if n:
+            items.append((c, 1, c, 0, n, None, None))
+    if type(eta) is not int:
+        raise ScopeError("eta must be an integer, got %r" % (eta,))
+    if eta not in (1, -1):
+        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
     items.sort()
+    # The odd-alternating signs: a row takes step = (-1)^circles * (sign of
+    # the row before), negated for a multiple and for a z-chain right after
+    # the multiples of its own column.  A row's circle count has the parity
+    # of A - B + 1, and a multiple has one circle.
     rows = []
+    step = eta
+    multiples_at = None
+    for B, rank, A, l, n, _, _ in items:
+        sign = -step if rank == 1 or B == multiples_at else step
+        row = Row(A, B, l, sign)
+        if rank == 1:
+            rows += [row] * n
+            step, multiples_at = -sign, B
+        else:
+            rows.append(row)
+            step, multiples_at = (sign if (A - B) & 1 else -sign), None
+    return tuple(rows), items
+
+
+def build_labeled(M, S, T=None, eta=1):
+    """The multi-segment of (M, S, T, eta) and the (kind, origin) label of
+    each row, origin being the (i, j) of a chain or hat in T.
+
+    The input is checked once, at this boundary: validate_S, validate_T of
+    a given T (trivial_T of a valid S is valid by validate_S's overlap
+    rule), plain int endpoints, the coverage, and a plain int eta of +1 or
+    -1.  Then every row is valid as built, so none goes through make_row:
+
+    - a chain [hi, lo] has hi >= lo >= c_min >= 0 and l = 0;
+    - a hat (q, -p, p) has 1 <= p <= q, so A + B = q - p >= 0 and
+      2l = 2p <= b = p + q + 1;
+    - a multiple [c, c] has c >= 0;
+    - weak_normalize is a no-op, since 2l = b would need p = q + 1.
+
+    Valid (S, T) cover each column once and an overlap column twice, and
+    the multiples of a column are what its multiplicity leaves over.
+    """
+    rows, items = _rows(M, S, T, eta)
     labels = []
-    sign = eta
-    prev = prev_kind = None
-    for B, _, A, l, kind, origin in items:
-        if prev is not None:
-            step = (-1) ** prev.circles * prev.eta
-            if kind == MULTIPLE:
-                sign = -step
-            elif prev_kind == MULTIPLE:
-                sign = step if B > prev.B else -step
-            else:
-                sign = step
-        prev = make_row(A, B, l, sign)
-        prev_kind = kind
-        rows.append(prev)
-        labels.append((kind, origin))
-    return MultiSegment._of(tuple(rows), STRICT), tuple(labels)
+    for _, rank, _, l, n, i, j in items:
+        if rank == 1:
+            labels += [(MULTIPLE, None)] * n
+        else:
+            labels.append((ZCHAIN if rank == 2 else HAT if l else CHAIN,
+                           (i, j)))
+    return MultiSegment._of(rows, STRICT), tuple(labels)
 
 
 def build(M, S, T=None, eta=1):
-    """The multi-segment attached to (M, S, T, eta)."""
-    return build_labeled(M, S, T, eta)[0]
+    """The multi-segment attached to (M, S, T, eta); build_labeled without
+    the labels."""
+    return MultiSegment._of(_rows(M, S, T, eta)[0], STRICT)
 
 
 def theta1(ms):
@@ -194,8 +264,6 @@ def theta_family(M, S, T=None, eta=1):
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
-    if T is None:
-        T = trivial_T(S)
     E, labels = build_labeled(M, S, T, eta)
     c_max = M.c_max
     t1 = theta1(E)

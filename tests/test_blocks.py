@@ -102,6 +102,19 @@ class TestBlockTupleOf:
     def test_empty(self):
         assert block_tuple(parse("")) is EMPTY_BLOCK
 
+    @pytest.mark.parametrize("rows", [
+        [(1, 1, 0, 1), (0, 0, 0, -1), (2, 2, 0, -1)],
+        [(1, 1, 0, 1), (0, 0, 0, -1)],
+    ])
+    def test_rejects_unsorted_rows(self, rows):
+        """A column below the first row's is neither read at index -1 nor
+        an IndexError: block_tuple rejects it as block_tuples does."""
+        ms = multi_segment(rows)
+        for f in (block_tuple, block_tuples):
+            with pytest.raises(SegmentError) as err:
+                f(ms)
+            assert str(err.value) == "tempered input must be sorted by column"
+
 
 class TestRemoveColumn:
     def test_drops_single_circles(self):
@@ -176,6 +189,9 @@ def _reference_block_tuple(block):
         return EMPTY_BLOCK
     if not _reference_is_tempered(block):
         raise SegmentError("block_tuple requires a tempered block")
+    if any(block.rows[i].B > block.rows[i + 1].B
+           for i in range(len(block.rows) - 1)):
+        raise SegmentError("tempered input must be sorted by column")
     groups = _reference_column_groups(block)
     c_min = groups[0][0]
     mults = [0] * (groups[-1][0] - c_min + 1)

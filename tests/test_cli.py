@@ -2,9 +2,17 @@
 
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import emseg
 from emseg import cli
 from emseg.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_LIMITS, EXIT_OK, run,
@@ -163,6 +171,36 @@ class TestEnumerateVerb:
         code, _, _ = invoke("enumerate", "--M", "1,1", "--cmin", "1",
                             "--with-T")
         assert code == EXIT_INVALID
+
+    def test_streams_its_members(self):
+        """A block of 30 columns has 2^29 S-tuples, and its first member is
+        printed at once, before a list of them could be built.  The command
+        runs in a child process with its address space capped at 1 GiB,
+        killed after 20 s, so a command that stops streaming fails the test
+        instead of filling the memory."""
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(emseg.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "emseg.cli", "enumerate",
+                "--M", "1," * 29 + "1", "--cmin", "1"]
+        start = time.monotonic()
+        with subprocess.Popen(argv, stdout=subprocess.PIPE,
+                              stderr=subprocess.DEVNULL, env=env,
+                              preexec_fn=cap_memory) as proc:
+            guard = threading.Timer(20, proc.kill)
+            guard.start()
+            try:
+                first = next(iter(proc.stdout), b"")
+            finally:
+                guard.cancel()
+                proc.kill()
+        assert time.monotonic() - start < 10
+        record = json.loads(first)
+        assert record["S"] == [[c, c] for c in range(1, 31)]
+        assert record["dsl"].startswith("[1,1;0;+][2,2;0;-]")
 
 
 class TestCountVerb:

@@ -100,3 +100,10 @@ def test_closure_trusts_the_rows_the_cores_build():
     no row again with make_row and builds no MultiSegment(...)."""
     assert _callers("closure.py", "make_row") == set()
     assert _callers("closure.py", "MultiSegment") == set()
+
+
+def test_build_trusts_its_checked_coordinates():
+    """build and build_labeled make the rows of checked (S, T) directly:
+    sdata.py checks no row with make_row and builds no MultiSegment(...)."""
+    assert _callers("sdata.py", "make_row") == set()
+    assert _callers("sdata.py", "MultiSegment") == set()

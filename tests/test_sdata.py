@@ -5,13 +5,14 @@ import itertools
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from emseg import sdata
+from emseg import core
 from emseg.blocks import BlockTuple, tempered_block
 from emseg.closure import closure
 from emseg.core import (
-    MultiSegment, Row, SegmentError, arthur_parameter, check_star, render,
-    validate, weak_normalize,
+    MultiSegment, Row, ScopeError, SegmentError, arthur_parameter, check_star,
+    make_row, render, validate, weak_normalize,
 )
 from emseg.count import grid_instances
 from emseg.sdata import (
@@ -293,8 +294,20 @@ class TestValidByConstruction:
 
 
 def _reference_build_labeled(M, S, T, eta):
-    """The construction as it read before rows were made once: Row, sign,
-    weak_normalize, then the public constructor over all rows."""
+    """The construction as it read before rows were made once: the checks
+    of S, T and the coverage, then Row, sign, weak_normalize and the public
+    constructor, which checks every row with make_row."""
+    if not validate_S(M, S):
+        raise SegmentError("invalid S-tuple for %r" % (M,))
+    if T is None:
+        T = trivial_T(S)
+    if not validate_T(M, S, T):
+        raise SegmentError("invalid T-refinement")
+    covered = [c for a, b in S for c in range(a, b + 1)]
+    for c in range(M.c_min, M.c_max + 1):
+        if M.mult(c) < covered.count(c):
+            raise SegmentError(
+                "column %d covered more often than its multiplicity" % c)
     items = []
     for i, parts in enumerate(T):
         lo0, hi0 = parts[0]
@@ -324,6 +337,14 @@ def _reference_build_labeled(M, S, T, eta):
     return MultiSegment(tuple(rows)), tuple(labels)
 
 
+def _unchecked_block(c_min, mults):
+    """A BlockTuple that skipped the positive-multiplicity check."""
+    M = object.__new__(BlockTuple)
+    object.__setattr__(M, "c_min", c_min)
+    object.__setattr__(M, "mults", tuple(mults))
+    return M
+
+
 def _members(M):
     if M.c_min == 0:
         return enumerate_ST(M)
@@ -337,8 +358,7 @@ class TestBuildOnce:
             for S, T in _members(M):
                 for eta in (1, -1):
                     ms, labels = build_labeled(M, S, T, eta)
-                    want = _reference_build_labeled(
-                        M, S, T or trivial_T(S), eta)
+                    want = _reference_build_labeled(M, S, T, eta)
                     assert (ms.rows, ms.mode, labels) == (
                         want[0].rows, want[0].mode, want[1])
                     assert ms == MultiSegment(ms.rows)
@@ -360,17 +380,33 @@ class TestBuildOnce:
         assert str(err.value) == "eta must be +1 or -1, got 0"
         # Valid (S, T) cover no column more often than a positive
         # multiplicity allows; a block that skipped that check can.
-        unchecked = object.__new__(BlockTuple)
-        object.__setattr__(unchecked, "c_min", 0)
-        object.__setattr__(unchecked, "mults", (1, 0))
         with pytest.raises(SegmentError) as err:
-            build(unchecked, ((0, 1),))
+            build(_unchecked_block(0, (1, 0)), ((0, 1),))
         assert str(err.value) == (
             "column 1 covered more often than its multiplicity")
 
-    def test_one_make_row_per_row(self, monkeypatch):
+    def test_non_int_endpoints_are_scope_errors(self):
+        """validate_S compares endpoints by value, so 1.0 and True pass it;
+        the boundary rejects them, and a non-int eta, as ScopeError."""
+        M = BlockTuple(0, (1, 1))
+        for S, T in [(((0, 0), (1.0, 1)), None),
+                     (((0, 0), (True, True)), None),
+                     (((0, 1),), (((0, 0), (1.0, 1)),)),
+                     (((0, 1.0),), (((0, 0), (1, 1)),))]:
+            with pytest.raises(ScopeError) as err:
+                build(M, S, T)
+            assert str(err.value).startswith(
+                "S and T endpoints must be integers, got ")
+        for eta in (True, 1.0):
+            with pytest.raises(ScopeError) as err:
+                build(M, ((0, 1),), None, eta)
+            assert str(err.value) == "eta must be an integer, got %r" % (eta,)
+
+    def test_rows_need_no_make_row(self, monkeypatch):
+        """Rows of checked (S, T) are valid as built: no make_row call and
+        no public MultiSegment constructor on the way."""
         made, inits = [], []
-        real_make_row = sdata.make_row
+        real_make_row = core.make_row
         real_post_init = MultiSegment.__post_init__
 
         def counted_make_row(*args, **kwargs):
@@ -381,12 +417,159 @@ class TestBuildOnce:
             inits.append(self)
             real_post_init(self)
 
-        monkeypatch.setattr(sdata, "make_row", counted_make_row)
+        monkeypatch.setattr(core, "make_row", counted_make_row)
         monkeypatch.setattr(MultiSegment, "__post_init__", counted_post_init)
         M = BlockTuple(0, (1, 3, 1, 3))
         rows = 0
         for S, T in enumerate_ST(M):
             rows += len(build(M, S, T, -1).rows)
-        rows += len(build(ELEVEN_ROW_M, ELEVEN_ROW_S, ELEVEN_ROW_T, 1).rows)
-        assert len(made) == rows
+        rows += len(build_labeled(ELEVEN_ROW_M, ELEVEN_ROW_S, ELEVEN_ROW_T,
+                                  1)[0].rows)
+        for S in enumerate_S(BlockTuple(2, (3, 1, 5))):
+            rows += len(build(BlockTuple(2, (3, 1, 5)), S).rows)
+        assert rows > 200
+        assert made == []
         assert inits == []
+
+
+def _outcome(f, *args):
+    """("ok", rows, mode, labels, element types) or (exception type,
+    message)."""
+    try:
+        ms, labels = f(*args)
+    except (SegmentError, TypeError) as e:
+        return type(e), str(e)
+    return ("ok", ms.rows, ms.mode, labels,
+            {type(x) for r in ms.rows for x in (r, *r)})
+
+
+def _has_non_int(S, T):
+    ends = [x for iv in S for x in iv]
+    ends += [x for parts in T or () for p in parts for x in p]
+    return any(type(x) is not int for x in ends)
+
+
+def _checks_pass(M, S, T):
+    try:
+        return validate_S(M, S) and (T is None or validate_T(M, S, T))
+    except (SegmentError, TypeError):
+        return False
+
+
+def _broken_member(rng):
+    """A random (M, S, T, eta) of a small block, then zero to three of:
+    a bool or float endpoint, a non-plain eta, an endpoint moved by one
+    (an invalid S or T) and a column of multiplicity 0 (over-coverage)."""
+    c_min = rng.choice((0, 0, 1))
+    M = BlockTuple(c_min, tuple(rng.choice((1, 3))
+                                for _ in range(rng.randint(1, 4))))
+    S0 = rng.choice(enumerate_S(M))
+    S, T = [list(iv) for iv in S0], None
+    if c_min == 0 and rng.random() < 0.7:
+        T0 = rng.choice([T0 for S1, T0 in enumerate_ST(M) if S1 == S0])
+        T = [[list(p) for p in parts] for parts in T0]
+    eta = rng.choice((1, -1))
+    for _ in range(rng.randint(0, 3)):
+        k = rng.random()
+        iv = rng.choice(S if T is None or rng.random() < 0.5
+                        else [p for parts in T for p in parts])
+        j = rng.randrange(2)
+        if k < 0.2:
+            if iv[j] in (0, 1):
+                iv[j] = bool(iv[j])
+        elif k < 0.4:
+            iv[j] = float(iv[j])
+        elif k < 0.55:
+            eta = rng.choice((True, 2, 1.0, 0))
+        elif k < 0.8:
+            iv[j] += rng.choice((-1, 1))
+        else:
+            mults = list(M.mults)
+            mults[rng.randrange(len(mults))] = 0
+            M = _unchecked_block(c_min, mults)
+    S = tuple(map(tuple, S))
+    if T is not None:
+        T = tuple(tuple(map(tuple, parts)) for parts in T)
+    return M, S, T, eta
+
+
+class TestBuildAgainstReference:
+    def test_broken_inputs(self, rng):
+        """Every input gives the reference's rows, labels and mode, or its
+        exception type and message; one whose S or T passes the checks with
+        a non-int endpoint gives ScopeError instead (the reference let a
+        float in S escape as TypeError)."""
+        seen = set()
+        for _ in range(3000):
+            M, S, T, eta = _broken_member(rng)
+            got = _outcome(build_labeled, M, S, T, eta)
+            if _checks_pass(M, S, T) and _has_non_int(S, T):
+                assert got[0] is ScopeError, (M, S, T, eta, got)
+                assert got[1].startswith("S and T endpoints must be integers")
+                seen.add("non-int endpoint")
+                continue
+            want = _outcome(_reference_build_labeled, M, S, T, eta)
+            assert got == want, (M, S, T, eta)
+            if want[0] == "ok":
+                assert got[4] == {Row, int}
+                seen.add("ok")
+            else:
+                seen.add(want[1].split(",")[0].split(" got")[0])
+        assert seen >= {
+            "ok", "non-int endpoint", "invalid S-tuple for BlockTuple(c_min=0",
+            "invalid T-refinement", "eta must be +1 or -1",
+            "eta must be an integer",
+            "column 0 covered more often than its multiplicity"}, seen
+
+
+@st.composite
+def members(draw):
+    """A valid (M, S, T, eta), drawn so that it shrinks towards few
+    columns, multiplicity 1, no overlaps and one-column parts: S by its
+    interval ends and overlap starts, T (at c_min = 0) by the ends of each
+    interval's parts."""
+    c_min = draw(st.sampled_from((0, 1, 2)))
+    M = BlockTuple(c_min, tuple(draw(st.lists(
+        st.sampled_from((1, 3, 5)), min_size=1, max_size=6))))
+    S = []
+    nxt = M.c_min
+    while nxt <= M.c_max:
+        overlap = bool(S) and M.mult(nxt - 1) > 1 and draw(st.booleans())
+        S.append((nxt - 1 if overlap else nxt,
+                  draw(st.integers(nxt, M.c_max))))
+        nxt = S[-1][1] + 1
+    S = tuple(S)
+    T = None
+    if c_min == 0:
+        T = []
+        for i, (a, b) in enumerate(S):
+            wide = 2 if i and S[i - 1][1] == a else 1
+            parts = [(a, draw(st.integers(a + wide - 1, b)))]
+            while parts[-1][1] < b:
+                k = parts[-1][1] + 1
+                parts.append((k, draw(st.integers(k, b))))
+            T.append(tuple(parts))
+        T = tuple(T)
+    return M, S, T, draw(st.sampled_from((1, -1)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(members())
+def test_build_of_any_member(member):
+    """A member's rows equal the reference's and pass make_row unchanged,
+    its order is admissible and non-vanishing, and (at c_min = 0) its lift
+    family has three or four members of strict, admissible rows."""
+    M, S, T, eta = member
+    assert validate_S(M, S) and (T is None or validate_T(M, S, T))
+    ms, labels = build_labeled(M, S, T, eta)
+    want = _reference_build_labeled(M, S, T, eta)
+    assert (ms.rows, ms.mode, labels) == (want[0].rows, want[0].mode, want[1])
+    assert build(M, S, T, eta) == ms
+    assert all(make_row(*r) == r for r in ms.rows)
+    assert validate(ms, "P") and check_star(ms)
+    if M.c_min == 0:
+        family = theta_family(M, S, T, eta)
+        assert len(family) == (4 if M.mult(M.c_max) > 1 else 3)
+        for _, lifted in family:
+            assert all(make_row(*r) == r for r in lifted.rows)
+            assert validate(lifted, "P")
