@@ -219,10 +219,12 @@ def _cmd_closure(args, out):
         raise CliInputError("--limit and --max-depth must be non-negative")
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
-    if not report.exhausted:
+    if report.stop == "states":
         raise CliLimitError(
-            "closure hit a limit (%d states, depth %d)"
-            % (args.limit, args.max_depth))
+            "closure hit the state limit (%d states)" % args.limit)
+    if report.stop == "depth":
+        raise CliLimitError(
+            "closure hit the depth limit (depth %d)" % args.max_depth)
     if args.emit == "nodes":
         for key in sorted(report.nodes):
             out.write(json.dumps({"node": key.decode()}) + "\n")

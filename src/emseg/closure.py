@@ -5,23 +5,31 @@ union-intersections, their inverses (circle splits) and the dual-conjugated
 versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 
-The search works on row tuples.  _moves computes every move of a state with
-the row-level cores of ops, as a candidate row tuple of weak-normalized
-rows; the candidate is looked up among the visited states first, and only
-a new one is checked, on the rows the move may have changed (see
-_valid_move).  A new state is stored as the tuple the cores built, once:
-it is both its key in the index and its entry in the state list.
+Each search (closure, canonical, neighbors, exchange_neighbors) keeps one
+row table, _Rows, for the length of its call.  The table gives each
+distinct row a small int id the first time the search meets it and works
+out, once per id, what the search asks of a row: whether it is strict and
+non-vanishing, its DSL item, its (a, b), its split pairs and its dual under
+each parity; and, once per adjacent pair of ids, its row exchange and its
+union-intersection.  The formulas stay in the row-level cores of ops; the
+table only keeps their results.
+
+A state is a tuple of ids.  _moves yields every move of a state as a
+candidate tuple of ids.  The candidate is looked up among the visited
+states first, and only a new one is checked, by the flags of the ids the
+move may have changed (see _valid_move).  A canonical key joins the DSL
+items of its ids, and an Arthur parameter sorts their (a, b).
 """
 
 from dataclasses import dataclass
 
 from .core import (
-    MultiSegment, _psi, order_admissible, order_sorted, render, row_is_strict,
+    MultiSegment, order_admissible, order_sorted, render, row_is_strict,
     STRICT,
 )
 from .ops import (
-    SegmentError, _supports_nest, _with_new_rows, dual_rows, exchange_pair,
-    pair_ui_type, sort_rows, split_pair, split_points, ui_rows,
+    SegmentError, _supports_nest, _with_new_rows, dual_parities, dual_row,
+    exchange_pair, pair_ui_type, sort_rows, split_pair, split_points, ui_rows,
 )
 
 
@@ -30,29 +38,110 @@ class ClosureReport:
     nodes: frozenset          # canonical keys, one per row-exchange class
     psi: frozenset            # Arthur parameters
     states: int               # exact row lists visited
-    exhausted: bool
+    stop: str                 # "exhausted", or the limit that stopped it:
+                              # "states" or "depth"
     max_states: int
     max_depth: int
+
+    @property
+    def exhausted(self):
+        """True when the search expanded every state it found."""
+        return self.stop == "exhausted"
 
 
 DEFAULT_MAX_STATES = 100000
 DEFAULT_MAX_DEPTH = 64
 
 
-def _rows_ok(rows):
-    """Every row strict (0 <= 2l <= b) and non-vanishing (B + l >= 0, the
-    row-wise condition of check_star)."""
-    return all(row_is_strict(r) and r.B + r.l >= 0 for r in rows)
+def _row_ok(r):
+    """Strict (0 <= 2l <= b) and non-vanishing (B + l >= 0, the row-wise
+    condition of check_star)."""
+    return row_is_strict(r) and r.B + r.l >= 0
 
 
 def _valid_state(rows):
     """Strict, (P)-admissible and non-vanishing."""
-    return _rows_ok(rows) and order_admissible(rows)
+    return all(map(_row_ok, rows)) and order_admissible(rows)
 
 
-def _valid_move(rows, lo, hi):
-    """_valid_state of the output rows of a move of a valid state, where
-    every row outside rows[lo:hi] is a row of the parent.
+class _Rows:
+    """The row table of one search: an id per distinct row met, and what
+    each id and each adjacent pair of ids gives, worked out on first use."""
+
+    def __init__(self):
+        self.index = {}     # row -> id
+        self.rows = []      # id -> row
+        self.ok = []        # id -> _row_ok
+        self.text = []      # id -> DSL item, as bytes
+        self.ab = []        # id -> (a, b)
+        self.splits = []    # id -> (split_points, {X: split pair ids})
+        self.duals = []     # id -> [dual id at even parity, at odd parity]
+        self.pairs = {}     # (id, id) -> (exchange ids, ui ids), see pair
+
+    def id(self, row):
+        """The id of row; a row met for the first time gets the next one."""
+        i = self.index.get(row)
+        if i is None:
+            i = self.index[row] = len(self.rows)
+            self.rows.append(row)
+            self.ok.append(_row_ok(row))
+            self.text.append(render(MultiSegment._of((row,), STRICT)).encode())
+            self.ab.append((row.a, row.b))
+            self.splits.append((split_points(row), {}))
+            self.duals.append([None, None])
+        return i
+
+    def ids(self, rows):
+        """The ids of rows, as a tuple."""
+        # Built from a list, so that the tuple is made at its size:
+        # tuple(map(...)) makes a larger one and shrinks it, and the
+        # shrunk tuples pile up in the interpreter's tuple free lists.
+        return tuple([self.id(row) for row in rows])
+
+    def pair(self, i, j):
+        """(exchange, ui) of the adjacent ids i, j: the ids exchange_pair
+        gives when the supports nest and the exchange changes the pair, and
+        the ids ui_rows gives when the pair has a union-intersection type;
+        each None otherwise."""
+        entry = self.pairs.get((i, j))
+        if entry is None:
+            r1, r2 = self.rows[i], self.rows[j]
+            exchanged = None
+            if _supports_nest(r1, r2):
+                exchanged = self.ids(exchange_pair(r1, r2))
+                if exchanged == (i, j):
+                    exchanged = None
+            tag = pair_ui_type(r1, r2)
+            united = None if tag is None else self.ids(ui_rows(r1, r2, tag))
+            entry = self.pairs[i, j] = exchanged, united
+        return entry
+
+    def split(self, i, X):
+        """The ids of split_pair of row i at X, one of its split_points."""
+        made = self.splits[i][1]
+        if X not in made:
+            made[X] = self.ids(split_pair(self.rows[i], X))
+        return made[X]
+
+    def dual(self, ids):
+        """The ids of dual_rows of (P')-sorted ids: each id's dual_row at
+        its dual_parities, read off the table."""
+        out = []
+        for i, flip in zip(ids, dual_parities([self.ab[i][0] for i in ids])):
+            j = self.duals[i][flip]
+            if j is None:
+                j = self.duals[i][flip] = self.id(dual_row(self.rows[i], flip))
+            out.append(j)
+        return tuple(reversed(out))
+
+    def key(self, ids):
+        """The serialized row list; canonical keys are the least of these."""
+        return b"".join(map(self.text.__getitem__, ids))
+
+
+def _valid_move(table, ids, lo, hi):
+    """_valid_state of the output ids of a move of a valid state, where
+    every id outside ids[lo:hi] is an id of the parent.
 
     Only the new rows need the strict and check_star tests, because no
     move breaks (P):
@@ -62,100 +151,102 @@ def _valid_move(rows, lo, hi):
     - _local_moves yields only the splits that keep (P);
     - a dual-conjugated output is (P')-sorted, as every dual is.
     """
-    return _rows_ok(rows[lo:hi])
+    return all(map(table.ok.__getitem__, ids[lo:hi]))
 
 
-def _exchange_moves(rows):
-    """Every row exchange that changes rows, as (rows, lo, hi)."""
-    for k in range(len(rows) - 1):
-        r1, r2 = rows[k], rows[k + 1]
-        if _supports_nest(r1, r2):
-            pair = exchange_pair(r1, r2)
-            if pair != (r1, r2):
-                yield rows[:k] + pair + rows[k + 2:], k, k + 2
+def _exchange_moves(table, ids):
+    """Every row exchange that changes ids, as (ids, lo, hi)."""
+    for k in range(len(ids) - 1):
+        exchanged = table.pair(ids[k], ids[k + 1])[0]
+        if exchanged is not None:
+            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2
 
 
-def _local_moves(rows):
+def _local_moves(table, ids):
     """Every ui, then every split that keeps the (P)-admissible rows
-    admissible, as (rows, lo, hi)."""
-    for k in range(len(rows) - 1):
-        r1, r2 = rows[k], rows[k + 1]
-        tag = pair_ui_type(r1, r2)
-        if tag is not None:
-            new = ui_rows(r1, r2, tag)
-            yield rows[:k] + new + rows[k + 2:], k, k + len(new)
-    for k, r in enumerate(rows):
-        points = split_points(r)
+    admissible, as (ids, lo, hi)."""
+    for k in range(len(ids) - 1):
+        united = table.pair(ids[k], ids[k + 1])[1]
+        if united is not None:
+            yield ids[:k] + united + ids[k + 2:], k, k + len(united)
+    rows, splits = table.rows, table.splits
+    for k, i in enumerate(ids):
+        points = splits[i][0]
         if points:
+            r = rows[i]
             # Of the pairs [X, B] and [A, X + 1] form with the other rows
             # only two kinds can break (P): an earlier row with a larger B
             # that ends after X, and a later row with a smaller A that
             # starts at or before X.
-            low = max([points.start] + [s.A for s in rows[:k] if s.B > r.B])
-            high = min([points.stop]
-                       + [s.B for s in rows[k + 1:] if s.A < r.A])
+            before = map(rows.__getitem__, ids[:k])
+            after = map(rows.__getitem__, ids[k + 1:])
+            low = max([points.start] + [s.A for s in before if s.B > r.B])
+            high = min([points.stop] + [s.B for s in after if s.A < r.A])
             for X in range(low, high):
-                yield rows[:k] + split_pair(r, X) + rows[k + 1:], k, k + 2
+                yield ids[:k] + table.split(i, X) + ids[k + 1:], k, k + 2
 
 
-def _moves(rows):
-    """Every single operator move of the row tuple rows, in search order,
-    as (candidate rows, lo, hi, exchange): rows[:lo] and rows[hi:] of the
-    candidate are rows of the input, rows[lo:hi] may be new, and exchange
+def _moves(table, ids):
+    """Every single operator move of the state ids, in search order, as
+    (candidate ids, lo, hi, exchange): ids[:lo] and ids[hi:] of the
+    candidate are ids of the input, ids[lo:hi] may be new, and exchange
     tells the row exchanges from the other moves.
 
-    Exchanges come first, then the ui and split moves, then, when rows is
-    (P')-sorted, the ui and split moves of the dual taken back by sorting
-    and dualizing.  A dual-conjugated candidate is new throughout: every
-    row of it is the output of dual_rows.
+    Exchanges come first, then the ui and split moves, then, when the rows
+    are (P')-sorted, the ui and split moves of the dual taken back by
+    sorting and dualizing.  A dual-conjugated candidate is new throughout.
     """
-    for cand, lo, hi in _exchange_moves(rows):
+    for cand, lo, hi in _exchange_moves(table, ids):
         yield cand, lo, hi, True
-    for cand, lo, hi in _local_moves(rows):
+    for cand, lo, hi in _local_moves(table, ids):
         yield cand, lo, hi, False
-    if not order_sorted(rows):
+    if not order_sorted([table.rows[i] for i in ids]):
         return
-    for moved, _, _ in _local_moves(tuple(dual_rows(rows))):
-        moved = list(moved)
+    for moved, _, _ in _local_moves(table, table.dual(ids)):
+        moved = [table.rows[i] for i in moved]
         if sort_rows(moved) is None:
-            cand = tuple(dual_rows(moved))
-            yield cand, 0, len(cand), False
+            yield table.dual(table.ids(moved)), 0, len(moved), False
 
 
-def _as_multisegment(cand, lo, hi):
+def _as_multisegment(table, ids, lo, hi):
     """A move as the operators return it: make_row on the new rows, in the
     mode of the result."""
-    return _with_new_rows(list(cand), range(lo, hi))
+    return _with_new_rows([table.rows[i] for i in ids], range(lo, hi))
 
 
 def exchange_neighbors(ms):
     """Results of every applicable row exchange."""
-    return [_as_multisegment(*move) for move in _exchange_moves(ms.rows)]
+    table = _Rows()
+    return [_as_multisegment(table, *move)
+            for move in _exchange_moves(table, table.ids(ms.rows))]
 
 
 def neighbors(ms):
     """All single operator moves, filtered to valid strict states."""
-    return [_as_multisegment(cand, lo, hi)
-            for cand, lo, hi, _ in _moves(ms.rows) if _valid_state(cand)]
+    table = _Rows()
+    return [_as_multisegment(table, cand, lo, hi)
+            for cand, lo, hi, _ in _moves(table, table.ids(ms.rows))
+            if _valid_state([table.rows[i] for i in cand])]
 
 
-def _seed_rows(ms):
-    """The rows of ms, which must be a valid state."""
+def _seed_ids(table, ms):
+    """The ids of the rows of ms, which must be a valid state."""
     if not _valid_state(ms.rows):
         raise SegmentError("closure seed must be strict, admissible and non-vanishing")
-    return ms.rows
+    return table.ids(ms.rows)
 
 
 def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     """Breadth-first closure from a strict, non-vanishing seed.
 
-    Each state is one row tuple, both its key in index and its entry in
+    Each state is one tuple of ids, both its key in index and its entry in
     states.  A move's candidate is looked up in index before it is
     checked; a miss is checked with _valid_move, which looks only at what
     the move changed.  The search stops at the first new valid state past
-    max_states, or after max_depth levels.
+    max_states, or after max_depth levels; the report's stop says which.
     """
-    seed = _seed_rows(ms)
+    table = _Rows()
+    seed = _seed_ids(table, ms)
     # States are expanded in the order they are found, so states[start:]
     # is the frontier and exchange_edges[i] belongs to states[i].  A state
     # left mid-expansion by the state limit gets no entry.
@@ -167,13 +258,13 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     start = 0
     while start < len(states) and not full and depth < max_depth:
         end = len(states)
-        for rows in states[start:end]:
+        for ids in states[start:end]:
             edges = []
-            for cand, lo, hi, exchange in _moves(rows):
+            for cand, lo, hi, exchange in _moves(table, ids):
                 j = index.get(cand)
                 if j is None:
                     # A state in index already passed _valid_state.
-                    if not _valid_move(cand, lo, hi):
+                    if not _valid_move(table, cand, lo, hi):
                         continue
                     if len(states) >= max_states:
                         full = True
@@ -188,18 +279,15 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
             exchange_edges.append(edges)
         start = end
         depth += 1
-    exhausted = not full and start >= len(states)
-    nodes = frozenset(_component_keys(states, index, exchange_edges))
-    psi = frozenset(_psi(s) for s in states)
-    return ClosureReport(nodes, psi, len(states), exhausted, max_states, max_depth)
+    stop = ("states" if full else "exhausted" if start >= len(states)
+            else "depth")
+    nodes = frozenset(_component_keys(table, states, index, exchange_edges))
+    psi = frozenset(tuple(sorted(map(table.ab.__getitem__, s)))
+                    for s in states)
+    return ClosureReport(nodes, psi, len(states), stop, max_states, max_depth)
 
 
-def _key(rows):
-    """The serialized row list; canonical keys are the least of these."""
-    return render(MultiSegment._of(rows, STRICT)).encode()
-
-
-def _component_keys(states, index, exchange_edges):
+def _component_keys(table, states, index, exchange_edges):
     """Canonical key per row-exchange component among the visited states.
 
     exchange_edges holds the edges of the states the search expanded in
@@ -213,25 +301,18 @@ def _component_keys(states, index, exchange_edges):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[ry] = rx
-
     for i, edges in enumerate(exchange_edges):
         for j in edges:
-            union(i, j)
+            parent[find(j)] = find(i)
     for i in range(len(exchange_edges), len(states)):
-        for cand, _, _ in _exchange_moves(states[i]):
+        for cand, _, _ in _exchange_moves(table, states[i]):
             j = index.get(cand)
             if j is not None:
-                union(i, j)
+                parent[find(j)] = find(i)
     best = {}
     for i, s in enumerate(states):
-        root = find(i)
-        key = _key(s)
-        if root not in best or key < best[root]:
-            best[root] = key
+        root, key = find(i), table.key(s)
+        best[root] = min(best.get(root, key), key)
     return best.values()
 
 
@@ -239,18 +320,19 @@ def canonical(ms):
     """Least serialized row list over the valid states reachable by row
     exchanges: the key closure gives the class of ms.  Raises closure's
     SegmentError when ms is not a valid state."""
-    seed = _seed_rows(ms)
+    table = _Rows()
+    seed = _seed_ids(table, ms)
     seen = {seed}
     frontier = [seed]
-    best = _key(seed)
+    best = table.key(seed)
     while frontier:
         nxt = []
-        for rows in frontier:
-            for cand, lo, hi in _exchange_moves(rows):
-                if cand in seen or not _valid_move(cand, lo, hi):
+        for ids in frontier:
+            for cand, lo, hi in _exchange_moves(table, ids):
+                if cand in seen or not _valid_move(table, cand, lo, hi):
                     continue
                 seen.add(cand)
-                best = min(best, _key(cand))
+                best = min(best, table.key(cand))
                 nxt.append(cand)
         frontier = nxt
     return best

@@ -6,10 +6,11 @@ dualize composites used by the lift family.  The composites move rows by
 chains of plain row exchanges.
 
 Each operator's formula lives once, in a row-level core that maps plain
-rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_rows,
-sort_rows, split_points and split_pair.  The operators on multi-segments
-check their arguments, call the core and build the new rows with make_row;
-the closure search calls the cores directly.
+rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
+and dual_parities (which dual_rows puts together), sort_rows, split_points
+and split_pair.  The operators on multi-segments check their arguments, call
+the core and build the new rows with make_row; the closure search calls
+the cores directly.
 """
 
 from dataclasses import dataclass
@@ -136,20 +137,27 @@ def ui_rows(r1, r2, tag):
     return weak_normalize(new1), weak_normalize(new2)
 
 
+def dual_row(row, flip):
+    """The dual of one row: [A,B] -> [A,-B], l -> l + B, and eta negated
+    when the parity flip is 1; weak-normalized."""
+    A, B, l, eta = row
+    return weak_normalize(Row(A, -B, l + B, -eta if flip else eta))
+
+
+def dual_parities(a):
+    """The parity at which dual_rows takes the dual_row of each of the
+    (P')-sorted rows with these a: that of alpha + beta, where alpha sums
+    a over the rows before and beta sums b over the rows after.  Since
+    b = a - 2B, it is the parity of the sum of a over the other rows."""
+    total = sum(a)
+    return [(total - x) & 1 for x in a]
+
+
 def dual_rows(rows):
-    """The dual of (P')-sorted rows: reversed, [A,B] -> [A,-B], l -> l + B,
-    and eta times (-1)^(alpha + beta), where alpha sums a over the rows
-    before and beta sums b over the rows after; weak-normalized."""
-    out = []
-    alpha = 0
-    beta = sum(r.A - r.B + 1 for r in rows)
-    for A, B, l, eta in rows:
-        beta -= A - B + 1
-        out.append(weak_normalize(
-            Row(A, -B, l + B, (-1) ** (alpha + beta) * eta)))
-        alpha += A + B + 1
-    out.reverse()
-    return out
+    """The dual of (P')-sorted rows: reversed, each row's dual_row at its
+    dual_parities."""
+    flips = dual_parities([r.a for r in rows])
+    return [dual_row(r, flip) for r, flip in zip(rows, flips)][::-1]
 
 
 def sort_rows(rows):

@@ -74,28 +74,32 @@ def iter_S(M):
     starts right after the last one ends, or on its last column when that
     column's multiplicity exceeds one (an overlap start), and an
     overlapping interval gets an end e >= nxt > s, so it is wider.  The
-    search is depth first over an explicit stack of sibling iterators, so
-    the tuples stream out one at a time.
+    search is depth first over an explicit stack of lazy sibling
+    iterators, so the tuples stream out one at a time, in O(n) memory for
+    n columns.
     """
     lo, hi = M.c_min, M.c_max
     if lo > hi:
         yield ()
         return
-    # nexts[c - lo]: the intervals that may follow one ending at c - 1, in
-    # order; O(n^2) pairs for n columns, built once and shared.
-    nexts = []
-    for c in range(lo, hi + 1):
-        starts = (c, c - 1) if c > lo and M.mult(c - 1) > 1 else (c,)
-        nexts.append([(s, e) for s in starts for e in range(c, hi + 1)])
+
+    def successors(c):
+        """The intervals that may follow one ending at c - 1, in order:
+        those that start at c, then those that start at c - 1."""
+        ends = range(c, hi + 1)
+        if c > lo and M.mult(c - 1) > 1:
+            return chain(zip(repeat(c), ends), zip(repeat(c - 1), ends))
+        return zip(repeat(c), ends)
+
     prefix = []
-    stack = [iter(nexts[0])]
+    stack = [successors(lo)]
     while stack:
         for iv in stack[-1]:
             if iv[1] == hi:
                 yield (*prefix, iv)
             else:
                 prefix.append(iv)
-                stack.append(iter(nexts[iv[1] + 1 - lo]))
+                stack.append(successors(iv[1] + 1))
                 break
         else:
             stack.pop()
@@ -260,10 +264,14 @@ def theta_family(M, S, T=None, eta=1):
 
     Three members when the top multiplicity is 1, four otherwise; the second
     and fourth coincide in packet exactly when S contains the singleton top
-    column.
+    column.  The block must start at 0 and have odd multiplicities, as
+    every block of block_tuples does; any other raises SegmentError before
+    a lift is built.
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
+    if any(m % 2 == 0 for m in M.mults):
+        raise SegmentError("the lift family needs odd multiplicities")
     E, labels = build_labeled(M, S, T, eta)
     c_max = M.c_max
     t1 = theta1(E)

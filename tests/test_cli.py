@@ -172,20 +172,19 @@ class TestEnumerateVerb:
                             "--with-T")
         assert code == EXIT_INVALID
 
-    def test_streams_its_members(self):
-        """A block of 30 columns has 2^29 S-tuples, and its first member is
-        printed at once, before a list of them could be built.  The command
-        runs in a child process with its address space capped at 1 GiB,
-        killed after 20 s, so a command that stops streaming fails the test
-        instead of filling the memory."""
+    @staticmethod
+    def _first_line(*args):
+        """The first line `emseg enumerate` prints, and the seconds it
+        took, from a child process with its address space capped at 1 GiB,
+        killed after 20 s, so a command that stops streaming fails the
+        test instead of filling the memory."""
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
         src = str(Path(emseg.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        argv = [sys.executable, "-m", "emseg.cli", "enumerate",
-                "--M", "1," * 29 + "1", "--cmin", "1"]
+        argv = [sys.executable, "-m", "emseg.cli", "enumerate", *args]
         start = time.monotonic()
         with subprocess.Popen(argv, stdout=subprocess.PIPE,
                               stderr=subprocess.DEVNULL, env=env,
@@ -197,9 +196,27 @@ class TestEnumerateVerb:
             finally:
                 guard.cancel()
                 proc.kill()
-        assert time.monotonic() - start < 10
+        return first, time.monotonic() - start
+
+    def test_streams_its_members(self):
+        """A block of 30 columns has 2^29 S-tuples, and its first member is
+        printed at once, before a list of them could be built."""
+        first, seconds = self._first_line("--M", "1," * 29 + "1",
+                                          "--cmin", "1")
+        assert seconds < 10
         record = json.loads(first)
         assert record["S"] == [[c, c] for c in range(1, 31)]
+        assert record["dsl"].startswith("[1,1;0;+][2,2;0;-]")
+
+    def test_streams_in_linear_memory(self):
+        """The first member of a block of 10^4 columns: successor lists of
+        all the intervals the S-tuples may use would hold about 5 * 10^7
+        of them, gigabytes, past the cap."""
+        first, seconds = self._first_line("--M", "1," * 9999 + "1",
+                                          "--cmin", "1")
+        assert seconds < 10
+        record = json.loads(first)
+        assert record["S"] == [[c, c] for c in range(1, 10001)]
         assert record["dsl"].startswith("[1,1;0;+][2,2;0;-]")
 
 
@@ -272,6 +289,20 @@ class TestClosureVerb:
         code, _, err = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]",
                               "--limit", "2")
         assert code == EXIT_LIMITS and "limit" in err
+
+    def test_limit_message_names_the_limit(self):
+        """The message names the limit that stopped the search and its
+        value, not both limits."""
+        code, _, err = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]",
+                              "--limit", "2", "--max-depth", "5")
+        assert code == EXIT_LIMITS
+        assert "closure hit the state limit (2 states)" in err
+        assert "depth" not in err
+        code, _, err = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]",
+                              "--limit", "7", "--max-depth", "1")
+        assert code == EXIT_LIMITS
+        assert "closure hit the depth limit (depth 1)" in err
+        assert "states" not in err
 
     def test_negative_limits_are_invalid(self):
         for flag in ("--limit", "--max-depth"):

@@ -11,8 +11,8 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.closure import (
-    _as_multisegment, _moves, _valid_move, _valid_state, are_equivalent,
-    canonical, closure, exchange_neighbors, neighbors,
+    _Rows, _as_multisegment, _moves, _valid_move, _valid_state,
+    are_equivalent, canonical, closure, neighbors,
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter,
@@ -20,7 +20,9 @@ from emseg.core import (
     row_is_strict,
 )
 from emseg.count import count_tempered, grid_instances
-from emseg.ops import dual, row_exchange, split_circles, to_sorted, ui
+from emseg.ops import (
+    dual, dual_rows, row_exchange, split_circles, to_sorted, ui,
+)
 from emseg.sdata import theta1
 
 from conftest import rand_mode_ms, rand_sorted_ms, rand_tempered
@@ -71,6 +73,20 @@ class TestClosure:
         report = closure(parse(X1), max_states=2)
         assert not report.exhausted
 
+    def test_stop_names_what_stopped_the_search(self):
+        """X1's class has 3 states, at depths 0, 1 and 2.  A state limit
+        stops the search only when a new state lies past it, and a depth
+        limit whenever a level is left unexpanded."""
+        stops = {limits: (r.stop, r.states, r.exhausted)
+                 for limits in [(), (3,), (2,), (100000, 0), (100000, 1),
+                                (100000, 2), (2, 1)]
+                 for r in [closure(parse(X1), *limits)]}
+        assert stops == {
+            (): ("exhausted", 3, True), (3,): ("exhausted", 3, True),
+            (2,): ("states", 2, False), (100000, 0): ("depth", 1, False),
+            (100000, 1): ("depth", 2, False), (100000, 2): ("depth", 3, False),
+            (2, 1): ("depth", 2, False)}
+
     def test_rejects_vanishing_seed(self):
         with pytest.raises(SegmentError):
             closure(parse("[2,-2;1;+]"))
@@ -89,14 +105,15 @@ class TestClosure:
             if name.startswith("emseg") and hasattr(module, "make_row"):
                 monkeypatch.setattr(module, "make_row", counted)
         reports = [closure(seed), closure(seed, 8), closure(seed, 100000, 2)]
-        assert [(r.states, r.exhausted) for r in reports] == [
-            (66, True), (8, False), (7, False)]
+        assert [(r.states, r.exhausted, r.stop) for r in reports] == [
+            (66, True, "exhausted"), (8, False, "states"), (7, False, "depth")]
         assert calls == []
 
 
 def _reference_closure(seed, max_states, max_depth):
-    """The closure search written plainly: neighbors() per state, then one
-    union-find over exchange_neighbors() of every visited state."""
+    """The closure search written plainly on the public operators: the
+    valid states among _reference_moves per state, then one union-find
+    over the row_exchange results of every visited state."""
     seen = {seed.rows: seed}
     frontier = [seed]
     exhausted = True
@@ -108,8 +125,8 @@ def _reference_closure(seed, max_states, max_depth):
             break
         nxt = []
         for state in frontier:
-            for cand in neighbors(state):
-                if cand.rows in seen:
+            for cand in _reference_outs(state):
+                if cand.rows in seen or not _valid_state(cand.rows):
                     continue
                 if len(seen) >= max_states:
                     exhausted = False
@@ -129,7 +146,7 @@ def _reference_closure(seed, max_states, max_depth):
         return x
 
     for rows, state in seen.items():
-        for nb in exchange_neighbors(state):
+        for nb in _reference_exchanges(state):
             if nb.rows in seen:
                 parent[find(nb.rows)] = find(rows)
     best = {}
@@ -240,7 +257,9 @@ class TestNeighbors:
 
 def _candidates(ms):
     """Every move of ms as a multi-segment, before the validity filter."""
-    return [_as_multisegment(cand, lo, hi) for cand, lo, hi, _ in _moves(ms.rows)]
+    table = _Rows()
+    return [_as_multisegment(table, cand, lo, hi)
+            for cand, lo, hi, _ in _moves(table, table.ids(ms.rows))]
 
 
 class TestCandidateModes:
@@ -292,10 +311,8 @@ def _ui_and_splits(ms):
     return outs
 
 
-def _reference_moves(ms):
-    """Every move of ms through the public operators, in search order:
-    exchanges that change ms, ui and splits, and, on (P')-sorted input,
-    ui and splits of the dual brought back by to_sorted and dual."""
+def _reference_exchanges(ms):
+    """The row_exchange results that change ms, in search order."""
     outs = []
     for k in range(len(ms.rows) - 1):
         try:
@@ -304,39 +321,68 @@ def _reference_moves(ms):
             continue
         if res.applied and res.out.rows != ms.rows:
             outs.append(res.out)
-    outs += _ui_and_splits(ms)
+    return outs
+
+
+def _reference_outs(ms):
+    """Every move of ms through the public operators, in search order:
+    exchanges that change ms, ui and splits, and, on (P')-sorted input,
+    ui and splits of the dual brought back by to_sorted and dual."""
+    outs = _reference_exchanges(ms) + _ui_and_splits(ms)
     if order_sorted(ms.rows):
         for moved in _ui_and_splits(dual(ms)):
             try:
                 outs.append(dual(to_sorted(moved)))
             except SegmentError:
                 pass
-    return [out.rows for out in outs]
+    return outs
+
+
+def _reference_moves(ms):
+    """The rows of _reference_outs."""
+    return [out.rows for out in _reference_outs(ms)]
+
+
+def _table_moves(ms):
+    """The table, the ids of ms and the moves _moves gives on them, with
+    each candidate mapped back to rows: (table, ids, [(rows, cand, lo,
+    hi)])."""
+    table = _Rows()
+    ids = table.ids(ms.rows)
+    return table, ids, [(tuple(table.rows[i] for i in cand), cand, lo, hi)
+                        for cand, lo, hi, _ in _moves(table, ids)]
 
 
 class TestMoves:
     def test_moves_are_the_public_operators_moves(self, rng):
         """_moves yields what the public operators give, in the same order,
         and changes only rows[lo:hi]; on a valid state its local check
-        agrees with _valid_state on every candidate."""
+        agrees with _valid_state on every candidate.  The table's dual of
+        the state and of every (P')-sorted candidate is dual_rows'."""
         start = time.perf_counter()
-        checked = 0
+        checked = duals = 0
         for i in range(500):
             star = i % 2 == 0
             if i % 4 < 2:
                 ms = rand_sorted_ms(rng, require_star=star)
             else:
                 ms = rand_mode_ms(rng, RELAXED, require_star=star)
-            moves = list(_moves(ms.rows))
-            assert [cand for cand, _, _, _ in moves] == _reference_moves(ms)
-            for cand, lo, hi, _ in moves:
-                assert cand[:lo] == ms.rows[:lo]
-                assert cand[hi:] == ms.rows[len(ms.rows) - len(cand) + hi:]
+            table, ids, moves = _table_moves(ms)
+            assert [rows for rows, _, _, _ in moves] == _reference_moves(ms)
+            for rows, _, lo, hi in moves:
+                assert rows[:lo] == ms.rows[:lo]
+                assert rows[hi:] == ms.rows[len(ms.rows) - len(rows) + hi:]
+            for rows, cand in [(ms.rows, ids)] + [m[:2] for m in moves]:
+                if order_sorted(rows):
+                    dualized = tuple(table.rows[i] for i in table.dual(cand))
+                    assert dualized == tuple(dual_rows(rows))
+                    duals += 1
             if _valid_state(ms.rows):
-                for cand, lo, hi, _ in moves:
-                    assert _valid_move(cand, lo, hi) == _valid_state(cand)
+                for rows, cand, lo, hi in moves:
+                    assert (_valid_move(table, cand, lo, hi)
+                            == _valid_state(rows))
                     checked += 1
-        assert checked > 500
+        assert checked > 500 and duals > 500
         assert time.perf_counter() - start < 2.0
 
     def test_unsorted_states_keep_their_moves(self):
@@ -350,10 +396,11 @@ class TestMoves:
             nxt = []
             for state in frontier:
                 unsorted += not order_sorted(state.rows)
-                moves = list(_moves(state.rows))
-                assert [c for c, _, _, _ in moves] == _reference_moves(state)
-                for cand, lo, hi, _ in moves:
-                    assert _valid_move(cand, lo, hi) == _valid_state(cand)
+                table, _, moves = _table_moves(state)
+                assert [r for r, _, _, _ in moves] == _reference_moves(state)
+                for rows, cand, lo, hi in moves:
+                    assert (_valid_move(table, cand, lo, hi)
+                            == _valid_state(rows))
                 for nb in neighbors(state):
                     if nb.rows not in seen:
                         seen.add(nb.rows)

@@ -89,7 +89,7 @@ def _callers(name, callee):
 def test_operator_formulas_live_in_the_row_level_cores():
     """Rows are made only by the row-level cores of ops and by merge_hats's
     closed form, so no formula is copied into a wrapper or the search."""
-    cores = {"exchange_pair", "ui_rows", "dual_rows", "split_pair",
+    cores = {"exchange_pair", "ui_rows", "dual_row", "split_pair",
              "merge_hats"}
     assert _callers("ops.py", "Row") <= cores
     assert _callers("closure.py", "Row") == set()

@@ -7,7 +7,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from emseg import core
+from emseg import core, sdata
 from emseg.blocks import BlockTuple, tempered_block
 from emseg.closure import closure
 from emseg.core import (
@@ -174,6 +174,23 @@ class TestTheta:
         M = BlockTuple(0, (1, 3))
         fam = dict(theta_family(M, ((0, 0), (1, 1))))
         assert set(fam) == {"theta1", "theta2", "theta3", "theta4"}
+
+    def test_family_rejects_even_multiplicities(self, monkeypatch):
+        """Each of these blocks used to fail inside a different lift step;
+        each (S, T) of each now gets one error naming the domain, before
+        the member or any lift is built."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a member of an even block")
+
+        monkeypatch.setattr(sdata, "build_labeled", unreachable)
+        checked = 0
+        for mults in ((2,), (1, 2), (2, 1), (2, 1, 2)):
+            M = BlockTuple(0, mults)
+            for S, T in enumerate_ST(M):
+                with pytest.raises(SegmentError, match="odd multiplicities"):
+                    theta_family(M, S, T)
+                checked += 1
+        assert checked == 20
 
     def test_second_fourth_coincidence_detector(self):
         M = BlockTuple(0, (1, 3))
