@@ -3,7 +3,7 @@
 from .core import (
     MultiSegment, Row, SegmentError, ParseError, OrderError, ScopeError,
     arthur_parameter, check_star, from_json, group_sign, make_row,
-    multi_segment, parse, render, render_grid, shift, to_json, validate,
+    multi_segment, parse, render, render_grid, to_json, validate,
 )
 from .ops import (
     OpResult, dual, merge_hats, op_D, op_S, op_U, row_exchange,
@@ -11,8 +11,7 @@ from .ops import (
 )
 from .blocks import (
     BlockTuple, Boundary, block_decompose, block_tuple, classify_boundary,
-    eta_of, is_alternating, is_tempered, last_circle_sign, remove_column,
-    tempered_block,
+    is_tempered, remove_column, tempered_block,
 )
 from .sdata import (
     build, enumerate_S, enumerate_ST, theta1, theta_family,

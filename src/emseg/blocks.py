@@ -56,26 +56,6 @@ def is_tempered(ms):
     return True
 
 
-def is_alternating(ms):
-    """Every consecutive pair satisfies eta(r') = (-1)^C(r) * eta(r)."""
-    rows = ms.rows
-    return all(
-        rows[i + 1].eta == (-1) ** rows[i].circles * rows[i].eta
-        for i in range(len(rows) - 1))
-
-
-def eta_of(ms):
-    """The sign of the first row."""
-    if not ms.rows:
-        raise SegmentError("eta undefined on the empty multi-segment")
-    return ms.rows[0].eta
-
-
-def last_circle_sign(row):
-    """Sign of the last circle: circles alternate starting from eta."""
-    return (-1) ** (row.circles - 1) * row.eta
-
-
 def _column_runs(ms):
     """(row, multiplicity) for each run of equal consecutive rows of a
     tempered ms, which must be sorted by column.  On a tempered input equal

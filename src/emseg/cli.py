@@ -56,13 +56,28 @@ def _read_ms(args, mode="strict"):
     return parse(text, mode)
 
 
+# --pretty draws a cell for every column from the least B to the greatest
+# A, and walks l triangles on each side of a row, so two far-apart columns
+# or a relaxed row of huge |l| would draw without end.
+GRID_MAX_COLUMNS = 10 ** 4
+
+
+def _pretty(ms, args):
+    """The symbol grid and a newline under --pretty, else ""."""
+    if not args.pretty:
+        return ""
+    rows = ms.rows
+    if rows and max(max(r.A for r in rows) - min(r.B for r in rows),
+                    max(abs(r.l) for r in rows)) >= GRID_MAX_COLUMNS:
+        raise CliLimitError(
+            "--pretty draws at most %d columns" % GRID_MAX_COLUMNS)
+    return render_grid(ms, unicode_symbols=True) + "\n"
+
+
 def _emit_ms(ms, args, out):
-    if args.format == "dsl":
-        out.write(render(ms) + "\n")
-    else:
-        out.write(to_json(ms) + "\n")
-    if args.pretty:
-        out.write(render_grid(ms, unicode_symbols=True) + "\n")
+    grid = _pretty(ms, args)
+    text = render(ms) if args.format == "dsl" else to_json(ms)
+    out.write(text + "\n" + grid)
 
 
 def _parse_eta(text):
@@ -79,9 +94,14 @@ def _parse_block_tuple(text, c_min):
     except ValueError:
         raise CliInputError("--M must be a comma-separated integer list")
     try:
-        return BlockTuple(c_min, mults)
+        M = BlockTuple(c_min, mults)
     except SegmentError as e:
         raise CliInputError(str(e))
+    try:
+        str(M.c_max)
+    except ValueError:
+        raise CliInputError("the last column of --M is out of range")
+    return M
 
 
 def _parse_grid_spec(spec):
@@ -110,9 +130,8 @@ def _cmd_parse(args, out):
 
 def _cmd_render(args, out):
     ms = _read_ms(args)
-    out.write(render(ms) + "\n")
-    if args.pretty:
-        out.write(render_grid(ms, unicode_symbols=True) + "\n")
+    grid = _pretty(ms, args)
+    out.write(render(ms) + "\n" + grid)
     return EXIT_OK
 
 
@@ -149,12 +168,16 @@ def _cmd_apply(args, out):
         result, applied, tag = res.out, res.applied, res.type_tag
     else:
         raise CliInputError("unknown operator %r" % op)
-    record = {"applied": applied, "type": tag,
-              "result": render(result) if args.format == "dsl"
-              else json.loads(to_json(result))}
-    out.write(json.dumps(record) + "\n")
-    if args.pretty:
-        out.write(render_grid(result, unicode_symbols=True) + "\n")
+    try:
+        shown = (render(result) if args.format == "dsl"
+                 else json.loads(to_json(result)))
+    except ValueError:
+        # str() refuses an int of more than sys.get_int_max_str_digits()
+        # digits, and the dual of a relaxed row has l + B, past its input's.
+        raise CliLimitError("the result has an integer too long to print")
+    record = {"applied": applied, "type": tag, "result": shown}
+    grid = _pretty(result, args)
+    out.write(json.dumps(record) + "\n" + grid)
     return EXIT_OK
 
 
@@ -189,9 +212,8 @@ def _cmd_enumerate(args, out):
         record = {"S": [list(iv) for iv in S], "dsl": render(ms)}
         if T is not None:
             record["T"] = [[list(p) for p in parts] for parts in T]
-        out.write(json.dumps(record) + "\n")
-        if args.pretty:
-            out.write(render_grid(ms, unicode_symbols=True) + "\n")
+        grid = _pretty(ms, args)
+        out.write(json.dumps(record) + "\n" + grid)
     return EXIT_OK
 
 
@@ -210,8 +232,25 @@ def _cmd_count(args, out):
             pc = count_block_enumerative(M)
         else:
             pc = count_block_closure(M)
-    out.write(json.dumps({"value": pc.value, "method": pc.method}) + "\n")
+    out.write('{"value": %s, "method": %s}\n'
+              % (_decimal(pc.value), json.dumps(pc.method)))
     return EXIT_OK
+
+
+# str() refuses an int of more digits than sys.get_int_max_str_digits(),
+# 4300 by default; _decimal converts below that, a chunk at a time.
+_CHUNK = 10 ** 1000
+
+
+def _decimal(n):
+    """str(n) for an n >= 0 of any size, such as a count, or a = A + B + 1
+    of a row whose A and B have the most digits str() converts."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append("%01000d" % low)
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
 
 
 def _cmd_closure(args, out):
@@ -230,7 +269,8 @@ def _cmd_closure(args, out):
             out.write(json.dumps({"node": key.decode()}) + "\n")
     elif args.emit == "psi":
         for psi in sorted(report.psi):
-            out.write(json.dumps({"psi": [list(p) for p in psi]}) + "\n")
+            out.write('{"psi": [%s]}\n' % ", ".join(
+                "[%s, %s]" % (_decimal(a), _decimal(b)) for a, b in psi))
     else:
         out.write(json.dumps({
             "nodes": len(report.nodes),

@@ -10,6 +10,7 @@ non-vanishing condition).
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 STRICT = "strict"
@@ -101,23 +102,45 @@ def row_is_strict(row):
     return 0 <= 2 * row.l <= row.b
 
 
+def _four_tuples(rows):
+    return set(map(type, rows)) <= {tuple, Row} and set(map(len, rows)) <= {4}
+
+
+def _plain(rows):
+    """True iff every row is a tuple or a Row of four plain ints.
+
+    Then equal rows are alike, and a constructor may check each distinct
+    one once.  Elsewhere they need not be: (1,0,0,True), (1,0,0,1.0) and
+    (1,0,0,1) are equal and hash alike, and list rows do not hash.
+    """
+    return (_four_tuples(rows)
+            and set(map(type, chain.from_iterable(rows))) <= {int})
+
+
 @dataclass(frozen=True)
 class MultiSegment:
     """An ordered list of rows, either strict or relaxed ("symbol") mode.
 
-    Rows are stored weak-normalized.  The order is not constrained on
-    construction; use validate() to test admissibility.
+    Rows are stored weak-normalized, and each distinct row is checked
+    once.  The order is not constrained on construction; use validate() to
+    test admissibility.
     """
 
     rows: tuple
     mode: str = STRICT
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        rows = tuple(
-            make_row(r.A, r.B, r.l, r.eta, self.mode) if isinstance(r, Row)
-            else make_row(*r, mode=self.mode)
-            for r in self.rows)
+        mode = self.mode
+        _check_mode(mode)
+        rows = tuple(self.rows)
+        if _plain(rows):
+            made = {r: make_row(*r, mode) for r in dict.fromkeys(rows)}
+            rows = tuple(map(made.__getitem__, rows))
+        else:
+            rows = tuple(
+                make_row(r.A, r.B, r.l, r.eta, mode) if isinstance(r, Row)
+                else make_row(*r, mode=mode)
+                for r in rows)
         object.__setattr__(self, "rows", rows)
 
     def __len__(self):
@@ -146,8 +169,15 @@ class MultiSegment:
 
 
 def multi_segment(rows, mode=STRICT):
-    """Convenience constructor from (A, B, l, eta) tuples."""
-    return MultiSegment(tuple(Row(*r) for r in rows), mode)
+    """Convenience constructor from (A, B, l, eta) tuples.
+
+    Rows that are not all 4-tuples go through Row(*r) first, so a wrong
+    arity raises before any row is checked.
+    """
+    rows = tuple(rows)
+    if not _four_tuples(rows):
+        rows = tuple(Row(*r) for r in rows)
+    return MultiSegment(rows, mode)
 
 
 def order_admissible(rows):
@@ -205,25 +235,17 @@ def check_star(ms):
     return all(r.B + r.l >= 0 for r in ms.rows)
 
 
-def shift(ms, d):
-    """Shift every support by d: [A, B] -> [A+d, B+d]."""
-    rows = []
-    for r in ms.rows:
-        if r.A + r.B + 2 * d < 0:
-            raise SegmentError(
-                "shift by %d breaks A + B >= 0 on [%d,%d]" % (d, r.A, r.B))
-        rows.append(Row(r.A + d, r.B + d, r.l, r.eta))
-    return ms.replace_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and rendering
 # ---------------------------------------------------------------------------
 
 # One item of the DSL up to its closing "]", with the whitespace before it.
+# Integers are ASCII digits: [0-9], not \d.  re.ASCII would narrow \s too.
 _ITEM_RE = re.compile(
-    r"\s*\[\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*([+-])\s*")
+    r"\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*;\s*(-?[0-9]+)\s*;\s*([+-])\s*")
 _EXPECTED_ROW = "expected a row of the form [A,B;l;s]"
+# int() and str() refuse integers past sys.get_int_max_str_digits().
+_OUT_OF_RANGE = "integer out of range"
 
 
 def _position(pieces, i):
@@ -256,6 +278,9 @@ def parse(text, mode=STRICT):
         except SegmentError as e:
             raise ParseError(
                 str(e), _position(pieces, items.index(item))) from e
+        except ValueError as e:
+            raise ParseError(
+                _OUT_OF_RANGE, _position(pieces, items.index(item))) from e
     if pieces[-1].strip():
         raise ParseError(_EXPECTED_ROW, _position(pieces, len(items)))
     _check_mode(mode)
@@ -263,10 +288,15 @@ def parse(text, mode=STRICT):
 
 
 def render(ms):
-    """Render to the row DSL; inverse of parse."""
-    return "".join(
-        "[%d,%d;%d;%s]" % (r.A, r.B, r.l, "+" if r.eta == 1 else "-")
-        for r in ms.rows)
+    """Render to the row DSL; inverse of parse.
+
+    Each distinct row is formatted once.  Equal rows format alike: "%d"
+    prints the same digits for equal ints, bools and integral floats, and
+    the sign is eta == 1.
+    """
+    text = {r: "[%d,%d;%d;%s]" % (r.A, r.B, r.l, "+" if r.eta == 1 else "-")
+            for r in dict.fromkeys(ms.rows)}
+    return "".join(map(text.__getitem__, ms.rows))
 
 
 def to_json(ms):
@@ -282,6 +312,10 @@ def from_json(text, mode=STRICT):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, e.pos) from e
+    except ValueError as e:
+        raise ParseError("invalid JSON: %s" % _OUT_OF_RANGE, 0) from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply", 0) from e
     if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
         raise ParseError('expected an object with a "rows" list', 0)
     rows = []
@@ -329,7 +363,3 @@ def render_grid(ms, unicode_symbols=False):
             for c in range(lo, hi + 1)).rstrip())
     return "\n".join(lines)
 
-
-def circle_count(ms):
-    """Total number of circles C(E) over all rows."""
-    return sum(r.circles for r in ms.rows)

@@ -6,8 +6,8 @@ import pytest
 
 from emseg.blocks import (
     BlockTuple, EMPTY_BLOCK, TYPE1, TYPE2, TYPE3, block_decompose, block_tuple,
-    classify_boundary, eta_of, is_alternating, is_tempered, last_circle_sign,
-    block_tuples, remove_column, tempered_block,
+    classify_boundary, is_tempered, block_tuples, remove_column,
+    tempered_block,
 )
 from emseg.core import (
     RELAXED, Row, SegmentError, multi_segment, parse, render,
@@ -40,18 +40,6 @@ class TestPredicates:
         assert is_tempered(parse("[0,0;0;+][1,1;0;-]"))
         assert not is_tempered(parse("[1,0;0;+]"))
         assert not is_tempered(parse("[0,0;0;+][0,0;0;-]"))
-
-    def test_alternating(self):
-        assert is_alternating(parse("[0,0;0;+][1,1;0;-]"))
-        assert not is_alternating(parse("[0,0;0;+][1,1;0;+]"))
-        assert is_alternating(parse("[2,0;0;+][3,3;0;-]"))
-
-    def test_eta_and_last_circle(self):
-        assert eta_of(parse("[0,0;0;-]")) == -1
-        assert last_circle_sign(Row(2, 0, 0, 1)) == 1
-        assert last_circle_sign(Row(3, 0, 0, 1)) == -1
-        with pytest.raises(SegmentError):
-            eta_of(parse(""))
 
 
 class TestDecompose:
@@ -88,8 +76,9 @@ class TestDecompose:
             for b in blocks:
                 bt = block_tuple(b)
                 assert all(m % 2 == 1 for m in bt.mults)
-                assert is_alternating(
-                    multi_segment(sorted(set(b.rows), key=lambda r: r.B)))
+                columns = sorted(set(b.rows), key=lambda r: r.B)
+                assert all(q.eta == -r.eta
+                           for r, q in zip(columns, columns[1:]))
             for b1, b2 in zip(blocks, blocks[1:]):
                 classify_boundary(b1, b2)
 

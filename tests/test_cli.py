@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -355,6 +356,220 @@ class TestVerifyVerb:
     def test_bad_grid_spec(self):
         code, _, _ = invoke("verify", "--grid", "width<=3")
         assert code == EXIT_INVALID
+
+
+HUGE = "1" + "0" * 5000
+# The longest integer str() and int() convert by default.
+LONGEST = "9" * 4300
+
+
+class TestOutOfRangeInput:
+    """Integers past the interpreter's int-to-str digit limit, non-ASCII
+    digits and deep JSON nesting are invalid input, not internal errors."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("count", "--dsl", "[%s,0;0;+]" % HUGE),
+         "integer out of range (at position 0)"),
+        (("parse", "--dsl", "[1,0;0;+]\n[%s,0;0;+]" % HUGE),
+         "integer out of range (at position 10)"),
+        (("parse", "--json",
+          '{"rows":[{"A": %s, "B": 0, "l": 0, "eta": 1}]}' % HUGE),
+         "invalid JSON: integer out of range (at position 0)"),
+        (("parse", "--json", "[" * 10 ** 5),
+         "invalid JSON: nested too deeply (at position 0)"),
+        (("parse", "--dsl", "[１,1;0;+]"),
+         "expected a row of the form [A,B;l;s] (at position 0)"),
+        (("render", "--dsl", "[١,1;0;+]"),
+         "expected a row of the form [A,B;l;s] (at position 0)"),
+    ])
+    def test_exits_1(self, argv, message):
+        assert invoke(*argv) == (EXIT_INVALID, "", "error: %s\n" % message)
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate",), ("count",), ("count", "--method", "closure"),
+    ])
+    def test_columns_past_the_digit_limit(self, argv):
+        """--cmin converts, but the block's next column has 4301 digits:
+        the DSL cannot write it, and closure names rows in the DSL."""
+        assert invoke(*argv, "--M", "2,1", "--cmin", LONGEST) == (
+            EXIT_INVALID, "", "error: the last column of --M is out of range\n")
+        assert invoke(*argv, "--M", "1", "--cmin", LONGEST)[0] == EXIT_OK
+
+    def test_enumerate_writes_the_longest_column(self):
+        code, out, _ = invoke("enumerate", "--M", "1", "--cmin", LONGEST)
+        assert code == EXIT_OK and json.loads(out)["S"] == [[int(LONGEST)] * 2]
+
+    @pytest.mark.parametrize("verb", ["parse", "apply"])
+    def test_grid_width_is_a_limit(self, verb):
+        """--pretty draws every column between the least and the greatest:
+        a symbol spanning more than GRID_MAX_COLUMNS, or a relaxed row of
+        |l| past it, exits 2 before any output, where it used to draw lines
+        without end or run out of memory."""
+        argv = [verb, "--pretty"] + (["--op", "sort"] if verb == "apply" else [])
+        for last, code in ((cli.GRID_MAX_COLUMNS - 1, EXIT_OK),
+                           (cli.GRID_MAX_COLUMNS, EXIT_LIMITS),
+                           (LONGEST, EXIT_LIMITS)):
+            dsl = "[0,0;0;+][%s,%s;0;-]" % (last, last)
+            result = invoke(*argv, "--dsl", dsl)
+            assert result[0] == code
+            if code == EXIT_LIMITS:
+                assert result == (EXIT_LIMITS, "",
+                                  "limit: --pretty draws at most 10000 columns\n")
+        for l, code in (("9999", EXIT_OK), ("-9999", EXIT_OK),
+                        ("10000", EXIT_LIMITS), ("-10000", EXIT_LIMITS),
+                        (LONGEST, EXIT_LIMITS)):
+            result = invoke(*argv, "--relaxed", "--dsl", "[1,0;%s;+]" % l)
+            assert result[0] == code, l
+
+    def test_psi_past_the_digit_limit(self):
+        """a = A + B + 1 of [LONGEST,LONGEST] has 4301 digits."""
+        code, out, err = invoke("closure", "--emit", "psi", "--dsl",
+                                "[%s,%s;0;+]" % (LONGEST, LONGEST))
+        assert (code, err) == (EXIT_OK, "")
+        assert out == '{"psi": [[%s, 1]]}\n' % ("1" + LONGEST[:-1] + "9")
+
+    @pytest.mark.parametrize("fmt", ["dsl", "json"])
+    def test_result_past_the_digit_limit(self, fmt):
+        """The dual of [1,1;LONGEST;+] has l = LONGEST + 1, of 4301
+        digits; that of [4,-1;LONGEST;+] has l = LONGEST - 1."""
+        dsl = "[1,1;%s;+]" % LONGEST
+        assert invoke("apply", "--op", "dual", "--relaxed", "--format", fmt,
+                      "--dsl", dsl) == (
+            EXIT_LIMITS, "",
+            "limit: the result has an integer too long to print\n")
+        code, out, _ = invoke("apply", "--op", "dual", "--relaxed",
+                              "--format", fmt, "--dsl", "[4,-1;%s;+]" % LONGEST)
+        assert code == EXIT_OK and LONGEST[:-1] + "8" in out
+
+    def test_count_past_the_digit_limit(self):
+        """3^9999 has 4771 digits, more than str() converts by default:
+        the count prints it in full."""
+        code, out, err = invoke("count", "--M", ",".join(["1"] * 10 ** 4))
+        assert (code, err) == (EXIT_OK, "")
+        head, _, tail = out.partition(": ")
+        digits, _, rest = tail.partition(",")
+        assert (head, rest) == ('{"value"', ' "method": "recursion"}\n')
+        assert len(digits) == 4771 and digits.isdigit()
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 3 ** 9999
+
+
+# Symbols the fuzz mutates: strict and relaxed rows, tempered symbols,
+# hats, the empty symbol.
+_SEEDS = [
+    "[4,-1;2;+][3,2;1;+][4,4;0;-]", "[0,0;0;+][1,1;0;-]",
+    "[0,0;0;+][1,1;0;-][1,1;0;-][2,2;0;+]", "[1,0;0;+]", "[2,-2;2;+]",
+    "[1,0;5;+][2,2;0;-]", "[0,0;0;-][2,2;0;+][3,3;0;-]", "",
+]
+_NOISE = ["[", "]", ",", ";", "+", "-", "0", "7", " ", "\xa0", "x",
+          "１", "١", "٣", "{", "}", '"', ":", "1.5", "true",
+          "null", "[]", "{}", HUGE, "-" + HUGE, LONGEST]
+_BAD = ["-1", "x", "", "1.5", "1e3", "١", HUGE, LONGEST]
+
+
+def _fuzz_int(rng, lo, hi):
+    """An integer option value in [lo, hi], or now and then a bad one."""
+    if rng.random() < 0.2:
+        return rng.choice(_BAD)
+    return str(rng.randint(lo, hi))
+
+
+def _fuzz_text(rng):
+    """A seed symbol, in the DSL or JSON, with a few edits."""
+    text = rng.choice(_SEEDS)
+    if rng.random() < 0.4:
+        text = emseg.to_json(emseg.parse(text, "relaxed"))
+    for _ in range(rng.choice([0, 0, 0, 0, 1, 1, 2])):
+        k = rng.randint(0, len(text))
+        edit = rng.randrange(4)
+        if edit == 0:
+            text = text[:k] + rng.choice(_NOISE) + text[k:]
+        elif edit == 1:
+            text = text[:k] + text[k + 1:]
+        elif edit == 2:
+            text = text[:k] + text[k:].replace("1", rng.choice(_NOISE), 1)
+        else:
+            text = text[:k] + text
+    return text
+
+
+def _fuzz_mults(rng, choices):
+    return ",".join(rng.choice(choices) for _ in range(rng.randint(1, 4)))
+
+
+def _fuzz_argv(rng):
+    """A random verb, input and options: mostly well formed, with values
+    out of range and stray tokens mixed in."""
+    verb = rng.choice(["parse", "render", "apply", "blocks", "enumerate",
+                       "count", "closure"])
+    argv = [verb]
+    stdin = None
+    blocks = verb == "enumerate" or verb == "count" and rng.random() < 0.3
+    if not blocks or rng.random() < 0.05:
+        source = rng.choice(["--dsl", "--dsl", "--json", "stdin"])
+        if source == "stdin":
+            stdin = _fuzz_text(rng)
+        else:
+            argv += [source, _fuzz_text(rng)]
+    options = {
+        "parse": [["--relaxed"], ["--format", "dsl"], ["--format", "json"],
+                  ["--pretty"]],
+        "render": [["--pretty"]],
+        "apply": [["--k", _fuzz_int(rng, -1, 4)], ["--X", _fuzz_int(rng, -2, 6)],
+                  ["--relaxed"], ["--format", "dsl"], ["--pretty"]],
+        "blocks": [],
+        "enumerate": [["--cmin", _fuzz_int(rng, 0, 3)], ["--with-T"],
+                      ["--eta", rng.choice(["+", "-", "-1", "2", "١"])],
+                      ["--pretty"]],
+        "count": [["--cmin", _fuzz_int(rng, 0, 3)],
+                  ["--method", rng.choice(["recursion", "enumeration",
+                                           "closure", "guess"])]],
+        "closure": [["--max-depth", _fuzz_int(rng, 0, 6)],
+                    ["--emit", rng.choice(["nodes", "psi", "count"])]],
+    }[verb]
+    for option in options:
+        if rng.random() < 0.4:
+            argv += option
+    if verb == "apply":
+        argv += ["--op", rng.choice(["exchange", "ui", "dual", "dual-ui-dual",
+                                     "sort", "split", "merge", "swap"])]
+    if verb == "closure":
+        argv += ["--limit", rng.choice(["-1", "0", "3", "50", "300"])]
+    if blocks:
+        argv += ["--M", _fuzz_mults(rng, ["1", "1", "3", "3", "2", "0", "x"])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)),
+                    rng.choice(["--dsl", "--json", "--bogus", "extra", ""]))
+    return argv, stdin
+
+
+class TestBoundaryFuzz:
+    """Seeded mutated DSL/JSON text and random argv through run for every
+    verb but verify: each call exits 0, 1 or 2, never 3.  The fixed cases
+    run first, and the test stops at the first bad call, so that a tree
+    with a call that never ends (an unbounded --pretty grid) fails before
+    it reaches one."""
+
+    SECONDS = 2.0
+
+    def test_no_internal_errors(self, monkeypatch):
+        rng = random.Random(20261018)
+        fixed = [(["count", "--dsl", "[%s,0;0;+]" % HUGE], None),
+                 (["parse", "--json", '{"rows":[{"A":%s}]}' % HUGE], None),
+                 (["render", "--dsl", "[１,1;0;+]"], None)]
+        deadline = time.perf_counter() + self.SECONDS
+        calls = 0
+        cases = iter(fixed)
+        while calls < len(fixed) or time.perf_counter() < deadline:
+            argv, stdin = next(cases, None) or _fuzz_argv(rng)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin or ""))
+            code, _, err = invoke(*argv)
+            assert code in (EXIT_OK, EXIT_INVALID, EXIT_LIMITS), (
+                calls, [a[:80] for a in argv], (stdin or "")[:80], err[:200])
+            calls += 1
 
 
 class TestRun:

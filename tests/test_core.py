@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, ParseError, Row, ScopeError, SegmentError,
-    _check_mode, arthur_parameter, check_star, circle_count, from_json,
-    group_sign, make_row, multi_segment, parse, render, render_grid, shift,
-    to_json, validate, weak_normalize,
+    _check_mode, arthur_parameter, check_star, from_json, group_sign,
+    make_row, multi_segment, parse, render, render_grid, to_json, validate,
+    weak_normalize,
 )
 
 THREE_ROW = "[4,-1;2;+][3,2;1;+][4,4;0;-]"
@@ -93,15 +93,6 @@ class TestDerived:
         assert check_star(parse(THREE_ROW))
         assert not check_star(multi_segment([(2, -2, 1, 1)]))
 
-    def test_circle_count(self):
-        assert circle_count(parse(THREE_ROW)) == 3
-
-    def test_shift(self):
-        ms = shift(parse("[1,0;0;+]"), 2)
-        assert ms.rows[0] == Row(3, 2, 0, 1)
-        with pytest.raises(SegmentError):
-            shift(parse("[1,0;0;+]"), -2)
-
 
 class TestParseRender:
     def test_round_trip_golden(self):
@@ -133,6 +124,32 @@ class TestParseRender:
                 from_json('{"rows": [{"A": 1, "B": 0, "l": 0, "eta": %s}]}'
                           % eta)
 
+    @pytest.mark.parametrize("digit", ["\uff11", "\u0661"])
+    def test_integers_are_ascii_digits(self, digit):
+        """A fullwidth or Arabic-Indic 1 would render as an ASCII 1, so
+        render(parse(text)) could not give the text back."""
+        for text in ("[%s,1;0;+]" % digit, "[1,1;0;+][%s,1;0;+]" % digit):
+            with pytest.raises(ParseError, match="expected a row") as exc:
+                parse(text)
+            assert exc.value.position == text.index("[" + digit)
+
+    def test_out_of_range_integers_are_parse_errors(self):
+        """int() refuses more than sys.get_int_max_str_digits() digits; the
+        DSL names the item, and JSON, which has no item positions, 0."""
+        huge = "1" + "0" * 5000
+        text = "[1,0;0;+] [2,0;0;+][%s,0;0;+]" % huge
+        with pytest.raises(ParseError, match="integer out of range") as exc:
+            parse(text)
+        assert exc.value.position == text.index("[" + huge) == 19
+        payload = '{"rows": [{"A": %s, "B": 0, "l": 0, "eta": 1}]}' % huge
+        with pytest.raises(ParseError, match="integer out of range") as exc:
+            from_json(payload)
+        assert exc.value.position == 0
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            from_json("[" * 100000)
+
     def test_signs_equal_to_one_are_still_rejected(self):
         """1 == True == 1.0 and they hash alike, so no constructor may
         reuse a row checked for one of them for another."""
@@ -148,12 +165,12 @@ class TestParseRender:
 
 
 _ROW_RE = re.compile(
-    r"\[\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*;\s*([+-])\s*\]")
+    r"\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*;\s*(-?[0-9]+)\s*;\s*([+-])\s*\]")
 
 
 def _reference_parse(text, mode=STRICT):
     """The loop parser parse replaced: one regex match and one make_row per
-    row, in text order."""
+    row, in text order.  Its integers are ASCII digits, as parse's are."""
     rows = []
     pos = 0
     n = len(text)
@@ -262,6 +279,130 @@ class TestParseAgainstReference:
             parse("[1,0;2;+]x", "loose")
         with pytest.raises(SegmentError, match="unknown mode"):
             parse("[1,0;2;+]", "loose")
+
+
+# The row-by-row constructors and render that MultiSegment, multi_segment
+# and render replaced, kept as oracles.
+
+def _reference_multisegment(rows, mode=STRICT):
+    _check_mode(mode)
+    rows = tuple(
+        make_row(r.A, r.B, r.l, r.eta, mode) if isinstance(r, Row)
+        else make_row(*r, mode=mode)
+        for r in rows)
+    return MultiSegment._of(rows, mode)
+
+
+def _reference_multi_segment(rows, mode=STRICT):
+    return _reference_multisegment(tuple(Row(*r) for r in rows), mode)
+
+
+def _reference_render(ms):
+    return "".join(
+        "[%d,%d;%d;%s]" % (r.A, r.B, r.l, "+" if r.eta == 1 else "-")
+        for r in ms.rows)
+
+
+class _Int(int):
+    """An int subclass: make_row accepts it and keeps it in the row."""
+
+
+# Each converts a plain int to an equal value of another type.
+_CONVERTERS = [bool, float, _Int]
+
+
+def _random_row(rng):
+    """A row drawn from a small range, so rows repeat; most are valid."""
+    B = rng.randint(-2, 3)
+    A = B + rng.choice([0, 0, 1, 2, 3, -1])
+    l = rng.choice([0, 0, 0, 1, 2, -1])
+    eta = rng.choice([1, 1, -1, -1, 0, 2])
+    return (A, B, l, eta)
+
+
+def _random_rows(rng):
+    """Rows drawn from a small pool, as Row or tuple, with some of them
+    changed: an entry converted to a bool, float or int subclass (equal to
+    it where it can be) next to the unconverted row, a list row, a wrong
+    arity."""
+    pool = [_random_row(rng) for _ in range(rng.randint(1, 4))]
+    rows = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        if not rows:
+            break
+        k = rng.randrange(len(rows))
+        row = list(rows[k])
+        edit = rng.randrange(4)
+        if edit == 0 and row:
+            i = rng.randrange(len(row))
+            row[i] = rng.choice(_CONVERTERS)(row[i])
+            pair = [tuple(rows[k]), tuple(row)]
+            rng.shuffle(pair)
+            rows[k:k + 1] = pair
+        elif edit == 1:
+            rows[k] = row
+        elif edit == 2:
+            rows[k] = tuple(row[:rng.choice([0, 3])] + row[4:])
+        else:
+            rows[k] = tuple(row) + (1,)
+    return [Row(*r) if type(r) is tuple and len(r) == 4 and rng.random() < 0.5
+            else r for r in rows]
+
+
+def _made(f, rows, mode):
+    """Rows and entry types of f(rows, mode), or its exception."""
+    try:
+        ms = f(rows, mode)
+    except (TypeError, SegmentError) as e:
+        return type(e), str(e)
+    return "rows", ms.mode, [(type(r), r, tuple(map(type, r)))
+                             for r in ms.rows]
+
+
+def _rendered(f, rows):
+    """f of the 4-entry rows as Rows, wrapped unchecked, so that bool,
+    float and int subclass entries reach it."""
+    return f(MultiSegment._of(
+        tuple(Row(*r) for r in rows if len(r) == 4), STRICT))
+
+
+class TestConstructorsAgainstReference:
+    MODES = (STRICT, RELAXED)
+
+    def test_random_rows(self):
+        rng = random.Random(20261019)
+        kinds = set()
+        for _ in range(3000):
+            rows = _random_rows(rng)
+            for mode in self.MODES:
+                expected = _made(_reference_multisegment, rows, mode)
+                assert _made(MultiSegment, rows, mode) == expected, (
+                    rows, mode)
+                assert _made(multi_segment, rows, mode) == _made(
+                    _reference_multi_segment, rows, mode), (rows, mode)
+                kinds.add(expected[0])
+            assert _rendered(render, rows) == _rendered(
+                _reference_render, rows), rows
+        assert kinds == {"rows", TypeError, ScopeError, SegmentError}
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [(1, 0, 0, 1)] * 3,
+        [(1, 0, 0, 1), (1, 0, 0, True)],
+        [(1, 0, 0, 1.0), (1, 0, 0, 1)],
+        [(1, 0, 0, 1), (1, 0, 0, _Int(1))],
+        [(1, 0, 0, _Int(1)), (1, 0, 0, 1)],
+        [Row(1, 0, 0, 1), (1, 0, 0, 1), [1, 0, 0, 1]],
+        [(1, 0, 0, 1), (1, 0, 0)],
+        [(1, 0, 2, 1), (1, 0, 0, 1, 0)],
+        [(0, 1, 0, 1), (1, 0, 0, 0)],
+    ])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fixed_rows(self, rows, mode):
+        assert _made(MultiSegment, rows, mode) == _made(
+            _reference_multisegment, rows, mode)
+        assert _made(multi_segment, rows, mode) == _made(
+            _reference_multi_segment, rows, mode)
 
 
 rows_strategy = st.builds(

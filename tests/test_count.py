@@ -3,9 +3,10 @@
 import pytest
 
 from emseg import core
-from emseg.blocks import BlockTuple, block_decompose
+from emseg.blocks import BlockTuple, block_decompose, tempered_block
 from emseg.core import (
-    RELAXED, STRICT, SegmentError, from_json, make_row, parse, to_json,
+    RELAXED, STRICT, MultiSegment, SegmentError, from_json, make_row,
+    multi_segment, parse, render, to_json,
 )
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
@@ -115,15 +116,34 @@ class TestOneCheckPerRow:
         assert from_json(to_json(ms), mode) == ms
         assert len(make_row_calls) == 6
 
+    LONG = "".join("[%d,%d;0;%s]" % (c, c, "+-"[c % 2]) * 100
+                   for c in range(1000))
+
     def test_parse_checks_a_long_symbol_once_per_column(self, make_row_calls):
-        text = "".join("[%d,%d;0;%s]" % (c, c, "+-"[c % 2]) * 100
-                       for c in range(1000))
-        ms = parse(text)
+        ms = parse(self.LONG)
         assert len(ms) == 10 ** 5
         assert len(make_row_calls) <= 1000
         make_row_calls.clear()
         count_tempered(ms)
         assert make_row_calls == []
+        assert render(ms) == self.LONG
+
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_constructors_check_a_long_symbol_once_per_column(
+            self, make_row_calls, mode):
+        ms = parse(self.LONG, mode)
+        for rows in (ms.rows, [tuple(r) for r in ms.rows]):
+            make_row_calls.clear()
+            assert multi_segment(rows, mode) == ms
+            assert len(make_row_calls) == 1000
+            make_row_calls.clear()
+            assert MultiSegment(tuple(rows), mode) == ms
+            assert len(make_row_calls) == 1000
+
+    def test_tempered_block_checks_each_column_once(self, make_row_calls):
+        ms = tempered_block(BlockTuple(0, (100,) * 1000))
+        assert len(make_row_calls) == 1000
+        assert render(ms) == self.LONG
 
     def test_decompose_and_count_check_no_row(self, make_row_calls):
         ms = parse(self.SYMBOL)
