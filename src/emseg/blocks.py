@@ -126,10 +126,11 @@ def block_tuple(block):
 
 
 def remove_column(ms, c):
-    """Drop every single-circle row in column c (the rc operator)."""
+    """Drop every single-circle row in column c (the rc operator); the rows
+    left are checked already."""
     rows = tuple(r for r in ms.rows
                  if not (r.A == r.B == c and r.l == 0))
-    return ms.replace_rows(rows)
+    return MultiSegment._of(rows, ms.mode)
 
 
 def classify_boundary(b1, b2):

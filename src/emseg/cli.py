@@ -14,14 +14,15 @@ from itertools import repeat
 from .blocks import BlockTuple, block_decompose, block_tuple, classify_boundary
 from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
 from .core import (
-    ParseError, SegmentError, from_json, parse, render, render_grid, to_json,
+    SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
     count_block_closure, count_block_enumerative, count_block_recursive,
     count_tempered, grid_instances, verify_instance,
 )
 from .ops import (
-    dual, dual_ui_dual, merge_hats, row_exchange, split_circles, to_sorted, ui,
+    OpResult, dual, dual_ui_dual, merge_hats, row_exchange, split_circles,
+    to_sorted, ui,
 )
 from .sdata import build, iter_S, iter_ST
 
@@ -39,9 +40,19 @@ class CliLimitError(Exception):
     """A configured search limit was exceeded."""
 
 
+class _Help(Exception):
+    """-h/--help was given; run writes the message, the help text, to its
+    out stream."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliInputError(message)
+
+    def print_help(self, file=None):
+        """Hand the help to run, in place of argparse's print to
+        sys.stdout and SystemExit."""
+        raise _Help(self.format_help())
 
 
 def _read_ms(args, mode="strict"):
@@ -57,8 +68,7 @@ def _read_ms(args, mode="strict"):
 
 
 # --pretty draws a cell for every column from the least B to the greatest
-# A, and walks l triangles on each side of a row, so two far-apart columns
-# or a relaxed row of huge |l| would draw without end.
+# A, so two far-apart columns would draw without end.
 GRID_MAX_COLUMNS = 10 ** 4
 
 
@@ -67,8 +77,8 @@ def _pretty(ms, args):
     if not args.pretty:
         return ""
     rows = ms.rows
-    if rows and max(max(r.A for r in rows) - min(r.B for r in rows),
-                    max(abs(r.l) for r in rows)) >= GRID_MAX_COLUMNS:
+    if rows and (max(r.A for r in rows) - min(r.B for r in rows)
+                 >= GRID_MAX_COLUMNS):
         raise CliLimitError(
             "--pretty draws at most %d columns" % GRID_MAX_COLUMNS)
     return render_grid(ms, unicode_symbols=True) + "\n"
@@ -135,49 +145,43 @@ def _cmd_render(args, out):
     return EXIT_OK
 
 
-# How many consecutive rows, starting at row k, each operator acts on.
-_K_SPAN = {"exchange": 2, "ui": 2, "dual-ui-dual": 2, "merge": 2, "split": 1}
+def _split(ms, args):
+    if args.X is None:
+        raise CliInputError("split needs --X")
+    return OpResult(split_circles(ms, args.k, args.X), True)
+
+
+# Each operator: how many consecutive rows, starting at row k, it acts on
+# (None when it takes no --k), and its call on the symbol and the args.
+_OPS = {
+    "exchange": (2, lambda ms, args: row_exchange(ms, args.k)),
+    "ui": (2, lambda ms, args: ui(ms, args.k)),
+    "dual": (None, lambda ms, args: OpResult(dual(ms), True)),
+    "dual-ui-dual": (2, lambda ms, args: dual_ui_dual(ms, args.k)),
+    "sort": (None, lambda ms, args: OpResult(to_sorted(ms), True)),
+    "split": (1, _split),
+    "merge": (2, lambda ms, args: merge_hats(ms, args.k)),
+}
 
 
 def _cmd_apply(args, out):
     ms = _read_ms(args, mode="relaxed" if args.relaxed else "strict")
-    op = args.op
-    span = _K_SPAN.get(op)
+    span, call = _OPS[args.op]
     if span is not None and not 0 <= args.k <= len(ms) - span:
         raise CliInputError("--k %d is out of range for --op %s on %d rows"
-                            % (args.k, op, len(ms)))
-    if op == "exchange":
-        res = row_exchange(ms, args.k)
-        result, applied, tag = res.out, res.applied, None
-    elif op == "ui":
-        res = ui(ms, args.k)
-        result, applied, tag = res.out, res.applied, res.type_tag
-    elif op == "dual":
-        result, applied, tag = dual(ms), True, None
-    elif op == "dual-ui-dual":
-        res = dual_ui_dual(ms, args.k)
-        result, applied, tag = res.out, res.applied, res.type_tag
-    elif op == "sort":
-        result, applied, tag = to_sorted(ms), True, None
-    elif op == "split":
-        if args.X is None:
-            raise CliInputError("split needs --X")
-        result, applied, tag = split_circles(ms, args.k, args.X), True, None
-    elif op == "merge":
-        res = merge_hats(ms, args.k)
-        result, applied, tag = res.out, res.applied, res.type_tag
-    else:
-        raise CliInputError("unknown operator %r" % op)
+                            % (args.k, args.op, len(ms)))
+    res = call(ms, args)
     try:
-        shown = (render(result) if args.format == "dsl"
-                 else json.loads(to_json(result)))
+        shown = (json.dumps(render(res.out)) if args.format == "dsl"
+                 else to_json(res.out))
     except ValueError:
         # str() refuses an int of more than sys.get_int_max_str_digits()
         # digits, and the dual of a relaxed row has l + B, past its input's.
         raise CliLimitError("the result has an integer too long to print")
-    record = {"applied": applied, "type": tag, "result": shown}
-    grid = _pretty(result, args)
-    out.write(json.dumps(record) + "\n" + grid)
+    grid = _pretty(res.out, args)
+    out.write('{"applied": %s, "type": %s, "result": %s}\n'
+              % (json.dumps(res.applied), json.dumps(res.type_tag), shown)
+              + grid)
     return EXIT_OK
 
 
@@ -342,9 +346,7 @@ def build_parser():
     p = sub.add_parser("apply", help="apply one operator")
     _add_input_flags(p)
     _add_output_flags(p)
-    p.add_argument("--op", required=True,
-                   choices=("exchange", "ui", "dual", "dual-ui-dual",
-                            "sort", "split", "merge"))
+    p.add_argument("--op", required=True, choices=tuple(_OPS))
     p.add_argument("--k", type=int, default=0, help="row position")
     p.add_argument("--X", type=int, help="split column")
     p.add_argument("--relaxed", action="store_true")
@@ -401,10 +403,10 @@ def run(argv=None, out=None, err=None):
     try:
         args = _parser().parse_args(argv)
         return args.func(args, out)
-    except CliInputError as e:
-        err.write("error: %s\n" % e)
-        return EXIT_INVALID
-    except (ParseError, SegmentError) as e:
+    except _Help as e:
+        out.write(str(e))
+        return EXIT_OK
+    except (CliInputError, SegmentError) as e:
         err.write("error: %s\n" % e)
         return EXIT_INVALID
     except CliLimitError as e:

@@ -28,7 +28,7 @@ from .core import (
     STRICT,
 )
 from .ops import (
-    SegmentError, _supports_nest, _with_new_rows, dual_parities, dual_row,
+    SegmentError, _result, _supports_nest, dual_parities, dual_row,
     exchange_pair, pair_ui_type, sort_rows, split_pair, split_points, ui_rows,
 )
 
@@ -208,24 +208,23 @@ def _moves(table, ids):
             yield table.dual(table.ids(moved)), 0, len(moved), False
 
 
-def _as_multisegment(table, ids, lo, hi):
-    """A move as the operators return it: make_row on the new rows, in the
-    mode of the result."""
-    return _with_new_rows([table.rows[i] for i in ids], range(lo, hi))
+def _as_multisegment(table, ids):
+    """A move as the operators return it, in the mode of its rows."""
+    return _result([table.rows[i] for i in ids])
 
 
 def exchange_neighbors(ms):
     """Results of every applicable row exchange."""
     table = _Rows()
-    return [_as_multisegment(table, *move)
-            for move in _exchange_moves(table, table.ids(ms.rows))]
+    return [_as_multisegment(table, cand)
+            for cand, _, _ in _exchange_moves(table, table.ids(ms.rows))]
 
 
 def neighbors(ms):
     """All single operator moves, filtered to valid strict states."""
     table = _Rows()
-    return [_as_multisegment(table, cand, lo, hi)
-            for cand, lo, hi, _ in _moves(table, table.ids(ms.rows))
+    return [_as_multisegment(table, cand)
+            for cand, _, _, _ in _moves(table, table.ids(ms.rows))
             if _valid_state([table.rows[i] for i in cand])]
 
 

@@ -152,15 +152,13 @@ class MultiSegment:
     def __getitem__(self, i):
         return self.rows[i]
 
-    def replace_rows(self, rows):
-        return MultiSegment(tuple(rows), self.mode)
-
     @classmethod
     def _of(cls, rows, mode):
-        """Wrap a tuple of rows that already passed make_row under mode.
+        """Wrap a tuple of rows that are valid under mode.
 
-        No row is checked again; internal code that builds every new row
-        with make_row uses this in place of the public constructor.
+        No row is checked again; internal code whose rows passed make_row
+        or are valid by construction (build, the row-level cores of ops)
+        uses this in place of the public constructor.
         """
         ms = object.__new__(cls)
         object.__setattr__(ms, "rows", rows)
@@ -335,7 +333,11 @@ def render_grid(ms, unicode_symbols=False):
     """Draw the symbol picture: triangle pairs and alternating circles.
 
     Each row occupies columns B..A: l left triangles, then the circles
-    alternating in sign starting from eta, then l right triangles.
+    alternating in sign starting from eta, then l right triangles.  Only
+    the columns from the least B to the greatest A are drawn, so each
+    range is cut to them; a relaxed row's circles may reach past its own
+    columns (l < 0), and its right triangles are drawn over its left ones
+    (2l > b).
     """
     if not ms.rows:
         return "(empty)"
@@ -345,21 +347,21 @@ def render_grid(ms, unicode_symbols=False):
         sym = {"+": "⊕", "-": "⊖", "<": "◁", ">": "▷"}
     else:
         sym = {"+": "+", "-": "-", "<": "<", ">": ">"}
-    width = max(len(str(c)) for c in range(lo, hi + 1))
+    width = max(len(str(lo)), len(str(hi)))
     header = " ".join(str(c).rjust(width) for c in range(lo, hi + 1))
     lines = [header]
+    left, right = sym["<"].rjust(width), sym[">"].rjust(width)
+    plus, minus = sym["+"].rjust(width), sym["-"].rjust(width)
     for r in ms.rows:
-        cells = {}
-        for c in range(r.B, r.B + r.l):
-            cells[c] = sym["<"]
-        for c in range(r.A - r.l + 1, r.A + 1):
-            cells[c] = sym[">"]
-        s = r.eta
-        for c in range(r.B + r.l, r.A - r.l + 1):
-            cells[c] = sym["+" if s == 1 else "-"]
-            s = -s
-        lines.append(" ".join(
-            cells.get(c, "").rjust(width) if c in cells else " " * width
-            for c in range(lo, hi + 1)).rstrip())
+        cells = [" " * width] * (hi - lo + 1)
+        for c in range(max(r.B, lo), min(r.B + r.l, hi + 1)):
+            cells[c - lo] = left
+        for c in range(max(r.A - r.l + 1, lo), min(r.A + 1, hi + 1)):
+            cells[c - lo] = right
+        # The circle in column c has sign eta when c - (B + l) is even.
+        start = r.B + r.l
+        signs = (plus, minus) if r.eta == 1 else (minus, plus)
+        for c in range(max(start, lo), min(r.A - r.l + 1, hi + 1)):
+            cells[c - lo] = signs[(c - start) % 2]
+        lines.append(" ".join(cells).rstrip())
     return "\n".join(lines)
-

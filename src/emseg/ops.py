@@ -9,15 +9,30 @@ Each operator's formula lives once, in a row-level core that maps plain
 rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
 and dual_parities (which dual_rows puts together), sort_rows, split_points
 and split_pair.  The operators on multi-segments check their arguments, call
-the core and build the new rows with make_row; the closure search calls
-the cores directly.
+the core and wrap its rows with _result; the closure search calls the cores
+directly.  No row goes through make_row again: on checked input rows, every
+row a core builds is valid as built, that is A >= B, A + B >= 0, eta = +1
+or -1 and weak-normalized, and only strictness (0 <= 2l <= b) may be lost,
+which _result reads off for the mode:
+
+- exchange_pair keeps both supports and only trades (l, eta);
+- ui_rows builds the union [A2, B1] and, but for T3', the intersection
+  [A1, B2]: A2 > A1 >= B1 and B2 > B1 give A + B > A1 + B1 >= 0, and the
+  intersection has A1 >= B2 by pair_ui_type's domain;
+- dual_row takes [A, B] to [A, -B], where A + B >= 0 gives A >= -B and
+  A >= B gives A - B >= 0;
+- split_pair takes one of split_points, |B| <= X < A: the low part
+  [X, B] has X >= B and X + B >= 0, the high part [A, X + 1] has
+  X + 1 <= A and A + X + 1 > 0;
+- every eta is the input's times (-1) to a non-negative power, and every
+  core but split_pair (whose rows have l = 0) ends in weak_normalize.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED, make_row,
+    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED,
     order_admissible, order_sorted, row_is_strict, weak_normalize,
 )
 
@@ -45,18 +60,10 @@ def _supports_nest(r1, r2):
     return (r1.B <= r2.B and r1.A >= r2.A) or (r2.B <= r1.B and r2.A >= r1.A)
 
 
-def _mode_of(rows):
-    if all(row_is_strict(r) for r in rows):
-        return STRICT
-    return RELAXED
-
-
-def _with_new_rows(rows, new):
-    """Rows carried over from a checked input plus the rows at positions
-    `new`, which are built with make_row under the mode of the result."""
-    mode = _mode_of(rows)
-    for i in new:
-        rows[i] = make_row(*rows[i], mode=mode)
+def _result(rows):
+    """Rows of a checked input and rows its cores built, as a multi-segment:
+    strict exactly when every row is strict."""
+    mode = STRICT if all(map(row_is_strict, rows)) else RELAXED
     return MultiSegment._of(tuple(rows), mode)
 
 
@@ -210,7 +217,7 @@ def row_exchange(ms, k):
             return OpResult(ms, False)
         raise _non_nesting(k)
     rows[k: k + 2] = exchange_pair(r1, r2)
-    return OpResult(_with_new_rows(rows, (k, k + 1)), True)
+    return OpResult(_result(rows), True)
 
 
 def ui_type(ms, k):
@@ -233,17 +240,15 @@ def ui(ms, k):
     if tag is None:
         return OpResult(ms, False)
     rows = list(ms.rows)
-    new = ui_rows(rows[k], rows[k + 1], tag)
-    rows[k: k + 2] = new
-    return OpResult(_with_new_rows(rows, range(k, k + len(new))), True, tag)
+    rows[k: k + 2] = ui_rows(rows[k], rows[k + 1], tag)
+    return OpResult(_result(rows), True, tag)
 
 
 def dual(ms):
     """The combinatorial involution: rows reversed, [A,B] -> [A,-B]."""
     if not order_sorted(ms.rows):
         raise OrderError("dual requires (P') order; sort via row exchanges first")
-    out = dual_rows(ms.rows)
-    return _with_new_rows(out, range(len(out)))
+    return _result(dual_rows(ms.rows))
 
 
 def to_sorted(ms):
@@ -258,7 +263,7 @@ def to_sorted(ms):
     k = sort_rows(rows)
     if k is not None:
         raise _non_nesting(k)
-    return _with_new_rows(rows, range(len(rows)))
+    return _result(rows)
 
 
 def split_circles(ms, k, X):
@@ -279,8 +284,6 @@ def split_circles(ms, k, X):
     rows[k: k + 1] = split_pair(r, X)
     if not order_admissible(rows):
         raise OrderError("split at %d leaves an inadmissible order" % X)
-    rows[k] = make_row(*rows[k], mode=ms.mode)
-    rows[k + 1] = make_row(*rows[k + 1], mode=ms.mode)
     return MultiSegment._of(tuple(rows), ms.mode)
 
 
@@ -403,9 +406,12 @@ def op_D(ms, hat, target):
     p_target = n - 1 - target
     pos = n - 2 - hat  # right before the image of the hat
     cur = _exchange_chain(dual(ms), range(p_target, pos))
-    if cur is None or ui_type(cur, pos) != T3PRIME:
+    if cur is None:
         return OpResult(ms, False)
-    out = _exchange_chain(ui(cur, pos).out, range(pos - 1, p_target - 1, -1))
+    res = ui(cur, pos)
+    if res.type_tag != T3PRIME:
+        return OpResult(ms, False)
+    out = _exchange_chain(res.out, range(pos - 1, p_target - 1, -1))
     if out is None:
         return OpResult(ms, False)
     return OpResult(dual(to_sorted(out)), True, T3PRIME)

@@ -251,12 +251,17 @@ def build(M, S, T=None, eta=1):
 
 
 def theta1(ms):
-    """Prepend the lifting hat covering one extra column on each side."""
+    """Prepend the lifting hat covering one extra column on each side.
+
+    The hat is valid for any checked input, whose rows all have A >= 0:
+    A + B = 0, and 2l = b - 1 is in range and leaves a circle, so the hat
+    is strict and weak-normalized as built.
+    """
     if not ms.rows:
         raise SegmentError("lift of the empty multi-segment is undefined")
     c_max = max(r.A for r in ms.rows)
     hat = Row(c_max + 1, -c_max - 1, c_max + 1, -ms.rows[0].eta)
-    return ms.replace_rows((hat,) + ms.rows)
+    return MultiSegment._of((hat,) + ms.rows, ms.mode)
 
 
 def theta_family(M, S, T=None, eta=1):

@@ -402,9 +402,9 @@ class TestOutOfRangeInput:
     @pytest.mark.parametrize("verb", ["parse", "apply"])
     def test_grid_width_is_a_limit(self, verb):
         """--pretty draws every column between the least and the greatest:
-        a symbol spanning more than GRID_MAX_COLUMNS, or a relaxed row of
-        |l| past it, exits 2 before any output, where it used to draw lines
-        without end or run out of memory."""
+        a symbol spanning more than GRID_MAX_COLUMNS exits 2 before any
+        output, where it used to draw lines without end.  A relaxed row of
+        huge |l| draws only its symbol's columns, so it is no limit."""
         argv = [verb, "--pretty"] + (["--op", "sort"] if verb == "apply" else [])
         for last, code in ((cli.GRID_MAX_COLUMNS - 1, EXIT_OK),
                            (cli.GRID_MAX_COLUMNS, EXIT_LIMITS),
@@ -415,11 +415,14 @@ class TestOutOfRangeInput:
             if code == EXIT_LIMITS:
                 assert result == (EXIT_LIMITS, "",
                                   "limit: --pretty draws at most 10000 columns\n")
-        for l, code in (("9999", EXIT_OK), ("-9999", EXIT_OK),
-                        ("10000", EXIT_LIMITS), ("-10000", EXIT_LIMITS),
-                        (LONGEST, EXIT_LIMITS)):
-            result = invoke(*argv, "--relaxed", "--dsl", "[1,0;%s;+]" % l)
-            assert result[0] == code, l
+        for l, grid in (("9999", "0 1\n> >"), ("-9999", "0 1\n- +"),
+                        ("10000", "0 1\n> >"), ("-10000", "0 1\n+ -"),
+                        (LONGEST, "0 1\n> >")):
+            code, out, err = invoke(*argv, "--relaxed", "--dsl",
+                                    "[1,0;%s;+]" % l)
+            assert (code, err) == (EXIT_OK, ""), l
+            assert out.endswith(grid.replace("-", "⊖").replace("+", "⊕")
+                                .replace(">", "▷") + "\n"), l
 
     def test_psi_past_the_digit_limit(self):
         """a = A + B + 1 of [LONGEST,LONGEST] has 4301 digits."""
@@ -572,7 +575,28 @@ class TestBoundaryFuzz:
             calls += 1
 
 
+VERBS = ("parse", "render", "apply", "blocks", "enumerate", "count",
+         "closure", "verify")
+
+
 class TestRun:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]]
+                             + [[verb, "--help"] for verb in VERBS])
+    def test_help_goes_to_out(self, argv):
+        """-h/--help writes the help to run's out stream and returns 0,
+        where it used to print to sys.stdout and raise SystemExit."""
+        code, out, err = invoke(*argv)
+        prog = " ".join(["emseg"] + argv[:-1])
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith("usage: %s " % prog) and "--help" in out
+
+    def test_main_exits_0_on_help(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["emseg", "apply", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: emseg apply ")
+
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
         def broken(ms):
             raise RuntimeError("broken\ncount")

@@ -258,8 +258,8 @@ class TestNeighbors:
 def _candidates(ms):
     """Every move of ms as a multi-segment, before the validity filter."""
     table = _Rows()
-    return [_as_multisegment(table, cand, lo, hi)
-            for cand, lo, hi, _ in _moves(table, table.ids(ms.rows))]
+    return [_as_multisegment(table, cand)
+            for cand, _, _, _ in _moves(table, table.ids(ms.rows))]
 
 
 class TestCandidateModes:

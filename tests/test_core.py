@@ -440,6 +440,62 @@ class TestGrid:
     def test_empty_grid(self):
         assert render_grid(parse("")) == "(empty)"
 
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_random_symbols_against_reference(self, mode):
+        """The same lines as the column-by-column walk it replaced, on
+        strict symbols and on relaxed ones whose rows reach past their own
+        columns (l < 0) or draw their triangles over each other (2l > b)."""
+        rng = random.Random(1729)
+        for _ in range(800):
+            rows = []
+            for _ in range(rng.randint(1, 4)):
+                B = rng.randint(-4, 6)
+                A = rng.randint(max(B, -B), max(B, -B) + 6)
+                b = A - B + 1
+                l = (rng.randint(0, b // 2) if mode == STRICT
+                     else rng.randint(-b - 3, b + 3))
+                rows.append(Row(A, B, l, rng.choice((1, -1))))
+            ms = MultiSegment(tuple(rows), mode)
+            for unicode_symbols in (False, True):
+                assert (render_grid(ms, unicode_symbols)
+                        == _reference_render_grid(ms, unicode_symbols)), (
+                    render(ms))
+
+    def test_far_triangles_are_cut_to_the_drawn_columns(self):
+        """A relaxed row of huge l draws only the columns of the symbol."""
+        ms = parse("[1,0;%d;+]" % 10 ** 100, RELAXED)
+        assert render_grid(ms) == "0 1\n> >"
+
+
+def _reference_render_grid(ms, unicode_symbols=False):
+    """The render_grid that walked every column of every range, kept as
+    an oracle."""
+    if not ms.rows:
+        return "(empty)"
+    lo = min(r.B for r in ms.rows)
+    hi = max(r.A for r in ms.rows)
+    if unicode_symbols:
+        sym = {"+": "⊕", "-": "⊖", "<": "◁", ">": "▷"}
+    else:
+        sym = {"+": "+", "-": "-", "<": "<", ">": ">"}
+    width = max(len(str(c)) for c in range(lo, hi + 1))
+    header = " ".join(str(c).rjust(width) for c in range(lo, hi + 1))
+    lines = [header]
+    for r in ms.rows:
+        cells = {}
+        for c in range(r.B, r.B + r.l):
+            cells[c] = sym["<"]
+        for c in range(r.A - r.l + 1, r.A + 1):
+            cells[c] = sym[">"]
+        s = r.eta
+        for c in range(r.B + r.l, r.A - r.l + 1):
+            cells[c] = sym["+" if s == 1 else "-"]
+            s = -s
+        lines.append(" ".join(
+            cells.get(c, "").rjust(width) if c in cells else " " * width
+            for c in range(lo, hi + 1)).rstrip())
+    return "\n".join(lines)
+
 
 def test_arthur_parameter_needs_admissible_order():
     bad = multi_segment([(2, 1, 0, 1), (1, 0, 0, 1)])

@@ -107,3 +107,14 @@ def test_build_trusts_its_checked_coordinates():
     sdata.py checks no row with make_row and builds no MultiSegment(...)."""
     assert _callers("sdata.py", "make_row") == set()
     assert _callers("sdata.py", "MultiSegment") == set()
+
+
+def test_only_core_checks_rows():
+    """Rows are checked once, at the boundary in core (make_row, parse,
+    from_json and the constructors).  ops, closure, sdata, blocks and the
+    other modules trust their checked input and the rows their row-level
+    cores build, and call no make_row."""
+    for name in ("ops.py", "closure.py", "sdata.py", "blocks.py"):
+        assert _callers(name, "make_row") == set(), name
+    assert {p.name for p in SOURCES if _callers(p.name, "make_row")} == {
+        "core.py"}

@@ -12,12 +12,15 @@ from emseg.core import (
     arthur_parameter, check_star, group_sign, make_row, multi_segment, parse,
     render, validate,
 )
+from emseg.blocks import BlockTuple, remove_column
 from emseg.closure import neighbors
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
     merge_condition, merge_hats, op_D, op_S, op_U, row_exchange,
     split_circles, to_sorted, ui, ui_type,
 )
+
+from emseg.sdata import iter_ST, theta1, theta_family
 
 from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
 
@@ -329,36 +332,53 @@ def test_braid_relation_sample(rng):
 
 
 def _operator_outputs(ms):
-    """Every result row_exchange, ui, split_circles and dual give on ms."""
+    """(operator, result) for every applied result the operators, theta1
+    and remove_column give on ms."""
+    calls = list(_operator_calls(ms))
+    calls += [(ui, (k,)) for k in range(len(ms.rows) - 1)]
+    calls += [(theta1, ())]
+    calls += [(remove_column, (r.B,)) for r in ms.rows if r.A == r.B]
     outs = []
-    for k in range(len(ms.rows) - 1):
+    for op, args in calls:
         try:
-            outs.append(row_exchange(ms, k).out)
+            res = op(ms, *args)
         except SegmentError:
-            pass
-        outs.append(ui(ms, k).out)
-    for k, r in enumerate(ms.rows):
-        for X in range(r.B, r.A):
-            try:
-                outs.append(split_circles(ms, k, X))
-            except SegmentError:
-                pass
-    try:
-        outs.append(dual(ms))
-    except OrderError:
-        pass
+            continue
+        if isinstance(res, OpResult):
+            if not res.applied:
+                continue
+            res = res.out
+        outs.append((op, res))
     return outs
 
 
 def test_results_equal_checked_construction(rng):
-    """Operators check only the rows they create; what they return must be
-    exactly what the public constructor builds from the same rows."""
-    for _ in range(150):
+    """Operators check no row their cores build; what they return must be
+    exactly what the public constructor builds from the same rows, in
+    Rows of plain ints, on strict and relaxed inputs, sorted or not, and
+    on the lift family, which runs on the composites."""
+    states = []
+    for i in range(120):
         ms = rand_sorted_ms(rng, require_star=True)
-        for state in [ms] + neighbors(ms):
-            for out in _operator_outputs(state) + neighbors(state):
-                assert all(type(r) is Row for r in out.rows)
-                assert out == MultiSegment(out.rows, out.mode)
+        states += [ms] + neighbors(ms)
+        states.append(rand_mode_ms(rng, (STRICT, RELAXED)[i % 2],
+                                   sort=i % 4 < 2))
+    for M in (BlockTuple(0, (1, 3, 1)), BlockTuple(0, (3, 1, 3))):
+        for S, T in iter_ST(M):
+            states += [out for _, out in theta_family(M, S, T)]
+    applied = Counter()
+    for state in states:
+        outs = _operator_outputs(state)
+        outs += [(neighbors, out) for out in neighbors(state)]
+        for op, out in outs:
+            assert all(type(r) is Row and set(map(type, r)) == {int}
+                       for r in out.rows), (op.__name__, render(state))
+            assert out == MultiSegment(out.rows, out.mode), (
+                op.__name__, render(state))
+            applied[op] += 1
+    assert set(applied) == set(DOCUMENTED) | {ui, theta1, remove_column,
+                                              neighbors}
+    assert min(applied.values()) >= 50, applied
 
 
 NON_NESTING = (NoExchangeError, r"rows \d+,\d+ have non-nesting supports")
