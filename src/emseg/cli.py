@@ -8,6 +8,7 @@ error (an invariant violation or any other unexpected exception).
 import argparse
 import functools
 import json
+import os
 import sys
 from itertools import repeat
 
@@ -129,6 +130,9 @@ def _parse_grid_spec(spec):
                 bounds[key] = int(val)
             except ValueError:
                 raise CliInputError("grid bound %r needs an integer" % item)
+            if bounds[key] < 0:
+                raise CliInputError(
+                    "grid bound %r must be non-negative" % item)
     return bounds
 
 
@@ -291,11 +295,14 @@ def _cmd_verify(args, out):
     instances = grid_instances(
         max_len=bounds["len"], max_mult=bounds["mult"],
         max_cmin=bounds["cmin"], max_rows=bounds["rows"])
-    if args.jobs > 1:
+    # The pool starts a worker per instance submitted while none is idle,
+    # so it is capped at one per instance and per CPU.
+    jobs = min(args.jobs, len(instances), os.cpu_count() or 1)
+    if jobs > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                max_workers=args.jobs,
+                max_workers=jobs,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(verify_instance, instances))
     else:

@@ -10,6 +10,7 @@ non-vanishing condition).
 import json
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -78,24 +79,49 @@ def weak_normalize(row):
     return row
 
 
+# Builds a Row from a 4-tuple in C: Row(A, B, l, eta) runs a Python-level
+# __new__.
+_new_row = partial(tuple.__new__, Row)
+
+
+def _made_rows(rows, mode, out):
+    """Append each (A, B, l, eta) of ints in rows to out as a checked,
+    weak-normalized Row, and return out.
+
+    This loop holds the row conditions and their messages for every
+    boundary.  The first bad row raises, and out then holds the rows
+    before it, so a caller knows its index.
+    """
+    strict = mode == STRICT
+    append = out.append
+    for A, B, l, eta in rows:
+        b = A - B + 1
+        if ((eta == 1 or eta == -1) and b > 0 and A + B >= 0
+                and (0 <= 2 * l <= b or not strict)):
+            # Weak normalization: eta is +1 when the row has no circles.
+            if eta == -1 and 2 * l == b:
+                eta = 1
+            append(_new_row((A, B, l, eta)))
+            continue
+        if eta != 1 and eta != -1:
+            raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
+        if b <= 0:
+            raise SegmentError("need A >= B, got [%d,%d]" % (A, B))
+        if A + B < 0:
+            raise SegmentError("need A + B >= 0, got [%d,%d]" % (A, B))
+        raise SegmentError(
+            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, b))
+    return out
+
+
 def make_row(A, B, l, eta, mode=STRICT):
     """Build a weak-normalized row, checking the invariants for the mode."""
-    # Plain ints skip the loop.
+    # Plain ints skip the type checks.
     if not type(A) is type(B) is type(l) is type(eta) is int:
         for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise ScopeError("%s must be an integer, got %r" % (name, v))
-    if eta not in (1, -1):
-        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
-    if A < B:
-        raise SegmentError("need A >= B, got [%d,%d]" % (A, B))
-    if A + B < 0:
-        raise SegmentError("need A + B >= 0, got [%d,%d]" % (A, B))
-    b = A - B + 1
-    if mode == STRICT and not (0 <= 2 * l <= b):
-        raise SegmentError(
-            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, b))
-    return weak_normalize(Row(A, B, l, eta))
+    return _made_rows(((A, B, l, eta),), mode, [])[0]
 
 
 def row_is_strict(row):
@@ -106,15 +132,19 @@ def _four_tuples(rows):
     return set(map(type, rows)) <= {tuple, Row} and set(map(len, rows)) <= {4}
 
 
-def _plain(rows):
-    """True iff every row is a tuple or a Row of four plain ints.
+def _checked(rows, mode):
+    """rows, each a tuple or Row of four entries, checked under mode.
 
-    Then equal rows are alike, and a constructor may check each distinct
-    one once.  Elsewhere they need not be: (1,0,0,True), (1,0,0,1.0) and
-    (1,0,0,1) are equal and hash alike, and list rows do not hash.
+    When every entry is a plain int, equal rows are alike, and the distinct
+    ones are checked once, in one batch.  Elsewhere they need not be:
+    (1,0,0,True), (1,0,0,1.0) and (1,0,0,1) are equal and hash alike, so
+    each row goes through make_row.
     """
-    return (_four_tuples(rows)
-            and set(map(type, chain.from_iterable(rows))) <= {int})
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        distinct = list(dict.fromkeys(rows))
+        made = dict(zip(distinct, _made_rows(distinct, mode, [])))
+        return tuple(map(made.__getitem__, rows))
+    return tuple(make_row(*r, mode) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -133,14 +163,10 @@ class MultiSegment:
         mode = self.mode
         _check_mode(mode)
         rows = tuple(self.rows)
-        if _plain(rows):
-            made = {r: make_row(*r, mode) for r in dict.fromkeys(rows)}
-            rows = tuple(map(made.__getitem__, rows))
+        if _four_tuples(rows):
+            rows = _checked(rows, mode)
         else:
-            rows = tuple(
-                make_row(r.A, r.B, r.l, r.eta, mode) if isinstance(r, Row)
-                else make_row(*r, mode=mode)
-                for r in rows)
+            rows = tuple(make_row(*r, mode=mode) for r in rows)
         object.__setattr__(self, "rows", rows)
 
     def __len__(self):
@@ -175,7 +201,8 @@ def multi_segment(rows, mode=STRICT):
     rows = tuple(rows)
     if not _four_tuples(rows):
         rows = tuple(Row(*r) for r in rows)
-    return MultiSegment(rows, mode)
+    _check_mode(mode)
+    return MultiSegment._of(_checked(rows, mode), mode)
 
 
 def order_admissible(rows):
@@ -257,31 +284,40 @@ def parse(text, mode=STRICT):
     """Parse the row DSL: a concatenation of [A,B;l;s] items.
 
     The text is split at each "]"; every piece but the last must be one
-    item, and the last only whitespace.  Each distinct piece is matched and
-    checked once, in order of first appearance, so an error names the
-    first bad item of the text.
+    item, and the last only whitespace.  One pass reads the distinct pieces
+    in order of first appearance and stops at the first that is no item or
+    has an integer out of range; one _made_rows call then checks the rows
+    read before it.  So an error names the first bad item of the text.
     """
     pieces = text.split("]")
     items = pieces[:-1]
-    made = {}
-    for item in dict.fromkeys(items):
+    distinct = list(dict.fromkeys(items))
+    values = []
+    error = cause = None
+    for item in distinct:
         m = _ITEM_RE.fullmatch(item)
         if m is None:
-            raise ParseError(
-                _EXPECTED_ROW, _position(pieces, items.index(item)))
+            error = _EXPECTED_ROW
+            break
         A, B, l, s = m.groups()
         try:
-            made[item] = make_row(int(A), int(B), int(l),
-                                  1 if s == "+" else -1, mode)
-        except SegmentError as e:
-            raise ParseError(
-                str(e), _position(pieces, items.index(item))) from e
+            values.append((int(A), int(B), int(l), 1 if s == "+" else -1))
         except ValueError as e:
-            raise ParseError(
-                _OUT_OF_RANGE, _position(pieces, items.index(item))) from e
+            error, cause = _OUT_OF_RANGE, e
+            break
+    checked = []
+    try:
+        _made_rows(values, mode, checked)
+    except SegmentError as e:
+        raise ParseError(str(e), _position(
+            pieces, items.index(distinct[len(checked)]))) from e
+    if error is not None:
+        raise ParseError(error, _position(
+            pieces, items.index(distinct[len(values)]))) from cause
     if pieces[-1].strip():
         raise ParseError(_EXPECTED_ROW, _position(pieces, len(items)))
     _check_mode(mode)
+    made = dict(zip(distinct, checked))
     return MultiSegment._of(tuple(map(made.__getitem__, items)), mode)
 
 

@@ -42,13 +42,23 @@ def _count_rec(c_min, mults):
     return prev
 
 
+def _check_block(M):
+    """Raise unless M is a block: its multiplicities are odd."""
+    for c, m in enumerate(M.mults, M.c_min):
+        if m % 2 == 0:
+            raise SegmentError(
+                "a block has odd multiplicities, got %d at column %d" % (m, c))
+
+
 def count_block_recursive(M):
     """The two-term recursion over shortened blocks."""
+    _check_block(M)
     return PacketCount(_count_rec(0 if M.c_min == 0 else 1, M.mults), RECURSION)
 
 
 def count_block_enumerative(M, eta=1):
     """Distinct packets among all built class members."""
+    _check_block(M)
     members = iter_ST(M) if M.c_min == 0 else zip(iter_S(M), repeat(None))
     psis = {arthur_parameter(build(M, S, T, eta)) for S, T in members}
     return PacketCount(len(psis), ENUMERATION)
@@ -56,6 +66,7 @@ def count_block_enumerative(M, eta=1):
 
 def count_block_closure(M, eta=1, **limits):
     """Independent oracle: breadth-first closure of the tempered block."""
+    _check_block(M)
     report = closure(tempered_block(M, eta), **limits)
     if not report.exhausted:
         raise SegmentError("closure did not exhaust the class for %r" % (M,))

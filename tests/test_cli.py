@@ -1,5 +1,6 @@
 """The command line interface: verbs, formats, exit codes."""
 
+import concurrent.futures
 import io
 import json
 import os
@@ -245,6 +246,13 @@ class TestCountVerb:
         assert (code, out) == (EXIT_INVALID, "")
         assert err.startswith("error: ") and "--M" in err
 
+    @pytest.mark.parametrize("method", ["recursion", "enumeration", "closure"])
+    def test_non_blocks_are_invalid(self, method):
+        for mults in ("2,1", "1,2,1"):
+            code, out, err = invoke("count", "--M", mults, "--method", method)
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err.startswith("error: a block has odd multiplicities")
+
     def test_long_block_by_multiplicities(self):
         code, out, err = invoke("count", "--M", ",".join(["1"] * 3000))
         assert (code, err) == (EXIT_OK, "")
@@ -356,6 +364,46 @@ class TestVerifyVerb:
     def test_bad_grid_spec(self):
         code, _, _ = invoke("verify", "--grid", "width<=3")
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("bound", ["len<=-1", "mult<=-1", "cmin<=-2",
+                                       "rows<=-3"])
+    def test_negative_grid_bounds_are_invalid(self, bound):
+        code, out, err = invoke("verify", "--grid", "len<=2," + bound)
+        assert (code, out) == (EXIT_INVALID, "")
+        assert err == "error: grid bound %r must be non-negative\n" % bound
+
+    def test_workers_are_capped(self, monkeypatch):
+        """--jobs starts at most one worker per instance and per CPU: the
+        pool starts a worker for each instance submitted while none is
+        idle.  A fake pool records max_workers and maps in process, so the
+        test starts no process."""
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers, mp_context):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        # 6, 2 and 1 instances.
+        for grid, jobs, expected in (
+                ("len<=2,mult<=3,cmin<=1,rows<=3", 2, [2]),
+                ("len<=2,mult<=3,cmin<=1,rows<=3", 64, [3]),
+                ("len<=1,mult<=1,cmin<=1", 64, [2]),
+                ("len<=1,mult<=1,cmin<=0", 64, [])):
+            workers.clear()
+            serial = invoke("verify", "--grid", grid)
+            assert invoke("verify", "--grid", grid, "--jobs", str(jobs)) == (
+                serial)
+            assert serial[0] == EXIT_OK and workers == expected
 
 
 HUGE = "1" + "0" * 5000

@@ -164,13 +164,34 @@ class TestParseRender:
                     {"A": 1, "B": 0, "l": 0, "eta": eta}]}))
 
 
+def _reference_make_row(A, B, l, eta, mode=STRICT):
+    """The row-by-row make_row that the shared check loop, core._made_rows,
+    replaced: the conditions as an if-chain, kept as an oracle."""
+    if not type(A) is type(B) is type(l) is type(eta) is int:
+        for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ScopeError("%s must be an integer, got %r" % (name, v))
+    if eta not in (1, -1):
+        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
+    if A < B:
+        raise SegmentError("need A >= B, got [%d,%d]" % (A, B))
+    if A + B < 0:
+        raise SegmentError("need A + B >= 0, got [%d,%d]" % (A, B))
+    b = A - B + 1
+    if mode == STRICT and not (0 <= 2 * l <= b):
+        raise SegmentError(
+            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, b))
+    return weak_normalize(Row(A, B, l, eta))
+
+
 _ROW_RE = re.compile(
     r"\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*;\s*(-?[0-9]+)\s*;\s*([+-])\s*\]")
 
 
 def _reference_parse(text, mode=STRICT):
-    """The loop parser parse replaced: one regex match and one make_row per
-    row, in text order.  Its integers are ASCII digits, as parse's are."""
+    """The loop parser parse replaced: one regex match and one
+    _reference_make_row per row, in text order.  Its integers are ASCII
+    digits, as parse's are."""
     rows = []
     pos = 0
     n = len(text)
@@ -184,7 +205,7 @@ def _reference_parse(text, mode=STRICT):
         A, B, l = int(m.group(1)), int(m.group(2)), int(m.group(3))
         eta = 1 if m.group(4) == "+" else -1
         try:
-            rows.append(make_row(A, B, l, eta, mode))
+            rows.append(_reference_make_row(A, B, l, eta, mode))
         except SegmentError as e:
             raise ParseError(str(e), pos) from e
         pos = m.end()
@@ -285,9 +306,12 @@ class TestParseAgainstReference:
 # and render replaced, kept as oracles.
 
 def _reference_multisegment(rows, mode=STRICT):
+    """Each row through _reference_make_row.  A row of another arity than
+    four goes to make_row, which raises its own TypeError for the call
+    before it checks anything."""
     _check_mode(mode)
     rows = tuple(
-        make_row(r.A, r.B, r.l, r.eta, mode) if isinstance(r, Row)
+        _reference_make_row(*r, mode=mode) if len(r) == 4
         else make_row(*r, mode=mode)
         for r in rows)
     return MultiSegment._of(rows, mode)
@@ -403,6 +427,80 @@ class TestConstructorsAgainstReference:
             _reference_multisegment, rows, mode)
         assert _made(multi_segment, rows, mode) == _made(
             _reference_multi_segment, rows, mode)
+
+
+def _row_made(f, row, mode):
+    """f(*row, mode) with its entry types, or its exception."""
+    try:
+        r = f(*row, mode)
+    except SegmentError as e:
+        return type(e), str(e)
+    return "row", type(r), r, tuple(map(type, r))
+
+
+def _dsl(rows):
+    return "".join("[%d,%d;%d;%s]" % (A, B, l, "+" if eta == 1 else "-")
+                   for A, B, l, eta in rows)
+
+
+class TestSharedCheckAgainstReference:
+    """make_row, the constructors and parse share one row-check loop,
+    core._made_rows; each is held against _reference_make_row, the if-chain
+    that loop replaced, on valid and invalid rows."""
+
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_random_rows(self, mode):
+        rng = random.Random(20261020)
+        kinds, normalized, kept = set(), 0, 0
+        for _ in range(2000):
+            rows = [_random_row(rng) for _ in range(rng.randint(0, 6))]
+            if rows and rng.random() < 0.3:
+                k, i = rng.randrange(len(rows)), rng.randrange(4)
+                row = list(rows[k])
+                row[i] = rng.choice([_Int, _Int, bool])(row[i])
+                rows[k] = tuple(row)
+            for row in rows:
+                expected = _row_made(_reference_make_row, row, mode)
+                assert _row_made(make_row, row, mode) == expected, (row, mode)
+                kinds.add(expected[0])
+                if expected[0] == "row":
+                    normalized += row[3] == -1 and expected[2].eta == 1
+                    kept += _Int in expected[3]
+            assert _made(MultiSegment, rows, mode) == _made(
+                _reference_multisegment, rows, mode), (rows, mode)
+            assert _made(multi_segment, rows, mode) == _made(
+                _reference_multi_segment, rows, mode), (rows, mode)
+            text = _dsl(r for r in rows if r[3] in (1, -1))
+            assert _outcome(parse, text, mode) == _outcome(
+                _reference_parse, text, mode), (text, mode)
+        assert kinds == {"row", ScopeError, SegmentError}
+        assert normalized and kept
+
+    @pytest.mark.parametrize("row", [
+        (1, 0, 1, _Int(1)), (1, 0, 1, _Int(-1)), (1, 0, 1, -1),
+        (_Int(3), _Int(0), _Int(2), -1), (0, -1, 0, _Int(2)),
+    ])
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_fixed_rows(self, row, mode):
+        """Weak normalization at 2l = b, and int-subclass entries."""
+        expected = _row_made(_reference_make_row, row, mode)
+        assert _row_made(make_row, row, mode) == expected
+        for f, g in ((MultiSegment, _reference_multisegment),
+                     (multi_segment, _reference_multi_segment)):
+            assert _made(f, [row, (1, 0, 0, 1), row], mode) == _made(
+                g, [row, (1, 0, 0, 1), row], mode)
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1,2;0;+][x]", "need A >= B, got [1,2]"),
+        ("[x][1,2;0;+]", "expected a row of the form [A,B;l;s]"),
+    ])
+    @pytest.mark.parametrize("mode", [STRICT, RELAXED])
+    def test_first_bad_item_wins(self, text, message, mode):
+        """A row error before a syntax error wins, and the other way round."""
+        with pytest.raises(ParseError) as exc:
+            parse(text, mode)
+        assert (str(exc.value), exc.value.position) == (
+            "%s (at position 0)" % message, 0)
 
 
 rows_strategy = st.builds(

@@ -66,6 +66,21 @@ class TestClosureCount:
             count_block_closure(BlockTuple(0, (1, 1, 1)), max_states=2)
 
 
+class TestBlocksOnly:
+    """README's blocks have odd multiplicities; the three methods count
+    nothing else, where they used to give three answers."""
+
+    @pytest.mark.parametrize("count", [
+        count_block_recursive, count_block_enumerative, count_block_closure])
+    @pytest.mark.parametrize("M, column", [
+        (BlockTuple(0, (2, 1)), 0), (BlockTuple(0, (1, 2, 1)), 1),
+        (BlockTuple(3, (1, 1, 4)), 5)])
+    def test_even_multiplicities_are_rejected(self, count, M, column):
+        with pytest.raises(SegmentError, match="odd multiplicities, got "
+                           "%d at column %d$" % (M.mult(column), column)):
+            count(M)
+
+
 class TestTempered:
     def test_single_block(self):
         assert count_tempered(parse("[0,0;0;+][1,1;0;-][2,2;0;+]")).value == 9
@@ -87,7 +102,7 @@ class TestTempered:
 
 class TestOneCheckPerRow:
     """The count path checks rows only when it parses them, each distinct
-    item once."""
+    item once, in the one row-check loop core._made_rows."""
 
     SYMBOL = "[0,0;0;+][1,1;0;-][1,1;0;-][2,2;0;+][4,4;0;+][5,5;0;-]"
 
@@ -103,14 +118,29 @@ class TestOneCheckPerRow:
         monkeypatch.setattr(core, "make_row", counted)
         return calls
 
+    @pytest.fixture
+    def checked_rows(self, monkeypatch):
+        """Each row passed to core._made_rows, with its mode."""
+        checked = []
+        real = core._made_rows
+
+        def counted(rows, mode, out):
+            rows = list(rows)
+            checked.extend((*r, mode) for r in rows)
+            return real(rows, mode, out)
+
+        monkeypatch.setattr(core, "_made_rows", counted)
+        return checked
+
     @pytest.mark.parametrize("mode", [STRICT, RELAXED])
-    def test_parse_and_from_json_check_each_row_once(self, make_row_calls, mode):
+    def test_parse_and_from_json_check_each_row_once(
+            self, make_row_calls, checked_rows, mode):
         """parse checks each distinct item once ([1,1;0;-] repeats);
         from_json checks every row."""
         ms = parse(self.SYMBOL, mode)
         assert len(ms) == 6
-        assert len(make_row_calls) == len(set(make_row_calls)) == 5
-        assert set(make_row_calls) == {(*r, mode) for r in ms}
+        assert len(checked_rows) == len(set(checked_rows)) == 5
+        assert set(checked_rows) == {(*r, mode) for r in ms}
         assert all(make_row(*r, mode) == r for r in ms)
         make_row_calls.clear()
         assert from_json(to_json(ms), mode) == ms
@@ -119,38 +149,38 @@ class TestOneCheckPerRow:
     LONG = "".join("[%d,%d;0;%s]" % (c, c, "+-"[c % 2]) * 100
                    for c in range(1000))
 
-    def test_parse_checks_a_long_symbol_once_per_column(self, make_row_calls):
+    def test_parse_checks_a_long_symbol_once_per_column(self, checked_rows):
         ms = parse(self.LONG)
         assert len(ms) == 10 ** 5
-        assert len(make_row_calls) <= 1000
-        make_row_calls.clear()
+        assert len(checked_rows) <= 1000
+        checked_rows.clear()
         count_tempered(ms)
-        assert make_row_calls == []
+        assert checked_rows == []
         assert render(ms) == self.LONG
 
     @pytest.mark.parametrize("mode", [STRICT, RELAXED])
     def test_constructors_check_a_long_symbol_once_per_column(
-            self, make_row_calls, mode):
+            self, checked_rows, mode):
         ms = parse(self.LONG, mode)
         for rows in (ms.rows, [tuple(r) for r in ms.rows]):
-            make_row_calls.clear()
+            checked_rows.clear()
             assert multi_segment(rows, mode) == ms
-            assert len(make_row_calls) == 1000
-            make_row_calls.clear()
+            assert len(checked_rows) == 1000
+            checked_rows.clear()
             assert MultiSegment(tuple(rows), mode) == ms
-            assert len(make_row_calls) == 1000
+            assert len(checked_rows) == 1000
 
-    def test_tempered_block_checks_each_column_once(self, make_row_calls):
+    def test_tempered_block_checks_each_column_once(self, checked_rows):
         ms = tempered_block(BlockTuple(0, (100,) * 1000))
-        assert len(make_row_calls) == 1000
+        assert len(checked_rows) == 1000
         assert render(ms) == self.LONG
 
-    def test_decompose_and_count_check_no_row(self, make_row_calls):
+    def test_decompose_and_count_check_no_row(self, checked_rows):
         ms = parse(self.SYMBOL)
-        make_row_calls.clear()
+        checked_rows.clear()
         assert len(block_decompose(ms)) == 3
         assert count_tempered(ms).value == 3 * 2 * 2
-        assert make_row_calls == []
+        assert checked_rows == []
 
 
 class TestMulti:
