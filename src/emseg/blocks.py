@@ -35,6 +35,15 @@ class BlockTuple:
 
 EMPTY_BLOCK = BlockTuple(0, ())
 
+
+def _check_block(M):
+    """Raise unless M is a block: its multiplicities are odd."""
+    for c, m in enumerate(M.mults, M.c_min):
+        if m % 2 == 0:
+            raise SegmentError(
+                "a block has odd multiplicities, got %d at column %d" % (m, c))
+
+
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
 
 

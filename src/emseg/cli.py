@@ -12,7 +12,9 @@ import os
 import sys
 from itertools import repeat
 
-from .blocks import BlockTuple, block_decompose, block_tuple, classify_boundary
+from .blocks import (
+    BlockTuple, _check_block, block_decompose, block_tuple, classify_boundary,
+)
 from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
 from .core import (
     SegmentError, from_json, parse, render, render_grid, to_json,
@@ -208,6 +210,7 @@ def _cmd_blocks(args, out):
 
 def _cmd_enumerate(args, out):
     M = _parse_block_tuple(args.M, args.cmin)
+    _check_block(M)
     eta = _parse_eta(args.eta)
     if args.with_T:
         if M.c_min != 0:
@@ -295,6 +298,8 @@ def _cmd_verify(args, out):
     instances = grid_instances(
         max_len=bounds["len"], max_mult=bounds["mult"],
         max_cmin=bounds["cmin"], max_rows=bounds["rows"])
+    if not instances:
+        raise CliInputError("grid %r holds no instance" % args.grid)
     # The pool starts a worker per instance submitted while none is idle,
     # so it is capped at one per instance and per CPU.
     jobs = min(args.jobs, len(instances), os.cpu_count() or 1)

@@ -5,14 +5,16 @@ union-intersections, their inverses (circle splits) and the dual-conjugated
 versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 
-Each search (closure, canonical, neighbors, exchange_neighbors) keeps one
-row table, _Rows, for the length of its call.  The table gives each
-distinct row a small int id the first time the search meets it and works
-out, once per id, what the search asks of a row: whether it is strict and
-non-vanishing, its DSL item, its (a, b), its split pairs and its dual under
-each parity; and, once per adjacent pair of ids, its row exchange and its
-union-intersection.  The formulas stay in the row-level cores of ops; the
-table only keeps their results.
+closure and canonical share one breadth-first loop, _search: closure runs
+it over every move within its limits, canonical over the row exchanges
+alone with no limit.  neighbors and exchange_neighbors list the moves of
+one state.  Each of the four keeps one row table, _Rows, for the length of
+its call.  The table gives each distinct row a small int id the first time
+the search meets it and works out, once per id, what the search asks of a
+row: whether it is strict and non-vanishing, its DSL item, its (a, b), its
+split pairs and its dual under each parity; and, once per adjacent pair of
+ids, its row exchange and its union-intersection.  The formulas stay in
+the row-level cores of ops; the table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
 candidate tuple of ids.  The candidate is looked up among the visited
@@ -22,6 +24,7 @@ items of its ids, and an Arthur parameter sorts their (a, b).
 """
 
 from dataclasses import dataclass
+from math import inf
 
 from .core import (
     MultiSegment, order_admissible, order_sorted, render, row_is_strict,
@@ -155,20 +158,20 @@ def _valid_move(table, ids, lo, hi):
 
 
 def _exchange_moves(table, ids):
-    """Every row exchange that changes ids, as (ids, lo, hi)."""
+    """Every row exchange that changes ids, as (ids, lo, hi, True)."""
     for k in range(len(ids) - 1):
         exchanged = table.pair(ids[k], ids[k + 1])[0]
         if exchanged is not None:
-            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2
+            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2, True
 
 
 def _local_moves(table, ids):
     """Every ui, then every split that keeps the (P)-admissible rows
-    admissible, as (ids, lo, hi)."""
+    admissible, as (ids, lo, hi, False)."""
     for k in range(len(ids) - 1):
         united = table.pair(ids[k], ids[k + 1])[1]
         if united is not None:
-            yield ids[:k] + united + ids[k + 2:], k, k + len(united)
+            yield ids[:k] + united + ids[k + 2:], k, k + len(united), False
     rows, splits = table.rows, table.splits
     for k, i in enumerate(ids):
         points = splits[i][0]
@@ -183,7 +186,8 @@ def _local_moves(table, ids):
             low = max([points.start] + [s.A for s in before if s.B > r.B])
             high = min([points.stop] + [s.B for s in after if s.A < r.A])
             for X in range(low, high):
-                yield ids[:k] + table.split(i, X) + ids[k + 1:], k, k + 2
+                cand = ids[:k] + table.split(i, X) + ids[k + 1:]
+                yield cand, k, k + 2, False
 
 
 def _moves(table, ids):
@@ -196,13 +200,11 @@ def _moves(table, ids):
     are (P')-sorted, the ui and split moves of the dual taken back by
     sorting and dualizing.  A dual-conjugated candidate is new throughout.
     """
-    for cand, lo, hi in _exchange_moves(table, ids):
-        yield cand, lo, hi, True
-    for cand, lo, hi in _local_moves(table, ids):
-        yield cand, lo, hi, False
+    yield from _exchange_moves(table, ids)
+    yield from _local_moves(table, ids)
     if not order_sorted([table.rows[i] for i in ids]):
         return
-    for moved, _, _ in _local_moves(table, table.dual(ids)):
+    for moved, _, _, _ in _local_moves(table, table.dual(ids)):
         moved = [table.rows[i] for i in moved]
         if sort_rows(moved) is None:
             yield table.dual(table.ids(moved)), 0, len(moved), False
@@ -217,7 +219,7 @@ def exchange_neighbors(ms):
     """Results of every applicable row exchange."""
     table = _Rows()
     return [_as_multisegment(table, cand)
-            for cand, _, _ in _exchange_moves(table, table.ids(ms.rows))]
+            for cand, _, _, _ in _exchange_moves(table, table.ids(ms.rows))]
 
 
 def neighbors(ms):
@@ -235,17 +237,17 @@ def _seed_ids(table, ms):
     return table.ids(ms.rows)
 
 
-def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
-    """Breadth-first closure from a strict, non-vanishing seed.
+def _search(table, seed, moves, max_states, max_depth):
+    """Breadth-first search from the seed ids over moves(table, ids):
+    (states, index, exchange_edges, stop).
 
     Each state is one tuple of ids, both its key in index and its entry in
     states.  A move's candidate is looked up in index before it is
     checked; a miss is checked with _valid_move, which looks only at what
     the move changed.  The search stops at the first new valid state past
-    max_states, or after max_depth levels; the report's stop says which.
+    max_states, or after max_depth levels; stop says which, or is
+    "exhausted".
     """
-    table = _Rows()
-    seed = _seed_ids(table, ms)
     # States are expanded in the order they are found, so states[start:]
     # is the frontier and exchange_edges[i] belongs to states[i].  A state
     # left mid-expansion by the state limit gets no entry.
@@ -259,7 +261,7 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
         end = len(states)
         for ids in states[start:end]:
             edges = []
-            for cand, lo, hi, exchange in _moves(table, ids):
+            for cand, lo, hi, exchange in moves(table, ids):
                 j = index.get(cand)
                 if j is None:
                     # A state in index already passed _valid_state.
@@ -280,6 +282,15 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
         depth += 1
     stop = ("states" if full else "exhausted" if start >= len(states)
             else "depth")
+    return states, index, exchange_edges, stop
+
+
+def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
+    """Breadth-first closure from a strict, non-vanishing seed, under every
+    move, within max_states states and max_depth levels (see _search)."""
+    table = _Rows()
+    states, index, exchange_edges, stop = _search(
+        table, _seed_ids(table, ms), _moves, max_states, max_depth)
     nodes = frozenset(_component_keys(table, states, index, exchange_edges))
     psi = frozenset(tuple(sorted(map(table.ab.__getitem__, s)))
                     for s in states)
@@ -304,7 +315,7 @@ def _component_keys(table, states, index, exchange_edges):
         for j in edges:
             parent[find(j)] = find(i)
     for i in range(len(exchange_edges), len(states)):
-        for cand, _, _ in _exchange_moves(table, states[i]):
+        for cand, _, _, _ in _exchange_moves(table, states[i]):
             j = index.get(cand)
             if j is not None:
                 parent[find(j)] = find(i)
@@ -320,21 +331,8 @@ def canonical(ms):
     exchanges: the key closure gives the class of ms.  Raises closure's
     SegmentError when ms is not a valid state."""
     table = _Rows()
-    seed = _seed_ids(table, ms)
-    seen = {seed}
-    frontier = [seed]
-    best = table.key(seed)
-    while frontier:
-        nxt = []
-        for ids in frontier:
-            for cand, lo, hi in _exchange_moves(table, ids):
-                if cand in seen or not _valid_move(table, cand, lo, hi):
-                    continue
-                seen.add(cand)
-                best = min(best, table.key(cand))
-                nxt.append(cand)
-        frontier = nxt
-    return best
+    states = _search(table, _seed_ids(table, ms), _exchange_moves, inf, inf)[0]
+    return min(map(table.key, states))
 
 
 def are_equivalent(ms1, ms2,

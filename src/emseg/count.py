@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 
-from .blocks import BlockTuple, block_tuples, tempered_block
+from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
 from .closure import closure
 from .core import SegmentError, arthur_parameter
 from .sdata import build, iter_S, iter_ST
@@ -40,14 +40,6 @@ def _count_rec(c_min, mults):
         else:
             prev2, prev = prev, (factor + 1) * prev - prev2
     return prev
-
-
-def _check_block(M):
-    """Raise unless M is a block: its multiplicities are odd."""
-    for c, m in enumerate(M.mults, M.c_min):
-        if m % 2 == 0:
-            raise SegmentError(
-                "a block has odd multiplicities, got %d at column %d" % (m, c))
 
 
 def count_block_recursive(M):

@@ -8,6 +8,7 @@ multiples.  Signs follow the odd-alternating assignment.
 
 from itertools import chain, product, repeat
 
+from .blocks import _check_block
 from .core import STRICT, MultiSegment, Row, ScopeError, SegmentError
 from .ops import merge_hats, op_D, op_S, op_U
 
@@ -275,8 +276,7 @@ def theta_family(M, S, T=None, eta=1):
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
-    if any(m % 2 == 0 for m in M.mults):
-        raise SegmentError("the lift family needs odd multiplicities")
+    _check_block(M)
     E, labels = build_labeled(M, S, T, eta)
     c_max = M.c_max
     t1 = theta1(E)

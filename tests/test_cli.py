@@ -252,6 +252,10 @@ class TestCountVerb:
             code, out, err = invoke("count", "--M", mults, "--method", method)
             assert (code, out) == (EXIT_INVALID, "")
             assert err.startswith("error: a block has odd multiplicities")
+        for argv in (("enumerate",), ("enumerate", "--with-T")):
+            code, out, err = invoke(*argv, "--M", "2,1")
+            assert (code, out) == (EXIT_INVALID, "")
+            assert err.startswith("error: a block has odd multiplicities")
 
     def test_long_block_by_multiplicities(self):
         code, out, err = invoke("count", "--M", ",".join(["1"] * 3000))
@@ -371,6 +375,12 @@ class TestVerifyVerb:
         code, out, err = invoke("verify", "--grid", "len<=2," + bound)
         assert (code, out) == (EXIT_INVALID, "")
         assert err == "error: grid bound %r must be non-negative\n" % bound
+
+    @pytest.mark.parametrize("bound", ["len<=0", "mult<=0", "rows<=0"])
+    def test_empty_grid_is_invalid(self, bound):
+        """A grid with no instance is refused, not swept as a pass."""
+        assert invoke("verify", "--grid", bound) == (
+            EXIT_INVALID, "", "error: grid %r holds no instance\n" % bound)
 
     def test_workers_are_capped(self, monkeypatch):
         """--jobs starts at most one worker per instance and per CPU: the

@@ -3,6 +3,7 @@
 import random
 import sys
 import time
+from math import inf
 
 import pytest
 
@@ -11,7 +12,7 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.closure import (
-    _Rows, _as_multisegment, _moves, _valid_move, _valid_state,
+    _Rows, _as_multisegment, _moves, _search, _valid_move, _valid_state,
     are_equivalent, canonical, closure, neighbors,
 )
 from emseg.core import (
@@ -178,16 +179,50 @@ class TestAgainstReference:
     # (8, 64) stops on an exchange move of the (3, 3, 3) seed's fourth
     # state; a later exchange of that state leads to a visited state, an
     # edge _component_keys looks up, since the search records no edges for
-    # the state it stops in.
+    # the state it stops in.  (100000, 0) expands nothing, so it stops on
+    # depth with the seed alone.
     @pytest.mark.parametrize("limits", [
         (100000, 64), (1, 64), (10, 64), (30, 64), (100000, 1), (100000, 2),
-        (25, 3), (8, 64),
+        (25, 3), (8, 64), (7, 64), (100000, 0),
     ])
     def test_truncated_and_exhausted_runs(self, limits):
         for seed in self.SEEDS:
             report = closure(seed, *limits)
             assert (report.nodes, report.psi, report.states,
                     report.exhausted) == _reference_closure(seed, *limits)
+
+    def test_closure_and_canonical_agree(self):
+        """closure and canonical run one loop, _search.  On every state of
+        these exhausted searches canonical gives the least key of the
+        state's component under the public row_exchange, and these keys
+        are closure's nodes."""
+        start = time.perf_counter()
+        for seed in self.SEEDS:
+            table = _Rows()
+            states, _, _, stop = _search(table, table.ids(seed.rows), _moves,
+                                         inf, inf)
+            assert stop == "exhausted"
+            members = {ms.rows: ms for ms in (
+                MultiSegment(tuple(table.rows[i] for i in s)) for s in states)}
+            parent = {rows: rows for rows in members}
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for rows, ms in members.items():
+                for nb in _reference_exchanges(ms):
+                    if nb.rows in members:
+                        parent[find(nb.rows)] = find(rows)
+            least = {}
+            for rows, ms in members.items():
+                root, key = find(rows), render(ms).encode()
+                least[root] = min(least.get(root, key), key)
+            keys = {rows: canonical(ms) for rows, ms in members.items()}
+            assert keys == {rows: least[find(rows)] for rows in members}
+            assert set(keys.values()) == closure(seed).nodes
+        assert time.perf_counter() - start < 1.0
 
     def test_one_exchange_class_per_parameter(self, rng, grid_closures):
         """Within these closures the Arthur parameter picks out one

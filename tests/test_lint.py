@@ -102,6 +102,13 @@ def test_closure_trusts_the_rows_the_cores_build():
     assert _callers("closure.py", "MultiSegment") == set()
 
 
+def test_closure_and_canonical_share_one_search_loop():
+    """_search is the one breadth-first loop of closure.py: only it checks
+    a candidate with _valid_move, and only closure and canonical run it."""
+    assert _callers("closure.py", "_valid_move") == {"_search"}
+    assert _callers("closure.py", "_search") == {"closure", "canonical"}
+
+
 def test_build_trusts_its_checked_coordinates():
     """build and build_labeled make the rows of checked (S, T) directly:
     sdata.py checks no row with make_row and builds no MultiSegment(...)."""
