@@ -119,19 +119,20 @@ def block_decompose(ms):
 
 
 def block_tuple(block):
-    """Column multiplicities of one tempered block."""
+    """Column multiplicities of one tempered block.
+
+    Each column is one run of the sorted rows, so the runs cover the span
+    of columns exactly when there is no gap.
+    """
     if not block.rows:
         return EMPTY_BLOCK
     if not is_tempered(block):
         raise SegmentError("block_tuple requires a tempered block")
     runs = _column_runs(block)
     c_min = runs[0][0].B
-    mults = [0] * (runs[-1][0].B - c_min + 1)
-    for r, m in runs:
-        mults[r.B - c_min] += m
-    if any(m == 0 for m in mults):
+    if runs[-1][0].B - c_min + 1 != len(runs):
         raise SegmentError("block has a column gap")
-    return BlockTuple(c_min, tuple(mults))
+    return BlockTuple(c_min, tuple(m for _, m in runs))
 
 
 def remove_column(ms, c):

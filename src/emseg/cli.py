@@ -20,8 +20,8 @@ from .core import (
     SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
-    count_block_closure, count_block_enumerative, count_block_recursive,
-    count_tempered, grid_instances, verify_instance,
+    METHODS, RECURSION, ClosureLimitError, count_tempered, grid_instances,
+    verify_instance,
 )
 from .ops import (
     OpResult, dual, dual_ui_dual, merge_hats, row_exchange, split_circles,
@@ -87,12 +87,6 @@ def _pretty(ms, args):
     return render_grid(ms, unicode_symbols=True) + "\n"
 
 
-def _emit_ms(ms, args, out):
-    grid = _pretty(ms, args)
-    text = render(ms) if args.format == "dsl" else to_json(ms)
-    out.write(text + "\n" + grid)
-
-
 def _parse_eta(text):
     if text in ("+", "+1", "1"):
         return 1
@@ -140,14 +134,9 @@ def _parse_grid_spec(spec):
 
 def _cmd_parse(args, out):
     ms = _read_ms(args, mode="relaxed" if args.relaxed else "strict")
-    _emit_ms(ms, args, out)
-    return EXIT_OK
-
-
-def _cmd_render(args, out):
-    ms = _read_ms(args)
     grid = _pretty(ms, args)
-    out.write(render(ms) + "\n" + grid)
+    text = render(ms) if args.format == "dsl" else to_json(ms)
+    out.write(text + "\n" + grid)
     return EXIT_OK
 
 
@@ -237,12 +226,7 @@ def _cmd_count(args, out):
         if args.dsl is not None or args.json_text is not None:
             raise CliInputError("--M counts a block and takes no symbol input")
         M = _parse_block_tuple(args.M, args.cmin or 0)
-        if args.method in (None, "recursion"):
-            pc = count_block_recursive(M)
-        elif args.method == "enumeration":
-            pc = count_block_enumerative(M)
-        else:
-            pc = count_block_closure(M)
+        pc = METHODS[args.method or RECURSION](M)
     out.write('{"value": %s, "method": %s}\n'
               % (_decimal(pc.value), json.dumps(pc.method)))
     return EXIT_OK
@@ -269,12 +253,8 @@ def _cmd_closure(args, out):
         raise CliInputError("--limit and --max-depth must be non-negative")
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
-    if report.stop == "states":
-        raise CliLimitError(
-            "closure hit the state limit (%d states)" % args.limit)
-    if report.stop == "depth":
-        raise CliLimitError(
-            "closure hit the depth limit (depth %d)" % args.max_depth)
+    if not report.exhausted:
+        raise ClosureLimitError.of(report)
     if args.emit == "nodes":
         for key in sorted(report.nodes):
             out.write(json.dumps({"node": key.decode()}) + "\n")
@@ -353,7 +333,7 @@ def build_parser():
     p = sub.add_parser("render", help="render a row list to DSL text")
     _add_input_flags(p)
     _add_pretty_flag(p)
-    p.set_defaults(func=_cmd_render)
+    p.set_defaults(func=_cmd_parse, format="dsl", relaxed=False)
 
     p = sub.add_parser("apply", help="apply one operator")
     _add_input_flags(p)
@@ -380,8 +360,7 @@ def build_parser():
     _add_input_flags(p)
     p.add_argument("--M", help="comma-separated multiplicities")
     p.add_argument("--cmin", type=int, help="first column of --M (default 0)")
-    p.add_argument("--method",
-                   choices=("recursion", "enumeration", "closure"),
+    p.add_argument("--method", choices=tuple(METHODS),
                    help="counting method for --M (default recursion)")
     p.set_defaults(func=_cmd_count)
 
@@ -418,12 +397,12 @@ def run(argv=None, out=None, err=None):
     except _Help as e:
         out.write(str(e))
         return EXIT_OK
+    except (CliLimitError, ClosureLimitError) as e:
+        err.write("limit: %s\n" % e)
+        return EXIT_LIMITS
     except (CliInputError, SegmentError) as e:
         err.write("error: %s\n" % e)
         return EXIT_INVALID
-    except CliLimitError as e:
-        err.write("limit: %s\n" % e)
-        return EXIT_LIMITS
     except AssertionError as e:
         err.write("invariant violation: %s\n" % e)
         return EXIT_INTERNAL

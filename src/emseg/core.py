@@ -133,18 +133,20 @@ def _four_tuples(rows):
 
 
 def _checked(rows, mode):
-    """rows, each a tuple or Row of four entries, checked under mode.
+    """The tuple rows, checked under mode.
 
-    When every entry is a plain int, equal rows are alike, and the distinct
-    ones are checked once, in one batch.  Elsewhere they need not be:
-    (1,0,0,True), (1,0,0,1.0) and (1,0,0,1) are equal and hash alike, so
-    each row goes through make_row.
+    When every row is a tuple or Row of four plain ints, equal rows are
+    alike, and the distinct ones are checked once, in one batch.  Elsewhere
+    they need not be: (1,0,0,True), (1,0,0,1.0) and (1,0,0,1) are equal and
+    hash alike, so each row goes through make_row, which also raises the
+    TypeError of a row of another arity.
     """
-    if set(map(type, chain.from_iterable(rows))) <= {int}:
+    if _four_tuples(rows) and set(
+            map(type, chain.from_iterable(rows))) <= {int}:
         distinct = list(dict.fromkeys(rows))
         made = dict(zip(distinct, _made_rows(distinct, mode, [])))
         return tuple(map(made.__getitem__, rows))
-    return tuple(make_row(*r, mode) for r in rows)
+    return tuple(make_row(*r, mode=mode) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -160,14 +162,8 @@ class MultiSegment:
     mode: str = STRICT
 
     def __post_init__(self):
-        mode = self.mode
-        _check_mode(mode)
-        rows = tuple(self.rows)
-        if _four_tuples(rows):
-            rows = _checked(rows, mode)
-        else:
-            rows = tuple(make_row(*r, mode=mode) for r in rows)
-        object.__setattr__(self, "rows", rows)
+        _check_mode(self.mode)
+        object.__setattr__(self, "rows", _checked(tuple(self.rows), self.mode))
 
     def __len__(self):
         return len(self.rows)
@@ -201,8 +197,7 @@ def multi_segment(rows, mode=STRICT):
     rows = tuple(rows)
     if not _four_tuples(rows):
         rows = tuple(Row(*r) for r in rows)
-    _check_mode(mode)
-    return MultiSegment._of(_checked(rows, mode), mode)
+    return MultiSegment(rows, mode)
 
 
 def order_admissible(rows):

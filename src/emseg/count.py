@@ -56,13 +56,35 @@ def count_block_enumerative(M, eta=1):
     return PacketCount(len(psis), ENUMERATION)
 
 
+class ClosureLimitError(SegmentError):
+    """A closure stopped at its state or depth limit before it exhausted
+    the class; the message names the limit and its value."""
+
+    @classmethod
+    def of(cls, report):
+        """The error for a ClosureReport that a limit stopped."""
+        if report.stop == "states":
+            return cls("closure hit the state limit (%d states)"
+                       % report.max_states)
+        return cls("closure hit the depth limit (depth %d)" % report.max_depth)
+
+
 def count_block_closure(M, eta=1, **limits):
-    """Independent oracle: breadth-first closure of the tempered block."""
+    """Independent oracle: breadth-first closure of the tempered block.
+
+    Raises ClosureLimitError when a limit stops the closure.
+    """
     _check_block(M)
     report = closure(tempered_block(M, eta), **limits)
     if not report.exhausted:
-        raise SegmentError("closure did not exhaust the class for %r" % (M,))
+        raise ClosureLimitError.of(report)
     return PacketCount(len(report.psi), CLOSURE)
+
+
+# Each counting method by name, in the order verify_instance reports them.
+METHODS = {RECURSION: count_block_recursive,
+           ENUMERATION: count_block_enumerative,
+           CLOSURE: count_block_closure}
 
 
 def count_tempered(ms):
@@ -70,8 +92,7 @@ def count_tempered(ms):
     the start-at-zero recursion."""
     total = 1
     for i, (bt, _) in enumerate(block_tuples(ms)):
-        c_min = bt.c_min if i == 0 else max(bt.c_min, 1)
-        total *= _count_rec(0 if c_min == 0 else 1, bt.mults)
+        total *= _count_rec(0 if i == bt.c_min == 0 else 1, bt.mults)
     return PacketCount(total, RECURSION)
 
 
@@ -104,17 +125,9 @@ def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
 
 def verify_instance(M):
     """Three-way agreement report for one block-tuple, as a dict."""
-    rec = count_block_recursive(M).value
-    enum = count_block_enumerative(M).value
-    clo = count_block_closure(M).value
-    return {
-        "c_min": M.c_min,
-        "mults": list(M.mults),
-        "recursion": rec,
-        "enumeration": enum,
-        "closure": clo,
-        "agree": rec == enum == clo,
-    }
+    counts = {name: count(M).value for name, count in METHODS.items()}
+    return {"c_min": M.c_min, "mults": list(M.mults), **counts,
+            "agree": len(set(counts.values())) == 1}
 
 
 def verify_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):

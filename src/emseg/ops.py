@@ -55,6 +55,13 @@ def _non_nesting(k):
         "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
 
 
+def _row(rows, k):
+    """rows[k], for a row position 0 <= k < len(rows) only."""
+    if not 0 <= k < len(rows):
+        raise SegmentError("no row at position %d" % k)
+    return rows[k]
+
+
 def _supports_nest(r1, r2):
     """True if supp(r1) contains supp(r2) or vice versa (incl. equality)."""
     return (r1.B <= r2.B and r1.A >= r2.A) or (r2.B <= r1.B and r2.A >= r1.A)
@@ -269,12 +276,12 @@ def to_sorted(ms):
 def split_circles(ms, k, X):
     """Split the all-circles row k at X; exact inverse of ui type 3'.
 
-    Raises SegmentError when row k has triangles or X is not one of its
-    split_points, and OrderError when the split leaves an inadmissible
-    order.
+    Raises SegmentError when there is no row k, when it has triangles or
+    when X is not one of its split_points, and OrderError when the split
+    leaves an inadmissible order.
     """
     rows = list(ms.rows)
-    r = rows[k]
+    r = _row(rows, k)
     if r.l != 0:
         raise SegmentError("split requires an all-circles row (l = 0)")
     points = split_points(r)
@@ -364,7 +371,7 @@ def op_S(ms, chain, c):
     is inadmissible there.
     """
     rows = ms.rows
-    r = rows[chain]
+    r = _row(rows, chain)
     if r.l != 0 or not (1 <= c < r.circles):
         return OpResult(ms, False)
     pos = chain
@@ -381,7 +388,7 @@ def op_U(ms, hat, c):
     when the hat keeps a triangle at the bottom.  An exchange on the way
     raises NoExchangeError when the input's order is inadmissible there.
     """
-    h = ms.rows[hat]
+    h = _row(ms.rows, hat)
     if not h.is_hat or not (1 <= c < h.circles):
         return OpResult(ms, False)
     return _split_moved(ms, hat, len(ms.rows) - 1, c)
@@ -394,8 +401,8 @@ def op_D(ms, hat, target):
     Computed as dual, exchanges, type-3' ui, exchanges, dual.
     """
     rows = ms.rows
-    h = rows[hat]
-    r = rows[target]
+    h = _row(rows, hat)
+    r = _row(rows, target)
     if not h.is_hat or target <= hat:
         return OpResult(ms, False)
     if r.l != 0 or r.A != h.l - 1:

@@ -91,6 +91,17 @@ class TestBlockTupleOf:
     def test_empty(self):
         assert block_tuple(parse("")) is EMPTY_BLOCK
 
+    @pytest.mark.parametrize("dsl", [
+        "[0,0;0;+][3,3;0;-]",
+        "[0,0;0;+][1000000000000,1000000000000;0;-]",
+    ])
+    def test_gap(self, dsl):
+        """A far gap raises as a near one does: block_tuple counts the
+        column runs against the span and allocates nothing as wide as the
+        span, which ran out of memory on the far gap."""
+        with pytest.raises(SegmentError, match="^block has a column gap$"):
+            block_tuple(parse(dsl))
+
     @pytest.mark.parametrize("rows", [
         [(1, 1, 0, 1), (0, 0, 0, -1), (2, 2, 0, -1)],
         [(1, 1, 0, 1), (0, 0, 0, -1)],

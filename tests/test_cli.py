@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import emseg
-from emseg import cli
+from emseg import cli, count
 from emseg.cli import (
     EXIT_INTERNAL, EXIT_INVALID, EXIT_LIMITS, EXIT_OK, run,
 )
@@ -51,6 +51,24 @@ class TestParseRender:
                               "--format", "dsl", "--pretty")
         assert code == EXIT_OK and "⊕" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("--dsl", THREE_ROW), ("--dsl", THREE_ROW, "--pretty"), ("--dsl", ""),
+        ("--json", '{"rows":[{"A":1,"B":0,"l":0,"eta":1}]}'),
+        ("--dsl", "[1,0;5;+]"), ("--dsl", "[oops"), ("--dsl", "[١,1;0;+]"),
+        ("--json", '{"rows":[{"A":1,"B":0,"l":0,"eta":true}]}'),
+        ("--dsl", "[0,0;0;+][10000,10000;0;-]", "--pretty"),
+    ])
+    def test_render_is_parse_to_the_dsl(self, argv, monkeypatch):
+        """render is parse --format dsl in strict mode, on input from a flag
+        or from stdin: the same output, error and exit code."""
+        assert invoke("render", *argv) == invoke(
+            "parse", "--format", "dsl", *argv)
+        results = []
+        for verb in (["render"], ["parse", "--format", "dsl"]):
+            monkeypatch.setattr(sys, "stdin", io.StringIO(argv[1]))
+            results.append(invoke(*verb, *argv[2:]))
+        assert results[0] == results[1]
+
     def test_invalid_input(self):
         code, _, err = invoke("parse", "--dsl", "[oops")
         assert code == EXIT_INVALID and "error" in err
@@ -71,7 +89,7 @@ class TestParseRender:
     @pytest.mark.parametrize("verb, flag", [
         ("render", "--format"), ("blocks", "--format"), ("count", "--format"),
         ("closure", "--format"), ("blocks", "--pretty"), ("count", "--pretty"),
-        ("closure", "--pretty"),
+        ("closure", "--pretty"), ("render", "--relaxed"),
     ])
     def test_output_flags_only_where_they_act(self, verb, flag):
         argv = [verb, "--dsl", "[0,0;0;+][1,1;0;-]", flag]
@@ -256,6 +274,21 @@ class TestCountVerb:
             code, out, err = invoke(*argv, "--M", "2,1")
             assert (code, out) == (EXIT_INVALID, "")
             assert err.startswith("error: a block has odd multiplicities")
+
+    @pytest.mark.parametrize("limits, message", [
+        ({"max_states": 3}, "closure hit the state limit (3 states)"),
+        ({"max_depth": 1}, "closure hit the depth limit (depth 1)"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("count", "--M", "1,3,1", "--method", "closure"),
+        ("verify", "--grid", "len<=2,mult<=3,rows<=4"),
+    ])
+    def test_closure_limit_exits_2(self, monkeypatch, argv, limits, message):
+        """A closure count that a limit stops is no invalid input: it exits
+        2 and names the limit, as the closure verb does."""
+        closure = count.closure
+        monkeypatch.setattr(count, "closure", lambda ms: closure(ms, **limits))
+        assert invoke(*argv) == (EXIT_LIMITS, "", "limit: %s\n" % message)
 
     def test_long_block_by_multiplicities(self):
         code, out, err = invoke("count", "--M", ",".join(["1"] * 3000))
@@ -565,9 +598,11 @@ def _fuzz_argv(rng):
     """A random verb, input and options: mostly well formed, with values
     out of range and stray tokens mixed in."""
     verb = rng.choice(["parse", "render", "apply", "blocks", "enumerate",
-                       "count", "closure"])
+                       "count", "closure", "verify"])
     argv = [verb]
     stdin = None
+    if verb == "verify":
+        return argv + _fuzz_verify_options(rng), stdin
     blocks = verb == "enumerate" or verb == "count" and rng.random() < 0.3
     if not blocks or rng.random() < 0.05:
         source = rng.choice(["--dsl", "--dsl", "--json", "stdin"])
@@ -607,12 +642,38 @@ def _fuzz_argv(rng):
     return argv, stdin
 
 
+def _fuzz_verify_options(rng):
+    """A --grid of small or bad bounds, and now and then a --jobs that
+    starts no worker process, or a stray token.  The rows bound comes
+    last and is at most 4, so every sweep is a few small instances.  No
+    bound is a large int: grid_instances lists one multiplicity per odd
+    number up to the mult bound and one instance per c_min up to cmin's."""
+    def bound(hi):
+        if rng.random() < 0.1:
+            return rng.choice(["-1", "x", "", "1.5", "١", HUGE])
+        return str(rng.randint(0, hi))
+
+    items = ["%s<=%s" % (key, bound(3))
+             for key in ("len", "mult", "cmin") if rng.random() < 0.5]
+    items.append("rows<=" + bound(4))
+    if rng.random() < 0.1:
+        items.insert(rng.randint(0, len(items) - 1),
+                     rng.choice(["width<=3", "len", "len=2", "", " "]))
+    argv = ["--grid", ",".join(items)]
+    if rng.random() < 0.2:
+        argv += ["--jobs", rng.choice(["0", "1", "-1", "x"])]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(0, len(argv)),
+                    rng.choice(["--dsl", "--M", "--bogus", "extra", ""]))
+    return argv
+
+
 class TestBoundaryFuzz:
     """Seeded mutated DSL/JSON text and random argv through run for every
-    verb but verify: each call exits 0, 1 or 2, never 3.  The fixed cases
-    run first, and the test stops at the first bad call, so that a tree
-    with a call that never ends (an unbounded --pretty grid) fails before
-    it reaches one."""
+    verb: each call exits 0, 1 or 2, never 3.  The fixed cases run first,
+    and the test stops at the first bad call, so that a tree with a call
+    that never ends (an unbounded --pretty grid) fails before it reaches
+    one."""
 
     SECONDS = 2.0
 

@@ -125,3 +125,23 @@ def test_only_core_checks_rows():
         assert _callers(name, "make_row") == set(), name
     assert {p.name for p in SOURCES if _callers(p.name, "make_row")} == {
         "core.py"}
+
+
+def test_rows_are_checked_in_one_loop():
+    """_made_rows, the row-check loop, runs only under make_row, the
+    constructors' _checked and parse."""
+    assert _callers("core.py", "_made_rows") == {"make_row", "_checked",
+                                                 "parse"}
+    for p in SOURCES:
+        if p.name != "core.py":
+            assert _callers(p.name, "_made_rows") == set(), p.name
+
+
+def test_blocks_are_counted_through_the_method_table():
+    """count.METHODS names each count_block_* once: cli's count --M and
+    verify_instance go through it and call none of them directly."""
+    methods = ("count_block_recursive", "count_block_enumerative",
+               "count_block_closure")
+    for name in ("cli.py", "count.py"):
+        for method in methods:
+            assert _callers(name, method) == set(), (name, method)

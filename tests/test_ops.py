@@ -207,6 +207,32 @@ class TestSplit:
             split_circles(parse("[1,0;0;+]"), 0, 1)
 
 
+class TestRowPositions:
+    """split_circles and the composites that take a row position raise
+    SegmentError for one outside 0 <= k < len(rows), as row_exchange does.
+    A negative position used to read a row from the end, and one past the
+    rows raised IndexError."""
+
+    def test_split_reads_no_row_from_the_end(self):
+        ms = parse("[0,0;0;+][3,1;0;-]")
+        assert render(split_circles(ms, 1, 2)) == "[0,0;0;+][2,1;0;-][3,3;0;-]"
+        for k in (-1, -2, 2, 5):
+            with pytest.raises(SegmentError,
+                               match="^no row at position %d$" % k):
+                split_circles(ms, k, 2)
+
+    @pytest.mark.parametrize("k", [-1, 2])
+    @pytest.mark.parametrize("op, dsl, args", [
+        (op_S, "[0,0;0;+][3,1;0;-]", lambda k: (k, 1)),
+        (op_U, "[2,-2;2;+][3,3;0;-]", lambda k: (k, 1)),
+        (op_D, "[2,-2;2;+][1,1;0;-]", lambda k: (k, 1)),
+        (op_D, "[2,-2;2;+][1,1;0;-]", lambda k: (0, k)),
+    ])
+    def test_composites(self, op, dsl, args, k):
+        with pytest.raises(SegmentError, match="^no row at position %d$" % k):
+            op(parse(dsl), *args(k))
+
+
 class TestMergeHats:
     def test_golden(self):
         ms = parse("[2,-2;2;+][1,-1;1;-]")
