@@ -17,7 +17,7 @@ from .blocks import (
 )
 from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
 from .core import (
-    SegmentError, from_json, parse, render, render_grid, to_json,
+    _INTEGER_RE, SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
     METHODS, RECURSION, ClosureLimitError, count_tempered, grid_instances,
@@ -87,6 +87,24 @@ def _pretty(ms, args):
     return render_grid(ms, unicode_symbols=True) + "\n"
 
 
+def _integer(text, name, least=None):
+    """The integer text of the input called name: ASCII digits after an
+    optional "-", as in the DSL, and no less than least when that is
+    given.  Anything else raises a CliInputError that names the input."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise CliInputError("%s needs an integer of ASCII digits, got %r"
+                            % (name, text))
+    try:
+        value = int(text)
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        raise CliInputError("%s is out of range" % name)
+    if least is not None and value < least:
+        raise CliInputError("%s must be %s" % (
+            name, "at least %d" % least if least else "non-negative"))
+    return value
+
+
 def _parse_eta(text):
     if text in ("+", "+1", "1"):
         return 1
@@ -96,14 +114,8 @@ def _parse_eta(text):
 
 
 def _parse_block_tuple(text, c_min):
-    try:
-        mults = tuple(int(x) for x in text.replace(" ", "").split(","))
-    except ValueError:
-        raise CliInputError("--M must be a comma-separated integer list")
-    try:
-        M = BlockTuple(c_min, mults)
-    except SegmentError as e:
-        raise CliInputError(str(e))
+    M = BlockTuple(c_min, tuple(_integer(x, "--M")
+                                for x in text.replace(" ", "").split(",")))
     try:
         str(M.c_max)
     except ValueError:
@@ -112,23 +124,17 @@ def _parse_block_tuple(text, c_min):
 
 
 def _parse_grid_spec(spec):
-    bounds = {"len": 4, "mult": 5, "cmin": 1, "rows": 9}
-    if spec:
-        for item in spec.replace(" ", "").split(","):
-            if not item:
-                continue
-            if "<=" not in item:
-                raise CliInputError("grid bound %r is not of the form key<=n" % item)
-            key, _, val = item.partition("<=")
-            if key not in bounds:
-                raise CliInputError("unknown grid bound %r" % key)
-            try:
-                bounds[key] = int(val)
-            except ValueError:
-                raise CliInputError("grid bound %r needs an integer" % item)
-            if bounds[key] < 0:
-                raise CliInputError(
-                    "grid bound %r must be non-negative" % item)
+    """The grid_instances keywords of the bounds the spec gives."""
+    bounds = {}
+    for item in spec.replace(" ", "").split(","):
+        if not item:
+            continue
+        if "<=" not in item:
+            raise CliInputError("grid bound %r is not of the form key<=n" % item)
+        key, _, val = item.partition("<=")
+        if key not in ("len", "mult", "cmin", "rows"):
+            raise CliInputError("unknown grid bound %r" % key)
+        bounds["max_" + key] = _integer(val, "grid bound %r" % item, least=0)
     return bounds
 
 
@@ -249,8 +255,6 @@ def _decimal(n):
 
 
 def _cmd_closure(args, out):
-    if args.limit < 0 or args.max_depth < 0:
-        raise CliInputError("--limit and --max-depth must be non-negative")
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
     if not report.exhausted:
@@ -272,12 +276,7 @@ def _cmd_closure(args, out):
 
 
 def _cmd_verify(args, out):
-    if args.jobs < 1:
-        raise CliInputError("--jobs must be at least 1")
-    bounds = _parse_grid_spec(args.grid)
-    instances = grid_instances(
-        max_len=bounds["len"], max_mult=bounds["mult"],
-        max_cmin=bounds["cmin"], max_rows=bounds["rows"])
+    instances = grid_instances(**_parse_grid_spec(args.grid))
     if not instances:
         raise CliInputError("grid %r holds no instance" % args.grid)
     # The pool starts a worker per instance submitted while none is idle,
@@ -314,6 +313,13 @@ def _add_output_flags(p):
     _add_pretty_flag(p)
 
 
+def _add_integer_flag(p, flag, least=None, **kwargs):
+    """A flag whose value _integer reads; argparse lets its CliInputError
+    through to run."""
+    p.add_argument(flag, type=functools.partial(_integer, name=flag,
+                                                least=least), **kwargs)
+
+
 def _add_pretty_flag(p):
     p.add_argument("--pretty", action="store_true",
                    help="also draw the symbol grid")
@@ -339,8 +345,8 @@ def build_parser():
     _add_input_flags(p)
     _add_output_flags(p)
     p.add_argument("--op", required=True, choices=tuple(_OPS))
-    p.add_argument("--k", type=int, default=0, help="row position")
-    p.add_argument("--X", type=int, help="split column")
+    _add_integer_flag(p, "--k", default=0, help="row position")
+    _add_integer_flag(p, "--X", help="split column")
     p.add_argument("--relaxed", action="store_true")
     p.set_defaults(func=_cmd_apply)
 
@@ -350,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("enumerate", help="enumerate class coordinates")
     p.add_argument("--M", required=True, help="comma-separated multiplicities")
-    p.add_argument("--cmin", type=int, default=0)
+    _add_integer_flag(p, "--cmin", default=0)
     p.add_argument("--with-T", dest="with_T", action="store_true")
     p.add_argument("--eta", default="+")
     _add_pretty_flag(p)
@@ -359,15 +365,15 @@ def build_parser():
     p = sub.add_parser("count", help="count packets")
     _add_input_flags(p)
     p.add_argument("--M", help="comma-separated multiplicities")
-    p.add_argument("--cmin", type=int, help="first column of --M (default 0)")
+    _add_integer_flag(p, "--cmin", help="first column of --M (default 0)")
     p.add_argument("--method", choices=tuple(METHODS),
                    help="counting method for --M (default recursion)")
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("closure", help="breadth-first class exploration")
     _add_input_flags(p)
-    p.add_argument("--limit", type=int, default=DEFAULT_MAX_STATES)
-    p.add_argument("--max-depth", type=int, default=DEFAULT_MAX_DEPTH)
+    _add_integer_flag(p, "--limit", least=0, default=DEFAULT_MAX_STATES)
+    _add_integer_flag(p, "--max-depth", least=0, default=DEFAULT_MAX_DEPTH)
     p.add_argument("--emit", choices=("nodes", "psi", "count"),
                    default="count")
     p.set_defaults(func=_cmd_closure)
@@ -375,8 +381,8 @@ def build_parser():
     p = sub.add_parser("verify", help="three-way count agreement sweep")
     p.add_argument("--grid", default="",
                    help='bounds like "len<=4,mult<=5,cmin<=1,rows<=9"')
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sweep")
+    _add_integer_flag(p, "--jobs", least=1, default=1,
+                      help="worker processes for the sweep")
     p.set_defaults(func=_cmd_verify)
 
     return top

@@ -132,8 +132,9 @@ def _four_tuples(rows):
     return set(map(type, rows)) <= {tuple, Row} and set(map(len, rows)) <= {4}
 
 
-def _checked(rows, mode):
-    """The tuple rows, checked under mode.
+def _checked(rows, mode, shaped=False):
+    """The tuple rows, checked under mode; shaped says the caller has seen
+    that _four_tuples(rows) holds.
 
     When every row is a tuple or Row of four plain ints, equal rows are
     alike, and the distinct ones are checked once, in one batch.  Elsewhere
@@ -141,7 +142,7 @@ def _checked(rows, mode):
     hash alike, so each row goes through make_row, which also raises the
     TypeError of a row of another arity.
     """
-    if _four_tuples(rows) and set(
+    if (shaped or _four_tuples(rows)) and set(
             map(type, chain.from_iterable(rows))) <= {int}:
         distinct = list(dict.fromkeys(rows))
         made = dict(zip(distinct, _made_rows(distinct, mode, [])))
@@ -192,12 +193,14 @@ def multi_segment(rows, mode=STRICT):
     """Convenience constructor from (A, B, l, eta) tuples.
 
     Rows that are not all 4-tuples go through Row(*r) first, so a wrong
-    arity raises before any row is checked.
+    arity raises before the mode or any row is checked.  Their shape is
+    scanned once.
     """
     rows = tuple(rows)
     if not _four_tuples(rows):
         rows = tuple(Row(*r) for r in rows)
-    return MultiSegment(rows, mode)
+    _check_mode(mode)
+    return MultiSegment._of(_checked(rows, mode, shaped=True), mode)
 
 
 def order_admissible(rows):
@@ -259,10 +262,12 @@ def check_star(ms):
 # Parsing and rendering
 # ---------------------------------------------------------------------------
 
+# An integer of the DSL and of the command line: ASCII digits, [0-9] and
+# not \d, after an optional "-".  re.ASCII would narrow \s too.
+_INTEGER_RE = re.compile(r"-?[0-9]+")
 # One item of the DSL up to its closing "]", with the whitespace before it.
-# Integers are ASCII digits: [0-9], not \d.  re.ASCII would narrow \s too.
-_ITEM_RE = re.compile(
-    r"\s*\[\s*(-?[0-9]+)\s*,\s*(-?[0-9]+)\s*;\s*(-?[0-9]+)\s*;\s*([+-])\s*")
+_ITEM_RE = re.compile(r"\s*\[\s*({0})\s*,\s*({0})\s*;\s*({0})\s*;\s*([+-])\s*"
+                      .format(_INTEGER_RE.pattern))
 _EXPECTED_ROW = "expected a row of the form [A,B;l;s]"
 # int() and str() refuse integers past sys.get_int_max_str_digits().
 _OUT_OF_RANGE = "integer out of range"

@@ -105,8 +105,9 @@ def count_multi(parts):
 
 
 def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
-    """The verification grid of block-tuples."""
-    mult_choices = [m for m in range(1, max_mult + 1, 2)]
+    """The verification grid of block-tuples.  A multiplicity above
+    max_rows fits no instance, so the choices stop there."""
+    mult_choices = range(1, min(max_mult, max_rows) + 1, 2)
     out = []
 
     def rec(prefix):
@@ -130,7 +131,8 @@ def verify_instance(M):
             "agree": len(set(counts.values())) == 1}
 
 
-def verify_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
-    """Three-way agreement report over the grid; yields per-instance dicts."""
-    for M in grid_instances(max_len, max_mult, max_cmin, max_rows):
+def verify_grid(**bounds):
+    """Three-way agreement report over grid_instances(**bounds); yields
+    per-instance dicts."""
+    for M in grid_instances(**bounds):
         yield verify_instance(M)

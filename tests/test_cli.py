@@ -370,6 +370,17 @@ class TestVerifyVerb:
         records = [json.loads(line) for line in out.splitlines()]
         assert records and all(r["agree"] for r in records)
 
+    def test_multiplicities_stop_at_the_rows_bound(self):
+        """A multiplicity above the rows bound fits no instance, so a huge
+        mult bound sweeps the two instances of mult<=1, where listing
+        every odd number up to it ran out of memory."""
+        code, out, err = invoke("verify", "--grid",
+                                "rows<=1,mult<=1000000000000")
+        assert (code, err) == (EXIT_OK, "")
+        assert [(r["c_min"], r["mults"]) for r in map(
+            json.loads, out.splitlines())] == [(0, [1]), (1, [1])]
+        assert out == invoke("verify", "--grid", "rows<=1,mult<=1")[1]
+
     def test_readme_jobs_form(self):
         grid = "len<=2,mult<=3,cmin<=1,rows<=3"
         code, out, _ = invoke("verify", "--grid", grid, "--jobs", "2")
@@ -472,6 +483,32 @@ class TestOutOfRangeInput:
          "expected a row of the form [A,B;l;s] (at position 0)"),
         (("render", "--dsl", "[١,1;0;+]"),
          "expected a row of the form [A,B;l;s] (at position 0)"),
+        # Every integer of the command line is ASCII digits after an
+        # optional "-", as in the DSL, and an error names the input.
+        (("count", "--M", "1,٣"),
+         "--M needs an integer of ASCII digits, got '٣'"),
+        (("count", "--M", "١,٣", "--cmin", "١"),
+         "--cmin needs an integer of ASCII digits, got '١'"),
+        (("apply", "--op", "ui", "--k", "٠", "--dsl", "[0,0;0;+][1,1;0;-]"),
+         "--k needs an integer of ASCII digits, got '٠'"),
+        (("apply", "--op", "split", "--X", "１", "--dsl", "[1,0;0;+]"),
+         "--X needs an integer of ASCII digits, got '１'"),
+        (("closure", "--dsl", "[0,0;0;+]", "--limit", "٥"),
+         "--limit needs an integer of ASCII digits, got '٥'"),
+        (("closure", "--dsl", "[0,0;0;+]", "--max-depth", "٥"),
+         "--max-depth needs an integer of ASCII digits, got '٥'"),
+        (("verify", "--jobs", "٢"),
+         "--jobs needs an integer of ASCII digits, got '٢'"),
+        (("verify", "--grid", "len<=١,rows<=١"),
+         "grid bound 'len<=١' needs an integer of ASCII digits, got '١'"),
+        (("enumerate", "--M", "1", "--cmin", "+5"),
+         "--cmin needs an integer of ASCII digits, got '+5'"),
+        (("closure", "--dsl", "[0,0;0;+]", "--limit", "1_0"),
+         "--limit needs an integer of ASCII digits, got '1_0'"),
+        (("count", "--M", "1", "--cmin", HUGE), "--cmin is out of range"),
+        (("count", "--M", "1," + HUGE), "--M is out of range"),
+        (("verify", "--grid", "cmin<=" + HUGE),
+         "grid bound 'cmin<=%s' is out of range" % HUGE),
     ])
     def test_exits_1(self, argv, message):
         assert invoke(*argv) == (EXIT_INVALID, "", "error: %s\n" % message)

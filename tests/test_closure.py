@@ -6,6 +6,7 @@ import time
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emseg.blocks import (
     TYPE3, BlockTuple, block_decompose, block_tuples, classify_boundary,
@@ -419,6 +420,22 @@ class TestMoves:
                     checked += 1
         assert checked > 500 and duals > 500
         assert time.perf_counter() - start < 2.0
+
+    @settings(derandomize=True, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_moves_keep_the_invariants(self, rand):
+        """On a strict, non-vanishing, sorted state every _moves candidate
+        keeps the sum of a * b over the rows, and every row exchange keeps
+        the multiset psi of (a, b)."""
+        ms = rand_sorted_ms(rand, require_star=True)
+        table = _Rows()
+        area = sum(r.a * r.b for r in ms.rows)
+        psi = sorted((r.a, r.b) for r in ms.rows)
+        for cand, _, _, exchange in _moves(table, table.ids(ms.rows)):
+            rows = [table.rows[i] for i in cand]
+            assert sum(r.a * r.b for r in rows) == area, (ms, rows)
+            if exchange:
+                assert sorted((r.a, r.b) for r in rows) == psi, (ms, rows)
 
     def test_unsorted_states_keep_their_moves(self):
         """Many of the closure's states are admissible but unsorted; their

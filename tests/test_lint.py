@@ -145,3 +145,13 @@ def test_blocks_are_counted_through_the_method_table():
     for name in ("cli.py", "count.py"):
         for method in methods:
             assert _callers(name, method) == set(), (name, method)
+
+
+def test_cli_reads_integers_in_one_place():
+    """Every integer the command line takes goes through cli._integer, the
+    ASCII-digit reader: only it calls int(), and no flag has type=int."""
+    assert _callers("cli.py", "int") == {"_integer"}
+    path = Path(emseg.__file__).parent / "cli.py"
+    assert not [kw for kw in ast.walk(ast.parse(path.read_text()))
+                if isinstance(kw, ast.keyword) and kw.arg == "type"
+                and isinstance(kw.value, ast.Name) and kw.value.id == "int"]
