@@ -1,6 +1,7 @@
 """Tempered structure: alternating signs, block decomposition, boundaries."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 from .core import MultiSegment, Row, SegmentError
@@ -31,6 +32,13 @@ class BlockTuple:
         if self.c_min <= c <= self.c_max:
             return self.mults[c - self.c_min]
         return 0
+
+    @cached_property
+    def _row_table(self):
+        """sdata's table of the rows it has built for members of this
+        block.  Made empty on first use, it lives as long as the block and
+        is no field: equality, hash and repr ignore it."""
+        return {}
 
 
 EMPTY_BLOCK = BlockTuple(0, ())

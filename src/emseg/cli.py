@@ -10,7 +10,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import islice, repeat
 
 from .blocks import (
     BlockTuple, _check_block, block_decompose, block_tuple, classify_boundary,
@@ -20,7 +20,7 @@ from .core import (
     _INTEGER_RE, SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
-    METHODS, RECURSION, ClosureLimitError, count_tempered, grid_instances,
+    METHODS, RECURSION, ClosureLimitError, count_tempered, iter_grid,
     verify_instance,
 )
 from .ops import (
@@ -124,7 +124,7 @@ def _parse_block_tuple(text, c_min):
 
 
 def _parse_grid_spec(spec):
-    """The grid_instances keywords of the bounds the spec gives."""
+    """The iter_grid keywords of the bounds the spec gives."""
     bounds = {}
     for item in spec.replace(" ", "").split(","):
         if not item:
@@ -275,10 +275,23 @@ def _cmd_closure(args, out):
     return EXIT_OK
 
 
+# verify sweeps at most this many grid instances.  Grids past it are out
+# of reach anyway: the 962 instances of len<=7,rows<=14 take about a
+# minute, and the closure of the 14-row block (1,)*14 at c_min 0 already
+# stops at its state limit.  The listing stops one instance past the
+# limit, so a huge bound neither lists nor holds 10^12 instances.
+GRID_MAX_INSTANCES = 2000
+
+
 def _cmd_verify(args, out):
-    instances = grid_instances(**_parse_grid_spec(args.grid))
+    instances = list(islice(iter_grid(**_parse_grid_spec(args.grid)),
+                            GRID_MAX_INSTANCES + 1))
     if not instances:
         raise CliInputError("grid %r holds no instance" % args.grid)
+    if len(instances) > GRID_MAX_INSTANCES:
+        raise CliLimitError(
+            "grid %r holds more than %d instances, the instance limit of "
+            "verify" % (args.grid, GRID_MAX_INSTANCES))
     # The pool starts a worker per instance submitted while none is idle,
     # so it is capped at one per instance and per CPU.
     jobs = min(args.jobs, len(instances), os.cpu_count() or 1)

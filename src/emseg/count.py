@@ -104,24 +104,36 @@ def count_multi(parts):
     return PacketCount(total, RECURSION)
 
 
+def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
+    """Yield the block-tuples of the verification grid, in the order of
+    grid_instances: depth first over the multiplicity prefixes, each at
+    every c_min in turn.  A multiplicity above the rows left fits no
+    instance, so the choices stop there.  The walk keeps one lazy sibling
+    iterator per column, so a caller that stops early has made only the
+    instances it took."""
+    prefix, left = [], max_rows
+    stack = [iter(range(1, min(max_mult, left) + 1, 2))] if max_len else []
+    while stack:
+        m = next(stack[-1], None)
+        if m is None:
+            stack.pop()
+            if prefix:
+                left += prefix.pop()
+            continue
+        prefix.append(m)
+        left -= m
+        mults = tuple(prefix)
+        for c_min in range(max_cmin + 1):
+            yield BlockTuple(c_min, mults)
+        if len(prefix) != max_len:
+            stack.append(iter(range(1, min(max_mult, left) + 1, 2)))
+        else:
+            left += prefix.pop()
+
+
 def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
-    """The verification grid of block-tuples.  A multiplicity above
-    max_rows fits no instance, so the choices stop there."""
-    mult_choices = range(1, min(max_mult, max_rows) + 1, 2)
-    out = []
-
-    def rec(prefix):
-        if prefix and sum(prefix) <= max_rows:
-            for c_min in range(0, max_cmin + 1):
-                out.append(BlockTuple(c_min, tuple(prefix)))
-        if len(prefix) == max_len:
-            return
-        for m in mult_choices:
-            if sum(prefix) + m <= max_rows:
-                rec(prefix + [m])
-
-    rec([])
-    return out
+    """The verification grid of block-tuples (the list of iter_grid)."""
+    return list(iter_grid(max_len, max_mult, max_cmin, max_rows))
 
 
 def verify_instance(M):
@@ -132,7 +144,7 @@ def verify_instance(M):
 
 
 def verify_grid(**bounds):
-    """Three-way agreement report over grid_instances(**bounds); yields
+    """Three-way agreement report over iter_grid(**bounds); yields
     per-instance dicts."""
-    for M in grid_instances(**bounds):
+    for M in iter_grid(**bounds):
         yield verify_instance(M)

@@ -4,6 +4,12 @@ An S-tuple splits the column range into weakly increasing intervals, each
 giving a row of circles (a chain); a T-refinement marks upper parts of each
 interval as hats.  Leftover column multiplicity becomes single-circle
 multiples.  Signs follow the odd-alternating assignment.
+
+build and build_labeled share the rows of a block: each distinct row
+(A, B, l, eta) is made once, in the block's row table, and every later
+member that has it gets that same Row.  An n-column block has at most
+2n^2 rows (n^2 chains and hats, each with either sign), and the table
+holds only rows of members built so far, so it never outgrows them.
 """
 
 from itertools import chain, product, repeat
@@ -197,6 +203,9 @@ def _rows(M, S, T, eta):
     if eta not in (1, -1):
         raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
     items.sort()
+    # Every check has passed: each distinct row of the block is made once,
+    # in its row table, and shared by every later member.
+    table = M._row_table
     # The odd-alternating signs: a row takes step = (-1)^circles * (sign of
     # the row before), negated for a multiple and for a z-chain right after
     # the multiples of its own column.  A row's circle count has the parity
@@ -206,7 +215,8 @@ def _rows(M, S, T, eta):
     multiples_at = None
     for B, rank, A, l, n, _, _ in items:
         sign = -step if rank == 1 or B == multiples_at else step
-        row = Row(A, B, l, sign)
+        key = (A, B, l, sign)
+        row = table.get(key) or table.setdefault(key, Row(*key))
         if rank == 1:
             rows += [row] * n
             step, multiples_at = -sign, B
@@ -233,6 +243,11 @@ def build_labeled(M, S, T=None, eta=1):
 
     Valid (S, T) cover each column once and an overlap column twice, and
     the multiples of a column are what its multiplicity leaves over.
+
+    Equal rows of the members of one block are one object: the rows come
+    from the block's row table (see the module docstring), which holds at
+    most 2n^2 rows for n columns.  A rejected input leaves it as it was,
+    since no row is looked up before every check has passed.
     """
     rows, items = _rows(M, S, T, eta)
     labels = []

@@ -381,6 +381,32 @@ class TestVerifyVerb:
             json.loads, out.splitlines())] == [(0, [1]), (1, [1])]
         assert out == invoke("verify", "--grid", "rows<=1,mult<=1")[1]
 
+    @pytest.mark.parametrize("grid", [
+        "cmin<=1000000000000", "len<=1000000000000,rows<=1000000000000"])
+    def test_huge_grids_stop_at_the_instance_limit(self, monkeypatch, grid):
+        """A grid of 10^12 or more instances exits 2, naming the instance
+        limit, after listing one instance past it."""
+        listed = []
+
+        def counted(**bounds):
+            for M in count.iter_grid(**bounds):
+                listed.append(M)
+                yield M
+
+        monkeypatch.setattr(cli, "iter_grid", counted)
+        start = time.perf_counter()
+        assert invoke("verify", "--grid", grid) == (
+            EXIT_LIMITS, "", "limit: grid %r holds more than 2000 instances, "
+            "the instance limit of verify\n" % grid)
+        assert time.perf_counter() - start < 0.5
+        assert len(listed) == cli.GRID_MAX_INSTANCES + 1 == 2001
+
+    def test_a_grid_at_the_instance_limit_is_swept(self, monkeypatch):
+        monkeypatch.setattr(cli, "GRID_MAX_INSTANCES", 2)
+        code, out, _ = invoke("verify", "--grid", "rows<=1")
+        assert code == EXIT_OK and len(out.splitlines()) == 2
+        assert invoke("verify", "--grid", "rows<=2")[0] == EXIT_LIMITS
+
     def test_readme_jobs_form(self):
         grid = "len<=2,mult<=3,cmin<=1,rows<=3"
         code, out, _ = invoke("verify", "--grid", grid, "--jobs", "2")
@@ -683,8 +709,8 @@ def _fuzz_verify_options(rng):
     """A --grid of small or bad bounds, and now and then a --jobs that
     starts no worker process, or a stray token.  The rows bound comes
     last and is at most 4, so every sweep is a few small instances.  No
-    bound is a large int: grid_instances lists one multiplicity per odd
-    number up to the mult bound and one instance per c_min up to cmin's."""
+    bound is a large int, which would only reach the instance limit
+    (TestVerifyVerb tests that)."""
     def bound(hi):
         if rng.random() < 0.1:
             return rng.choice(["-1", "x", "", "1.5", "١", HUGE])

@@ -6,7 +6,7 @@ import time
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from emseg.blocks import (
     TYPE3, BlockTuple, block_decompose, block_tuples, classify_boundary,
@@ -17,7 +17,7 @@ from emseg.closure import (
     are_equivalent, canonical, closure, neighbors,
 )
 from emseg.core import (
-    RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter,
+    RELAXED, STRICT, MultiSegment, Row, SegmentError, arthur_parameter,
     check_star, group_sign, make_row, order_sorted, parse, render,
     row_is_strict,
 )
@@ -31,6 +31,31 @@ from conftest import rand_mode_ms, rand_sorted_ms, rand_tempered
 
 X1 = "[0,0;0;+][1,1;0;-]"
 X1_PSIS = {((1, 1), (3, 1)), ((1, 1), (1, 3)), ((2, 2),)}
+
+
+@st.composite
+def tempered_blocks(draw, max_rows=9):
+    """A block of at most max_rows rows at c_min 0 to 2; it shrinks
+    towards one column of multiplicity 1 at c_min 0."""
+    mults, left = [], max_rows
+    while left and (not mults or draw(st.booleans())):
+        mults.append(draw(st.sampled_from((1, 3, 5)[:(left + 1) // 2])))
+        left -= mults[-1]
+    return BlockTuple(draw(st.integers(0, 2)), tuple(mults))
+
+
+@st.composite
+def tempered_symbols(draw, max_rows=9):
+    """A tempered symbol of at most max_rows rows: columns of one to three
+    single circles of one sign each, from column 0 to 2 on, with gaps of
+    at most one column.  It shrinks towards few columns of one circle."""
+    col = draw(st.integers(0, 2))
+    rows = []
+    while len(rows) < max_rows and (not rows or draw(st.booleans())):
+        rows += [Row(col, col, 0, draw(st.sampled_from((1, -1))))] * draw(
+            st.integers(1, 3))
+        col += 1 + draw(st.integers(0, 1))
+    return MultiSegment(tuple(rows[:max_rows]))
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +268,26 @@ class TestAgainstReference:
             assert len(report.nodes) == len(report.psi), render(seed)
         assert len(reports) == 415
         assert time.perf_counter() - start < 4.0
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(st.builds(tempered_block, tempered_blocks(),
+                     st.sampled_from((1, -1))))
+    def test_tempered_block_closures_have_one_node_per_parameter(self, seed):
+        """On tempered block seeds of at most 9 rows the closure has as
+        many nodes as Arthur parameters."""
+        report = closure(seed)
+        assert report.exhausted
+        assert len(report.nodes) == len(report.psi)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(tempered_symbols())
+    def test_product_rule_counts_the_closure(self, seed):
+        """On multi-block tempered symbols of at most 9 rows the product
+        over the blocks counts the parameters of the closure."""
+        assume(len(block_tuples(seed)) >= 2)
+        report = closure(seed)
+        assert report.exhausted
+        assert count_tempered(seed).value == len(report.psi)
 
     def test_two_exchange_classes_can_share_a_parameter(self):
         """Two of the three nodes of this closure have one Arthur

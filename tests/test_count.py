@@ -1,5 +1,7 @@
 """Counting: recursions, enumeration, closure oracle, products."""
 
+import itertools
+
 import pytest
 
 from emseg import core
@@ -11,7 +13,7 @@ from emseg.core import (
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, grid_instances,
-    verify_grid,
+    iter_grid, verify_grid,
 )
 
 
@@ -205,3 +207,35 @@ class TestGrid:
         for record in verify_grid(max_len=2, max_mult=3, max_cmin=1,
                                   max_rows=4):
             assert record["agree"], record
+
+    def test_grid_order_is_the_recursive_walk(self):
+        """iter_grid lists the grid of the recursive walk it replaced, in
+        its order: each prefix at every c_min, then its extensions."""
+        def reference(max_len, max_mult, max_cmin, max_rows):
+            out = []
+
+            def rec(prefix):
+                if prefix and sum(prefix) <= max_rows:
+                    out.extend(BlockTuple(c, tuple(prefix))
+                               for c in range(max_cmin + 1))
+                if len(prefix) == max_len:
+                    return
+                for m in range(1, min(max_mult, max_rows) + 1, 2):
+                    if sum(prefix) + m <= max_rows:
+                        rec(prefix + [m])
+
+            rec([])
+            return out
+
+        for bounds in itertools.product((0, 1, 2, 4), (0, 1, 3, 6),
+                                        (0, 2), (0, 1, 5, 9)):
+            assert grid_instances(*bounds) == reference(*bounds), bounds
+            assert list(iter_grid(*bounds)) == reference(*bounds), bounds
+        assert len(grid_instances()) == 86
+
+    def test_grid_streams(self):
+        """Taking the first instances of a grid of 10^24 makes only them."""
+        huge = 10 ** 12
+        first = list(itertools.islice(iter_grid(huge, 5, huge, huge), 3))
+        assert first == [BlockTuple(0, (1,)), BlockTuple(1, (1,)),
+                         BlockTuple(2, (1,))]

@@ -71,6 +71,11 @@ def test_unreferenced_private_names_are_found():
         ("m.py", "_ROW_RE"), ("m.py", "_helper")]
 
 
+def _is_call_of(node, name):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == name)
+
+
 def _callers(name, callee):
     """Names of the module-level functions of the module `name` that call
     callee(...), with None for a call outside any function."""
@@ -80,8 +85,7 @@ def _callers(name, callee):
     for node in tree.body:
         owner = node.name if isinstance(node, ast.FunctionDef) else None
         for sub in ast.walk(node):
-            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
-                    and sub.func.id == callee):
+            if _is_call_of(sub, callee):
                 found.add(owner)
     return found
 
@@ -114,6 +118,24 @@ def test_build_trusts_its_checked_coordinates():
     sdata.py checks no row with make_row and builds no MultiSegment(...)."""
     assert _callers("sdata.py", "make_row") == set()
     assert _callers("sdata.py", "MultiSegment") == set()
+
+
+def test_build_makes_each_row_once_per_block():
+    """sdata.py makes a Row only for theta1's lift hat and in the miss
+    path of the block's row table in _rows, as the value setdefault
+    stores: no path goes back to one fresh Row per row of a member."""
+    assert _callers("sdata.py", "Row") == {"_rows", "theta1"}
+    path = Path(emseg.__file__).parent / "sdata.py"
+    rows_fn = next(node for node in ast.parse(path.read_text()).body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_rows")
+    made = [node for node in ast.walk(rows_fn) if _is_call_of(node, "Row")]
+    stored = [arg for node in ast.walk(rows_fn)
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "setdefault"
+              for arg in node.args if _is_call_of(arg, "Row")]
+    assert len(made) == 1 and made == stored
 
 
 def test_only_core_checks_rows():

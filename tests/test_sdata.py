@@ -385,6 +385,8 @@ class TestBuildOnce:
 
     def test_errors(self):
         M = BlockTuple(0, (1, 1))
+        build(M, ((0, 1),))
+        table = dict(M._row_table)
         with pytest.raises(SegmentError) as err:
             build(M, ((1, 1), (0, 0)))
         assert str(err.value) == (
@@ -397,15 +399,21 @@ class TestBuildOnce:
         assert str(err.value) == "eta must be +1 or -1, got 0"
         # Valid (S, T) cover no column more often than a positive
         # multiplicity allows; a block that skipped that check can.
+        unchecked = _unchecked_block(0, (1, 0))
         with pytest.raises(SegmentError) as err:
-            build(_unchecked_block(0, (1, 0)), ((0, 1),))
+            build(unchecked, ((0, 1),))
         assert str(err.value) == (
             "column 1 covered more often than its multiplicity")
+        # A rejected input leaves the row table as it was.
+        assert M._row_table == table and len(table) == 1
+        assert unchecked._row_table == {}
 
     def test_non_int_endpoints_are_scope_errors(self):
         """validate_S compares endpoints by value, so 1.0 and True pass it;
         the boundary rejects them, and a non-int eta, as ScopeError."""
         M = BlockTuple(0, (1, 1))
+        build(M, ((0, 0), (1, 1)), None, -1)
+        table = dict(M._row_table)
         for S, T in [(((0, 0), (1.0, 1)), None),
                      (((0, 0), (True, True)), None),
                      (((0, 1),), (((0, 0), (1.0, 1)),)),
@@ -418,6 +426,50 @@ class TestBuildOnce:
             with pytest.raises(ScopeError) as err:
                 build(M, ((0, 1),), None, eta)
             assert str(err.value) == "eta must be an integer, got %r" % (eta,)
+        assert M._row_table == table and len(table) == 2
+
+    def test_equal_rows_are_one_object(self):
+        """Across the members of one block, with both signs, every equal
+        row is the one Row of the block's row table."""
+        M = BlockTuple(0, (1, 3, 1, 3, 1))
+        rows = [r for S, T in enumerate_ST(M) for eta in (1, -1)
+                for r in build(M, S, T, eta).rows]
+        distinct = set(rows)
+        assert len(rows) > 20 * len(distinct)
+        assert len({id(r) for r in rows}) == len(distinct)
+        assert all(M._row_table[r] is r for r in rows)
+
+    def test_the_row_table_stays_within_its_bound(self):
+        """A block of n columns has at most 2n^2 rows in its table (chains
+        and hats, each with either sign), and the table holds exactly the
+        distinct rows its members have: labelled or not, with or without
+        T, at c_min = 0 or past it."""
+        most = 0
+        for M in grid_instances() + [BlockTuple(0, (1,) * 6),
+                                     BlockTuple(2, (3, 1, 1, 3, 1))]:
+            rows = set()
+            for S, T in _members(M):
+                for eta in (1, -1):
+                    rows.update(build_labeled(M, S, T, eta)[0].rows)
+                    rows.update(build(M, S, None, eta).rows)
+            n = len(M.mults)
+            assert set(M._row_table) == rows
+            assert len(rows) <= 2 * n * n
+            most = max(most, len(rows) / (2 * n * n))
+        assert most > 0.8
+
+    def test_an_equal_block_builds_equal_rows(self):
+        """A fresh block equal to a used one builds equal rows from its
+        own table; the table is no part of equality, hash or repr."""
+        M = BlockTuple(0, (1, 3, 1))
+        used = [build(M, S, T, -1) for S, T in enumerate_ST(M)]
+        fresh = BlockTuple(0, (1, 3, 1))
+        assert "_row_table" in vars(M) and "_row_table" not in vars(fresh)
+        assert (fresh, hash(fresh), repr(fresh)) == (M, hash(M), repr(M))
+        again = [build(fresh, S, T, -1) for S, T in enumerate_ST(fresh)]
+        assert again == used
+        assert not set(map(id, fresh._row_table.values())) & set(
+            map(id, M._row_table.values()))
 
     def test_rows_need_no_make_row(self, monkeypatch):
         """Rows of checked (S, T) are valid as built: no make_row call and
