@@ -18,7 +18,7 @@ from .sdata import (
     theta2_matches_theta4, validate_S, validate_T,
 )
 from .count import (
-    PacketCount, count_block_closure, count_block_enumerative,
+    LimitError, PacketCount, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, verify_grid,
 )
 from .closure import ClosureReport, are_equivalent, canonical, closure

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
-from .core import MultiSegment, Row, SegmentError
+from .core import MultiSegment, Row, ScopeError, SegmentError
 
 
 @dataclass(frozen=True)
@@ -15,9 +15,16 @@ class BlockTuple:
     mults: tuple
 
     def __post_init__(self):
+        if type(self.c_min) is not int:
+            raise ScopeError("c_min must be an integer, got %r"
+                             % (self.c_min,))
+        if (type(self.mults) is not tuple
+                or not set(map(type, self.mults)) <= {int}):
+            raise ScopeError("mults must be a tuple of integers, got %r"
+                             % (self.mults,))
         if self.c_min < 0:
             raise SegmentError("c_min must be >= 0")
-        if any(m < 1 for m in self.mults):
+        if min(self.mults, default=1) < 1:
             raise SegmentError("multiplicities must be positive")
 
     @property

@@ -20,8 +20,7 @@ from .core import (
     _INTEGER_RE, SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
-    METHODS, RECURSION, ClosureLimitError, count_tempered, iter_grid,
-    verify_instance,
+    LimitError, METHODS, RECURSION, count_tempered, iter_grid, verify_instance,
 )
 from .ops import (
     OpResult, dual, dual_ui_dual, merge_hats, row_exchange, split_circles,
@@ -37,10 +36,6 @@ EXIT_INTERNAL = 3
 
 class CliInputError(Exception):
     """Bad command line or bad input data."""
-
-
-class CliLimitError(Exception):
-    """A configured search limit was exceeded."""
 
 
 class _Help(Exception):
@@ -82,7 +77,7 @@ def _pretty(ms, args):
     rows = ms.rows
     if rows and (max(r.A for r in rows) - min(r.B for r in rows)
                  >= GRID_MAX_COLUMNS):
-        raise CliLimitError(
+        raise LimitError(
             "--pretty draws at most %d columns" % GRID_MAX_COLUMNS)
     return render_grid(ms, unicode_symbols=True) + "\n"
 
@@ -178,7 +173,7 @@ def _cmd_apply(args, out):
     except ValueError:
         # str() refuses an int of more than sys.get_int_max_str_digits()
         # digits, and the dual of a relaxed row has l + B, past its input's.
-        raise CliLimitError("the result has an integer too long to print")
+        raise LimitError("the result has an integer too long to print")
     grid = _pretty(res.out, args)
     out.write('{"applied": %s, "type": %s, "result": %s}\n'
               % (json.dumps(res.applied), json.dumps(res.type_tag), shown)
@@ -258,7 +253,7 @@ def _cmd_closure(args, out):
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
     if not report.exhausted:
-        raise ClosureLimitError.of(report)
+        raise LimitError.of(report)
     if args.emit == "nodes":
         for key in sorted(report.nodes):
             out.write(json.dumps({"node": key.decode()}) + "\n")
@@ -289,7 +284,7 @@ def _cmd_verify(args, out):
     if not instances:
         raise CliInputError("grid %r holds no instance" % args.grid)
     if len(instances) > GRID_MAX_INSTANCES:
-        raise CliLimitError(
+        raise LimitError(
             "grid %r holds more than %d instances, the instance limit of "
             "verify" % (args.grid, GRID_MAX_INSTANCES))
     # The pool starts a worker per instance submitted while none is idle,
@@ -416,7 +411,7 @@ def run(argv=None, out=None, err=None):
     except _Help as e:
         out.write(str(e))
         return EXIT_OK
-    except (CliLimitError, ClosureLimitError) as e:
+    except LimitError as e:
         err.write("limit: %s\n" % e)
         return EXIT_LIMITS
     except (CliInputError, SegmentError) as e:

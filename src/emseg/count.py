@@ -56,9 +56,10 @@ def count_block_enumerative(M, eta=1):
     return PacketCount(len(psis), ENUMERATION)
 
 
-class ClosureLimitError(SegmentError):
-    """A closure stopped at its state or depth limit before it exhausted
-    the class; the message names the limit and its value."""
+class LimitError(SegmentError):
+    """A search stopped at one of its limits, such as a closure at its
+    state or depth limit before it exhausted the class; the message names
+    the limit and its value."""
 
     @classmethod
     def of(cls, report):
@@ -72,12 +73,12 @@ class ClosureLimitError(SegmentError):
 def count_block_closure(M, eta=1, **limits):
     """Independent oracle: breadth-first closure of the tempered block.
 
-    Raises ClosureLimitError when a limit stops the closure.
+    Raises LimitError when a limit stops the closure.
     """
     _check_block(M)
     report = closure(tempered_block(M, eta), **limits)
     if not report.exhausted:
-        raise ClosureLimitError.of(report)
+        raise LimitError.of(report)
     return PacketCount(len(report.psi), CLOSURE)
 
 

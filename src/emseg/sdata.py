@@ -1,9 +1,12 @@
 """Enumeration coordinates for the equivalence class of a block.
 
 An S-tuple splits the column range into weakly increasing intervals, each
-giving a row of circles (a chain); a T-refinement marks upper parts of each
-interval as hats.  Leftover column multiplicity becomes single-circle
-multiples.  Signs follow the odd-alternating assignment.
+giving a row of circles (a chain): at each boundary between columns c and
+c + 1 it makes one choice, to cut (the next interval starts at c + 1), to
+overlap (it starts at c, when the multiplicity of c exceeds one) or to go
+on.  A T-refinement cuts inside each interval, marking its upper parts as
+hats.  Leftover column multiplicity becomes single-circle multiples.  Signs
+follow the odd-alternating assignment.
 
 build and build_labeled share the rows of a block: each distinct row
 (A, B, l, eta) is made once, in the block's row table, and every later
@@ -74,44 +77,37 @@ def trivial_T(S):
     return tuple((iv,) for iv in S)
 
 
+def _splits(lo, hi, nexts):
+    """Every split of the columns lo..hi into intervals, in the order of
+    product(*nexts).  nexts[c - lo] lists, in the order they are tried,
+    where the interval after column c may start: c + 1 (a cut), c (an
+    overlap) or None (the interval goes on)."""
+    for picks in product(*nexts):
+        split, start = [], lo
+        for c, nxt in enumerate(picks, lo):
+            if nxt is not None:
+                split.append((start, c))
+                start = nxt
+        split.append((start, hi))
+        yield tuple(split)
+
+
 def iter_S(M):
     """Yield every valid S-tuple, in generation order.
 
-    Every tuple generated is valid, so none is filtered: each interval
-    starts right after the last one ends, or on its last column when that
-    column's multiplicity exceeds one (an overlap start), and an
-    overlapping interval gets an end e >= nxt > s, so it is wider.  The
-    search is depth first over an explicit stack of lazy sibling
-    iterators, so the tuples stream out one at a time, in O(n) memory for
-    n columns.
+    An S-tuple is one choice at each boundary after a column c < c_max: a
+    cut, an overlap when mult(c) > 1, or going on, tried in that order.
+    Every tuple generated is valid, so none is filtered: an overlap starts
+    the next interval on c and a later boundary or c_max ends it, so it is
+    wider.  The tuples stream out one at a time, in O(n) memory for n
+    columns.
     """
     lo, hi = M.c_min, M.c_max
     if lo > hi:
         yield ()
         return
-
-    def successors(c):
-        """The intervals that may follow one ending at c - 1, in order:
-        those that start at c, then those that start at c - 1."""
-        ends = range(c, hi + 1)
-        if c > lo and M.mult(c - 1) > 1:
-            return chain(zip(repeat(c), ends), zip(repeat(c - 1), ends))
-        return zip(repeat(c), ends)
-
-    prefix = []
-    stack = [successors(lo)]
-    while stack:
-        for iv in stack[-1]:
-            if iv[1] == hi:
-                yield (*prefix, iv)
-            else:
-                prefix.append(iv)
-                stack.append(successors(iv[1] + 1))
-                break
-        else:
-            stack.pop()
-            if prefix:
-                prefix.pop()
+    yield from _splits(lo, hi, [(c + 1, c, None) if M.mult(c) > 1
+                                else (c + 1, None) for c in range(lo, hi)])
 
 
 def enumerate_S(M):
@@ -120,18 +116,14 @@ def enumerate_S(M):
 
 
 def _partitions_of(iv, min_first):
-    """All upward partitions of the interval, first part >= min_first wide.
-
-    The partitions of each upper part [k, b] are built once, from the top
-    down, and shared by every partition that ends with them.
-    """
+    """All upward partitions of the interval, first part >= min_first wide:
+    a cut or not after each column, and none after the first
+    min_first - 1.  The interval must be at least min_first wide, as every
+    interval of iter_S is."""
     a, b = iv
-    tails = {b + 1: [()]}
-    for k in range(b, a, -1):
-        tails[k] = [((k, e),) + rest for e in range(k, b + 1)
-                    for rest in tails[e + 1]]
-    return [((a, e),) + rest for e in range(a + min_first - 1, b + 1)
-            for rest in tails[e + 1]]
+    first = a + min_first - 1
+    return list(_splits(a, b, [(None,) if c < first else (c + 1, None)
+                               for c in range(a, b)]))
 
 
 def iter_ST(M):

@@ -10,7 +10,7 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.core import (
-    RELAXED, Row, SegmentError, multi_segment, parse, render,
+    RELAXED, Row, ScopeError, SegmentError, multi_segment, parse, render,
 )
 
 from conftest import rand_tempered
@@ -27,12 +27,23 @@ class TestBlockTuple:
         assert EMPTY_BLOCK.is_empty
 
     def test_rejects_negative_start(self):
-        with pytest.raises(SegmentError):
+        with pytest.raises(SegmentError, match=r"^c_min must be >= 0$"):
             BlockTuple(-1, (1,))
 
     def test_rejects_zero_multiplicity(self):
-        with pytest.raises(SegmentError):
+        with pytest.raises(SegmentError,
+                           match=r"^multiplicities must be positive$"):
             BlockTuple(0, (1, 0, 1))
+
+    @pytest.mark.parametrize("c_min, mults", [
+        (1.0, (3, 1)), (True, (1,)), (0, (1.0,)), (0, [1, 3]), (0, "13"),
+        (0, (1.5, 3)), (0, (1, True)), (0, None), ("0", (1,))])
+    def test_rejects_fields_of_other_types(self, c_min, mults):
+        """c_min is a plain int and mults a tuple of plain ints: a float,
+        bool, list or string raises ScopeError when the block is made, so
+        no build, enumeration or count ever sees it."""
+        with pytest.raises(ScopeError):
+            BlockTuple(c_min, mults)
 
 
 class TestPredicates:

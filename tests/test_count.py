@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from emseg import core
+import emseg
+from emseg import cli, core
 from emseg.blocks import BlockTuple, block_decompose, tempered_block
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, SegmentError, from_json, make_row,
@@ -66,6 +67,15 @@ class TestClosureCount:
     def test_limit_error(self):
         with pytest.raises(SegmentError):
             count_block_closure(BlockTuple(0, (1, 1, 1)), max_states=2)
+
+    def test_limits_raise_the_one_limit_error(self):
+        """The closure's limits and every exit-2 case of the CLI raise
+        one class, exported as emseg.LimitError."""
+        with pytest.raises(emseg.LimitError, match=(
+                r"^closure hit the state limit \(2 states\)$")):
+            count_block_closure(BlockTuple(0, (1, 1, 1)), max_states=2)
+        assert not [name for name in vars(cli) if name.endswith("LimitError")
+                    and getattr(cli, name) is not emseg.LimitError]
 
 
 class TestBlocksOnly:

@@ -138,6 +138,16 @@ def test_build_makes_each_row_once_per_block():
     assert len(made) == 1 and made == stored
 
 
+def test_splits_of_a_column_range_are_one_walk():
+    """S-tuples and T-refinements are both splits of a run of columns:
+    _splits, one product over the column boundaries, is the only walk
+    that makes them, and sdata.py keeps no hand-written loop beside it."""
+    assert _callers("sdata.py", "_splits") == {"iter_S", "_partitions_of"}
+    path = Path(emseg.__file__).parent / "sdata.py"
+    assert not [node for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.While)]
+
+
 def test_only_core_checks_rows():
     """Rows are checked once, at the boundary in core (make_row, parse,
     from_json and the constructors).  ops, closure, sdata, blocks and the

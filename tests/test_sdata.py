@@ -5,7 +5,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from emseg import core, sdata
 from emseg.blocks import BlockTuple, tempered_block
@@ -16,9 +16,9 @@ from emseg.core import (
 )
 from emseg.count import grid_instances
 from emseg.sdata import (
-    CHAIN, HAT, MULTIPLE, ZCHAIN, build, build_labeled, enumerate_S,
-    enumerate_ST, theta1, theta_family, theta2_matches_theta4, trivial_T,
-    validate_S, validate_T,
+    CHAIN, HAT, MULTIPLE, ZCHAIN, _partitions_of, build, build_labeled,
+    enumerate_S, enumerate_ST, iter_S, iter_ST, theta1, theta_family,
+    theta2_matches_theta4, trivial_T, validate_S, validate_T,
 )
 
 ELEVEN_ROW_M = BlockTuple(0, (1, 1, 3, 1, 1, 3, 1, 1, 3, 1))
@@ -308,6 +308,90 @@ class TestValidByConstruction:
             assert validate_S(M, S) == want, (M, S)
             accepted += want
         assert 500 < accepted < 3500
+
+
+def _reference_iter_S(M):
+    """iter_S as it was before it became a product over column boundaries:
+    a depth-first walk over an explicit stack of lazy sibling iterators."""
+    lo, hi = M.c_min, M.c_max
+    if lo > hi:
+        yield ()
+        return
+
+    def successors(c):
+        ends = range(c, hi + 1)
+        if c > lo and M.mult(c - 1) > 1:
+            return itertools.chain(zip(itertools.repeat(c), ends),
+                                   zip(itertools.repeat(c - 1), ends))
+        return zip(itertools.repeat(c), ends)
+
+    prefix = []
+    stack = [successors(lo)]
+    while stack:
+        for iv in stack[-1]:
+            if iv[1] == hi:
+                yield (*prefix, iv)
+            else:
+                prefix.append(iv)
+                stack.append(successors(iv[1] + 1))
+                break
+        else:
+            stack.pop()
+            if prefix:
+                prefix.pop()
+
+
+def _reference_partitions_of(iv, min_first):
+    """_partitions_of as it was before: a bottom-up table of the
+    partitions of each upper part, shared by every partition ending with
+    it."""
+    a, b = iv
+    tails = {b + 1: [()]}
+    for k in range(b, a, -1):
+        tails[k] = [((k, e),) + rest for e in range(k, b + 1)
+                    for rest in tails[e + 1]]
+    return [((a, e),) + rest for e in range(a + min_first - 1, b + 1)
+            for rest in tails[e + 1]]
+
+
+def _reference_iter_ST(M):
+    return itertools.chain.from_iterable(
+        zip(itertools.repeat(S), itertools.product(*[
+            _reference_partitions_of(iv, 2 if i and S[i - 1][1] == iv[0]
+                                     else 1)
+            for i, iv in enumerate(S)]))
+        for S in _reference_iter_S(M))
+
+
+class TestOneWalkForSplits:
+    """iter_S and _partitions_of are one product over column boundaries;
+    they yield what the two walks they replaced yielded, in the same
+    order."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(st.builds(BlockTuple, st.one_of(st.just(0), st.integers(1, 3)),
+                     st.lists(st.integers(1, 5), max_size=12).map(tuple)))
+    @example(BlockTuple(0, ()))
+    @example(BlockTuple(2, ()))
+    def test_same_members_in_the_same_order(self, M):
+        def head(members):
+            return list(itertools.islice(members, 2000))
+
+        assert head(iter_S(M)) == head(_reference_iter_S(M))
+        if M.c_min == 0:
+            assert head(iter_ST(M)) == head(_reference_iter_ST(M))
+
+    def test_partitions_of_every_reachable_interval(self):
+        """An interval of iter_S is at least one column wide, and at least
+        two when it overlaps the one before, which is when iter_ST asks
+        for a first part of two columns."""
+        for a in (0, 1, 3):
+            for width in range(1, 11):
+                iv = (a, a + width - 1)
+                for min_first in (1, 2) if width > 1 else (1,):
+                    assert (_partitions_of(iv, min_first)
+                            == _reference_partitions_of(iv, min_first)), (
+                        iv, min_first)
 
 
 def _reference_build_labeled(M, S, T, eta):
