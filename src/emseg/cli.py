@@ -147,26 +147,21 @@ def _split(ms, args):
     return OpResult(split_circles(ms, args.k, args.X), True)
 
 
-# Each operator: how many consecutive rows, starting at row k, it acts on
-# (None when it takes no --k), and its call on the symbol and the args.
+# Each operator's call on the symbol and the args; ops checks --k and --X.
 _OPS = {
-    "exchange": (2, lambda ms, args: row_exchange(ms, args.k)),
-    "ui": (2, lambda ms, args: ui(ms, args.k)),
-    "dual": (None, lambda ms, args: OpResult(dual(ms), True)),
-    "dual-ui-dual": (2, lambda ms, args: dual_ui_dual(ms, args.k)),
-    "sort": (None, lambda ms, args: OpResult(to_sorted(ms), True)),
-    "split": (1, _split),
-    "merge": (2, lambda ms, args: merge_hats(ms, args.k)),
+    "exchange": lambda ms, args: row_exchange(ms, args.k),
+    "ui": lambda ms, args: ui(ms, args.k),
+    "dual": lambda ms, args: OpResult(dual(ms), True),
+    "dual-ui-dual": lambda ms, args: dual_ui_dual(ms, args.k),
+    "sort": lambda ms, args: OpResult(to_sorted(ms), True),
+    "split": _split,
+    "merge": lambda ms, args: merge_hats(ms, args.k),
 }
 
 
 def _cmd_apply(args, out):
     ms = _read_ms(args, mode="relaxed" if args.relaxed else "strict")
-    span, call = _OPS[args.op]
-    if span is not None and not 0 <= args.k <= len(ms) - span:
-        raise CliInputError("--k %d is out of range for --op %s on %d rows"
-                            % (args.k, args.op, len(ms)))
-    res = call(ms, args)
+    res = _OPS[args.op](ms, args)
     try:
         shown = (json.dumps(render(res.out)) if args.format == "dsl"
                  else to_json(res.out))
@@ -202,12 +197,7 @@ def _cmd_enumerate(args, out):
     M = _parse_block_tuple(args.M, args.cmin)
     _check_block(M)
     eta = _parse_eta(args.eta)
-    if args.with_T:
-        if M.c_min != 0:
-            raise CliInputError("--with-T needs --cmin 0")
-        members = iter_ST(M)
-    else:
-        members = zip(iter_S(M), repeat(None))
+    members = iter_ST(M) if args.with_T else zip(iter_S(M), repeat(None))
     for S, T in members:
         ms = build(M, S, T, eta)
         record = {"S": [list(iv) for iv in S], "dsl": render(ms)}

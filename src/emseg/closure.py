@@ -31,7 +31,7 @@ from .core import (
     STRICT,
 )
 from .ops import (
-    SegmentError, _result, _supports_nest, dual_parities, dual_row,
+    SegmentError, _integer, _result, _supports_nest, dual_parities, dual_row,
     exchange_pair, pair_ui_type, sort_rows, split_pair, split_points, ui_rows,
 )
 
@@ -287,7 +287,14 @@ def _search(table, seed, moves, max_states, max_depth):
 
 def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     """Breadth-first closure from a strict, non-vanishing seed, under every
-    move, within max_states states and max_depth levels (see _search)."""
+    move, within max_states states and max_depth levels (see _search).
+
+    Each limit must be a plain int (ScopeError otherwise) of at least 0
+    (SegmentError otherwise).
+    """
+    for name, limit in (("max_states", max_states), ("max_depth", max_depth)):
+        if _integer(limit, name) < 0:
+            raise SegmentError("%s must be at least 0, got %d" % (name, limit))
     table = _Rows()
     states, index, exchange_edges, stop = _search(
         table, _seed_ids(table, ms), _moves, max_states, max_depth)

@@ -235,12 +235,7 @@ def arthur_parameter(ms):
     """The multiset of (a, b) = (A+B+1, A-B+1), as a sorted tuple."""
     if not validate(ms, "P"):
         raise SegmentError("multi-segment has an inadmissible order")
-    return _psi(ms.rows)
-
-
-def _psi(rows):
-    """arthur_parameter without the order check, for admissible rows."""
-    return tuple(sorted([(A + B + 1, A - B + 1) for A, B, _, _ in rows]))
+    return tuple(sorted([(A + B + 1, A - B + 1) for A, B, _, _ in ms.rows]))
 
 
 def group_sign(ms):

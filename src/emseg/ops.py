@@ -10,10 +10,13 @@ rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
 and dual_parities (which dual_rows puts together), sort_rows, split_points
 and split_pair.  The operators on multi-segments check their arguments, call
 the core and wrap its rows with _result; the closure search calls the cores
-directly.  No row goes through make_row again: on checked input rows, every
-row a core builds is valid as built, that is A >= B, A + B >= 0, eta = +1
-or -1 and weak-normalized, and only strictness (0 <= 2l <= b) may be lost,
-which _result reads off for the mode:
+directly.  Every row position an operator takes goes through _rows_at, and
+every other integer argument through _integer, its plain-int check.
+
+No row goes through make_row again: on checked input rows, every row a
+core builds is valid as built, that is A >= B, A + B >= 0, eta = +1 or -1
+and weak-normalized, and only strictness (0 <= 2l <= b) may be lost, which
+_result reads off for the mode:
 
 - exchange_pair keeps both supports and only trades (l, eta);
 - ui_rows builds the union [A2, B1] and, but for T3', the intersection
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED,
+    MultiSegment, OrderError, Row, ScopeError, SegmentError, STRICT, RELAXED,
     order_admissible, order_sorted, row_is_strict, weak_normalize,
 )
 
@@ -55,11 +58,22 @@ def _non_nesting(k):
         "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
 
 
-def _row(rows, k):
-    """rows[k], for a row position 0 <= k < len(rows) only."""
-    if not 0 <= k < len(rows):
-        raise SegmentError("no row at position %d" % k)
-    return rows[k]
+def _integer(value, name):
+    """value, when it is a plain int (a bool is not one); ScopeError,
+    naming the argument, otherwise."""
+    if type(value) is not int:
+        raise ScopeError("%s must be an integer, got %r" % (name, value))
+    return value
+
+
+def _rows_at(rows, k, span):
+    """rows[k:k + span], the row (span 1) or the adjacent pair (span 2) at
+    row position k: ScopeError unless k is a plain int, SegmentError
+    unless 0 <= k <= len(rows) - span."""
+    if not 0 <= _integer(k, "a row position") <= len(rows) - span:
+        raise SegmentError("no %s at position %d"
+                           % ("row" if span == 1 else "adjacent pair", k))
+    return rows[k:k + span]
 
 
 def _supports_nest(r1, r2):
@@ -215,30 +229,26 @@ def row_exchange(ms, k):
     If the swapped order would be inadmissible the input is returned with
     applied=False.  The output may be a relaxed symbol.
     """
-    rows = list(ms.rows)
-    if not (0 <= k < len(rows) - 1):
-        raise SegmentError("no adjacent pair at position %d" % k)
-    r1, r2 = rows[k], rows[k + 1]
+    rows = ms.rows
+    r1, r2 = _rows_at(rows, k, 2)
     if not _supports_nest(r1, r2):
         if r2.A > r1.A and r2.B > r1.B:
             return OpResult(ms, False)
         raise _non_nesting(k)
-    rows[k: k + 2] = exchange_pair(r1, r2)
-    return OpResult(_result(rows), True)
+    return OpResult(_result(rows[:k] + exchange_pair(r1, r2) + rows[k + 2:]),
+                    True)
 
 
 def ui_type(ms, k):
-    """The union-intersection type at position k, or None.
+    """The union-intersection type of the adjacent pair at position k, or
+    None; a position with no pair raises as in row_exchange.
 
     Domains: T3' joins two circle rows whose supports abut (B_2 = A_1 + 1)
     into one row.  T1, T2 and T3 keep the intersection [B_2, A_1] as row
     k+1, so they need B_2 <= A_1; strict rows satisfying their equations
     always have it, relaxed rows (l < 0) need not.
     """
-    rows = ms.rows
-    if not (0 <= k < len(rows) - 1):
-        return None
-    return pair_ui_type(rows[k], rows[k + 1])
+    return pair_ui_type(*_rows_at(ms.rows, k, 2))
 
 
 def ui(ms, k):
@@ -246,9 +256,10 @@ def ui(ms, k):
     tag = ui_type(ms, k)
     if tag is None:
         return OpResult(ms, False)
-    rows = list(ms.rows)
-    rows[k: k + 2] = ui_rows(rows[k], rows[k + 1], tag)
-    return OpResult(_result(rows), True, tag)
+    rows = ms.rows
+    return OpResult(
+        _result(rows[:k] + ui_rows(rows[k], rows[k + 1], tag) + rows[k + 2:]),
+        True, tag)
 
 
 def dual(ms):
@@ -276,22 +287,23 @@ def to_sorted(ms):
 def split_circles(ms, k, X):
     """Split the all-circles row k at X; exact inverse of ui type 3'.
 
-    Raises SegmentError when there is no row k, when it has triangles or
-    when X is not one of its split_points, and OrderError when the split
-    leaves an inadmissible order.
+    Raises ScopeError when k or X is not a plain int, SegmentError when
+    there is no row k, when it has triangles or when X is not one of its
+    split_points, and OrderError when the split leaves an inadmissible
+    order.
     """
-    rows = list(ms.rows)
-    r = _row(rows, k)
+    _integer(X, "a split point")
+    r, = _rows_at(ms.rows, k, 1)
     if r.l != 0:
         raise SegmentError("split requires an all-circles row (l = 0)")
     points = split_points(r)
     if X not in points:
         raise SegmentError("split point %d outside [%d,%d)"
                            % (X, points.start, points.stop))
-    rows[k: k + 1] = split_pair(r, X)
+    rows = ms.rows[:k] + split_pair(r, X) + ms.rows[k + 1:]
     if not order_admissible(rows):
         raise OrderError("split at %d leaves an inadmissible order" % X)
-    return MultiSegment._of(tuple(rows), ms.mode)
+    return MultiSegment._of(rows, ms.mode)
 
 
 def merge_condition(r1, r2):
@@ -312,9 +324,7 @@ def merge_hats(ms, k):
     composite is checked against this closed form.
     """
     rows = ms.rows
-    if not (0 <= k < len(rows) - 1):
-        raise SegmentError("no adjacent pair at position %d" % k)
-    r1, r2 = rows[k], rows[k + 1]
+    r1, r2 = _rows_at(rows, k, 2)
     if not (r1.is_hat and r2.is_hat):
         raise SegmentError("merge requires two hats")
     if not order_sorted(rows):
@@ -368,11 +378,11 @@ def op_S(ms, chain, c):
     The row is exchanged down past every following row whose support starts
     at A - c or earlier, split there, and the low part exchanged back up.
     An exchange on the way raises NoExchangeError when the input's order
-    is inadmissible there.
+    is inadmissible there.  Not applied unless 1 <= c < the row's circles.
     """
     rows = ms.rows
-    r = _row(rows, chain)
-    if r.l != 0 or not (1 <= c < r.circles):
+    r, = _rows_at(rows, chain, 1)
+    if not 1 <= _integer(c, "a circle count") < r.circles or r.l != 0:
         return OpResult(ms, False)
     pos = chain
     while pos + 1 < len(rows) and rows[pos + 1].B <= r.A - c:
@@ -387,9 +397,10 @@ def op_U(ms, hat, c):
     the low part exchanged back to its place; the split does not apply
     when the hat keeps a triangle at the bottom.  An exchange on the way
     raises NoExchangeError when the input's order is inadmissible there.
+    Not applied unless 1 <= c < the hat's circles.
     """
-    h = _row(ms.rows, hat)
-    if not h.is_hat or not (1 <= c < h.circles):
+    h, = _rows_at(ms.rows, hat, 1)
+    if not 1 <= _integer(c, "a circle count") < h.circles or not h.is_hat:
         return OpResult(ms, False)
     return _split_moved(ms, hat, len(ms.rows) - 1, c)
 
@@ -401,8 +412,8 @@ def op_D(ms, hat, target):
     Computed as dual, exchanges, type-3' ui, exchanges, dual.
     """
     rows = ms.rows
-    h = _row(rows, hat)
-    r = _row(rows, target)
+    h, = _rows_at(rows, hat, 1)
+    r, = _rows_at(rows, target, 1)
     if not h.is_hat or target <= hat:
         return OpResult(ms, False)
     if r.l != 0 or r.A != h.l - 1:

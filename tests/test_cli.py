@@ -151,16 +151,20 @@ class TestApply:
         assert code == EXIT_INVALID
 
     def test_k_outside_the_rows_is_invalid(self):
+        """The position error comes from ops: the split acts on one row,
+        every other operator on the adjacent pair at --k."""
         two_rows = "[0,0;0;+][1,1;0;-]"
         for op in ("exchange", "ui", "dual-ui-dual", "merge", "split"):
+            at = "row" if op == "split" else "adjacent pair"
             for k in ("-5", "-1", "2"):
                 code, out, err = invoke("apply", "--op", op, "--k", k,
                                         "--X", "0", "--dsl", two_rows)
                 assert (code, out) == (EXIT_INVALID, ""), (op, k)
-                assert "--k" in err
+                assert err == "error: no %s at position %s\n" % (at, k)
         code, _, err = invoke("apply", "--op", "ui", "--k", "1",
                               "--dsl", two_rows)
-        assert code == EXIT_INVALID and "--k" in err
+        assert code == EXIT_INVALID
+        assert err == "error: no adjacent pair at position 1\n"
 
 
 class TestBlocksVerb:

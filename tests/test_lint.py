@@ -187,3 +187,32 @@ def test_cli_reads_integers_in_one_place():
     assert not [kw for kw in ast.walk(ast.parse(path.read_text()))
                 if isinstance(kw, ast.keyword) and kw.arg == "type"
                 and isinstance(kw.value, ast.Name) and kw.value.id == "int"]
+
+
+def test_operator_positions_are_checked_in_one_place():
+    """Every operator of ops that takes a row position after the symbol
+    checks it with _rows_at: directly, or through the operator it hands
+    the position to (ui through ui_type, dual_ui_dual through ui)."""
+    path = Path(emseg.__file__).parent / "ops.py"
+    takers = {node.name for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef)
+              and not node.name.startswith("_")
+              and [a.arg for a in node.args.args][:1] == ["ms"]
+              and len(node.args.args) > 1}
+    assert takers == {"row_exchange", "ui_type", "ui", "dual_ui_dual",
+                      "merge_hats", "split_circles", "op_S", "op_U", "op_D"}
+    checked = _callers("ops.py", "_rows_at")
+    assert checked == takers - {"ui", "dual_ui_dual"}
+    assert "ui" in _callers("ops.py", "ui_type")
+    assert "dual_ui_dual" in _callers("ops.py", "ui")
+
+
+def test_cli_leaves_operator_positions_to_ops():
+    """apply hands --k to the operator as it is: _cmd_apply measures no
+    row count, and _OPS holds only each operator's call, no arity."""
+    assert "_cmd_apply" not in _callers("cli.py", "len")
+    path = Path(emseg.__file__).parent / "cli.py"
+    ops_table = next(node.value for node in ast.parse(path.read_text()).body
+                     if isinstance(node, ast.Assign)
+                     and ast.unparse(node.targets[0]) == "_OPS")
+    assert not [v for v in ops_table.values if isinstance(v, ast.Tuple)]

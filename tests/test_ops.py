@@ -6,14 +6,16 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from emseg.core import (
-    RELAXED, STRICT, MultiSegment, OrderError, Row, SegmentError,
+    RELAXED, STRICT, MultiSegment, OrderError, Row, ScopeError, SegmentError,
     arthur_parameter, check_star, group_sign, make_row, multi_segment, parse,
     render, validate,
 )
 from emseg.blocks import BlockTuple, remove_column
-from emseg.closure import neighbors
+from emseg.closure import are_equivalent, closure, neighbors
+from emseg.count import count_block_closure
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
     merge_condition, merge_hats, op_D, op_S, op_U, row_exchange,
@@ -231,6 +233,73 @@ class TestRowPositions:
     def test_composites(self, op, dsl, args, k):
         with pytest.raises(SegmentError, match="^no row at position %d$" % k):
             op(parse(dsl), *args(k))
+
+
+class TestLibraryBoundaryFuzz:
+    """Every row position, split point, circle count and closure limit the
+    library takes, drawn valid or wrong: each call returns, or raises a
+    SegmentError with a message, and no argument that is not a plain int
+    is ever acted on."""
+
+    # Valid states on which each operator below applies at some position.
+    SEEDS = ("[0,0;0;+][1,1;0;-][1,1;0;-]", "[2,-2;2;+][1,-1;1;-]",
+             "[1,-1;1;-][0,0;0;+]", "[2,-1;1;-][0,0;0;-]", "[3,0;0;+]",
+             "[1,-1;1;+][0,0;0;-]", "[0,0;0;+][3,1;0;-]")
+
+    # Wrong arguments: wrong-typed, negative or past every symbol.
+    WRONG = (True, False, 0.0, 1.5, float("nan"), -1, -4, 10 ** 30, "0",
+             "1", None, [0], [1, 2])
+
+    # Each call and the kinds of its arguments after the symbol.
+    CALLS = {
+        "row_exchange": (row_exchange, ("pair",)),
+        "ui_type": (ui_type, ("pair",)),
+        "ui": (ui, ("pair",)),
+        "dual_ui_dual": (dual_ui_dual, ("pair",)),
+        "merge_hats": (merge_hats, ("pair",)),
+        "split_circles": (split_circles, ("row", "point")),
+        "op_S": (op_S, ("row", "count")),
+        "op_U": (op_U, ("row", "count")),
+        "op_D": (op_D, ("row", "row")),
+        "closure": (closure, ("limit", "limit")),
+        "are_equivalent": (lambda ms, *limits: are_equivalent(ms, ms, *limits),
+                           ("limit", "limit")),
+        "count_block_closure": (
+            lambda ms, states, depth: count_block_closure(
+                BlockTuple(0, (1, 3, 1)), max_states=states, max_depth=depth),
+            ("limit", "limit")),
+    }
+
+    @staticmethod
+    def _valid(kind, n):
+        """The valid arguments of a kind on a symbol of n rows."""
+        if kind == "pair":
+            return st.integers(0, n - 2) if n > 1 else st.nothing()
+        return {"row": st.integers(0, n - 1), "point": st.integers(-1, 4),
+                "count": st.integers(0, 4), "limit": st.integers(0, 6)}[kind]
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_returns_or_raises_a_segment_error(self, name, data):
+        call, kinds = self.CALLS[name]
+        ms = parse(data.draw(st.sampled_from(self.SEEDS), "symbol"))
+        drawn = [data.draw(st.one_of(
+            self._valid(kind, len(ms)).map(lambda v: (v, True)),
+            st.sampled_from(self.WRONG).map(lambda v: (v, False))), kind)
+            for kind in kinds]
+        args = [v for v, _ in drawn]
+        not_ints = [v for v in args if type(v) is not int]
+        try:
+            call(ms, *args)
+        except SegmentError as e:
+            assert str(e)
+            if not_ints and sum(not valid for _, valid in drawn) == 1:
+                assert type(e) is ScopeError, (name, args, e)
+                assert str(e).endswith("must be an integer, got %r"
+                                       % not_ints[0])
+            return
+        assert not not_ints, (name, render(ms), args)
 
 
 class TestMergeHats:
