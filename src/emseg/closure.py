@@ -7,32 +7,35 @@ quotient out row exchanges and give the packet-level node set.
 
 closure and canonical share one breadth-first loop, _search: closure runs
 it over every move within its limits, canonical over the row exchanges
-alone with no limit.  neighbors and exchange_neighbors list the moves of
-one state.  Each of the four keeps one row table, _Rows, for the length of
-its call.  The table gives each distinct row a small int id the first time
-the search meets it and works out, once per id, what the search asks of a
-row: whether it is strict and non-vanishing, its DSL item, its (a, b), its
-split pairs and its dual under each parity; and, once per adjacent pair of
-ids, its row exchange and its union-intersection.  The formulas stay in
-the row-level cores of ops; the table only keeps their results.
+alone with no limit; only closure keeps the exchange edges of each
+state.  neighbors and exchange_neighbors list the moves of one state.
+Each of the four keeps one row table, _Rows, for the length of its call,
+made from the seed.  The table gives each distinct row a small int id the
+first time the search meets it and works out, once per id, what the
+search asks of a row: whether it is strict and non-vanishing, its DSL
+item, its (a, b), A and B, its split pairs and its dual (one per id,
+since every move keeps the parity that picks it); and, once per adjacent
+pair of ids, its row exchange and its union-intersection.  The formulas
+stay in the row-level cores of ops; the table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
-candidate tuple of ids.  The candidate is looked up among the visited
-states first, and only a new one is checked, by the flags of the ids the
-move may have changed (see _valid_move).  A canonical key joins the DSL
-items of its ids, and an Arthur parameter sorts their (a, b).
+candidate tuple of ids, the dual-conjugated ones too: their sort back to
+(P') order is a walk of at most one row by the table's exchanges.  The
+candidate is looked up among the visited states first, and only a new
+one is checked, by the flags of the ids the move may have changed (see
+_valid_move).  A canonical key joins the DSL items of its ids.  Row
+exchanges keep the supports, so the Arthur parameter, which sorts the
+(a, b) of the ids, is taken once per exchange class.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import inf
 
-from .core import (
-    MultiSegment, order_admissible, order_sorted, render, row_is_strict,
-    STRICT,
-)
+from .core import MultiSegment, order_admissible, render, row_is_strict, STRICT
 from .ops import (
-    SegmentError, _integer, _result, _supports_nest, dual_parities, dual_row,
-    exchange_pair, pair_ui_type, sort_rows, split_pair, split_points, ui_rows,
+    SegmentError, _limit, _result, _supports_nest, dual_flip, dual_row,
+    exchange_pair, pair_ui_type, split_pair, split_points, ui_rows,
 )
 
 
@@ -69,17 +72,35 @@ def _valid_state(rows):
 
 class _Rows:
     """The row table of one search: an id per distinct row met, and what
-    each id and each adjacent pair of ids gives, worked out on first use."""
+    each id and each adjacent pair of ids gives, worked out on first use.
 
-    def __init__(self):
+    Every move keeps the parity of the sum of a over the rows (an
+    exchange keeps both supports, a T1, T2 or T3 ui keeps a1 + a2, a T3'
+    ui and a split change the sum by an even number, and the dual's sum
+    of b is the sum of a less twice the sum of B), so each id's dual_flip
+    is the same in every state of the search, and the table keeps one
+    dual per id, at the seed's total."""
+
+    def __init__(self, seed):
+        """The table of a search from the rows seed, whose ids are
+        self.seed."""
         self.index = {}     # row -> id
         self.rows = []      # id -> row
         self.ok = []        # id -> _row_ok
         self.text = []      # id -> DSL item, as bytes
         self.ab = []        # id -> (a, b)
+        self.A = []         # id -> A, for the splits that keep (P)
+        self.B = []         # id -> B, for them and the (P') order
         self.splits = []    # id -> (split_points, {X: split pair ids})
-        self.duals = []     # id -> [dual id at even parity, at odd parity]
-        self.pairs = {}     # (id, id) -> (exchange ids, ui ids), see pair
+        self.duals = []     # id -> dual id, None until asked for
+        self.pairs = []     # id i -> {id j: (exchange ids, ui ids)}, see pair
+        self.seed = self.ids(seed)
+
+    @cached_property
+    def total(self):
+        """The sum of a over the seed, dual_flip's total for every state;
+        taken when the first dual is, since canonical takes none."""
+        return sum(self.ab[i][0] for i in self.seed)
 
     def id(self, row):
         """The id of row; a row met for the first time gets the next one."""
@@ -90,8 +111,11 @@ class _Rows:
             self.ok.append(_row_ok(row))
             self.text.append(render(MultiSegment._of((row,), STRICT)).encode())
             self.ab.append((row.a, row.b))
+            self.A.append(row.A)
+            self.B.append(row.B)
             self.splits.append((split_points(row), {}))
-            self.duals.append([None, None])
+            self.duals.append(None)
+            self.pairs.append({})
         return i
 
     def ids(self, rows):
@@ -106,7 +130,7 @@ class _Rows:
         gives when the supports nest and the exchange changes the pair, and
         the ids ui_rows gives when the pair has a union-intersection type;
         each None otherwise."""
-        entry = self.pairs.get((i, j))
+        entry = self.pairs[i].get(j)
         if entry is None:
             r1, r2 = self.rows[i], self.rows[j]
             exchanged = None
@@ -116,7 +140,7 @@ class _Rows:
                     exchanged = None
             tag = pair_ui_type(r1, r2)
             united = None if tag is None else self.ids(ui_rows(r1, r2, tag))
-            entry = self.pairs[i, j] = exchanged, united
+            entry = self.pairs[i][j] = exchanged, united
         return entry
 
     def split(self, i, X):
@@ -127,15 +151,17 @@ class _Rows:
         return made[X]
 
     def dual(self, ids):
-        """The ids of dual_rows of (P')-sorted ids: each id's dual_row at
-        its dual_parities, read off the table."""
-        out = []
-        for i, flip in zip(ids, dual_parities([self.ab[i][0] for i in ids])):
-            j = self.duals[i][flip]
-            if j is None:
-                j = self.duals[i][flip] = self.id(dual_row(self.rows[i], flip))
-            out.append(j)
-        return tuple(reversed(out))
+        """The ids of dual_rows of (P')-sorted ids of a state of the
+        search: each id's dual, read off the table."""
+        duals = self.duals
+        out = [duals[i] for i in reversed(ids)]
+        if None in out:
+            for i in ids:
+                if duals[i] is None:
+                    r = self.rows[i]
+                    duals[i] = self.id(dual_row(r, dual_flip(self.total, r.a)))
+            out = [duals[i] for i in reversed(ids)]
+        return tuple(out)
 
     def key(self, ids):
         """The serialized row list; canonical keys are the least of these."""
@@ -151,7 +177,7 @@ def _valid_move(table, ids, lo, hi):
     - an exchange swaps a nesting pair, which (P) allows in either order;
     - a ui's union [A2, B1] and intersection [A1, B2] may stand before
       (after) every row that both old rows could stand before (after);
-    - _local_moves yields only the splits that keep (P);
+    - _split_moves yields only the splits that keep (P);
     - a dual-conjugated output is (P')-sorted, as every dual is.
     """
     return all(map(table.ok.__getitem__, ids[lo:hi]))
@@ -165,29 +191,48 @@ def _exchange_moves(table, ids):
             yield ids[:k] + exchanged + ids[k + 2:], k, k + 2, True
 
 
-def _local_moves(table, ids):
-    """Every ui, then every split that keeps the (P)-admissible rows
-    admissible, as (ids, lo, hi, False)."""
+def _ui_moves(table, ids):
+    """Every ui, as (ids, lo, hi, False)."""
     for k in range(len(ids) - 1):
         united = table.pair(ids[k], ids[k + 1])[1]
         if united is not None:
             yield ids[:k] + united + ids[k + 2:], k, k + len(united), False
-    rows, splits = table.rows, table.splits
+
+
+def _split_moves(table, ids):
+    """Every split that keeps the (P)-admissible rows admissible, as
+    (ids, lo, hi, False): the low part at lo, the high part at lo + 1."""
+    A, B, splits = table.A, table.B, table.splits
     for k, i in enumerate(ids):
         points = splits[i][0]
         if points:
-            r = rows[i]
             # Of the pairs [X, B] and [A, X + 1] form with the other rows
             # only two kinds can break (P): an earlier row with a larger B
             # that ends after X, and a later row with a smaller A that
             # starts at or before X.
-            before = map(rows.__getitem__, ids[:k])
-            after = map(rows.__getitem__, ids[k + 1:])
-            low = max([points.start] + [s.A for s in before if s.B > r.B])
-            high = min([points.stop] + [s.B for s in after if s.A < r.A])
+            a, b = A[i], B[i]
+            low = max([points.start] + [A[j] for j in ids[:k] if B[j] > b])
+            high = min([points.stop] + [B[j] for j in ids[k + 1:] if A[j] < a])
             for X in range(low, high):
                 cand = ids[:k] + table.split(i, X) + ids[k + 1:]
                 yield cand, k, k + 2, False
+
+
+def _high_part_sorted(table, ids, k):
+    """The (P')-sorted ids of a split of (P')-sorted ids whose high part
+    [A, X + 1], at k, is the one row out of place: the high part exchanged
+    right past every row with a smaller B.  Each of them nests with it, so
+    the exchange applies: _split_moves keeps (P), so a later row that
+    starts at or before X ends at or after A."""
+    B, pair = table.B, table.pair
+    high = ids[k]
+    passed = []
+    j = k + 1
+    while j < len(ids) and B[high] > B[ids[j]]:
+        row, high = pair(high, ids[j])[0]
+        passed.append(row)
+        j += 1
+    return ids[:k] + tuple(passed) + (high,) + ids[j:]
 
 
 def _moves(table, ids):
@@ -197,17 +242,32 @@ def _moves(table, ids):
     tells the row exchanges from the other moves.
 
     Exchanges come first, then the ui and split moves, then, when the rows
-    are (P')-sorted, the ui and split moves of the dual taken back by
-    sorting and dualizing.  A dual-conjugated candidate is new throughout.
+    are (P')-sorted, the ui and split moves of the dual, each taken back by
+    sorting it with row exchanges and dualizing.  The dual is (P')-sorted,
+    and a move of it needs at most one row moved to be sorted again:
+    - a ui keeps the order as it is: the union [A2, B1] takes the place
+      of B1 and the intersection [A1, B2] that of B2, and a T3' union
+      leaves out B2;
+    - a split keeps its low part [X, B] where B stood, and only its high
+      part [A, X + 1] may stand before rows with a smaller B; it is
+      exchanged right past them, each of which nests with it (see
+      _high_part_sorted), so no dual split is dropped.
+    A dual-conjugated candidate is new throughout.
     """
     yield from _exchange_moves(table, ids)
-    yield from _local_moves(table, ids)
-    if not order_sorted([table.rows[i] for i in ids]):
+    yield from _ui_moves(table, ids)
+    yield from _split_moves(table, ids)
+    B = table.B
+    Bs = [B[i] for i in ids]
+    if Bs != sorted(Bs):  # not in (P') order
         return
-    for moved, _, _, _ in _local_moves(table, table.dual(ids)):
-        moved = [table.rows[i] for i in moved]
-        if sort_rows(moved) is None:
-            yield table.dual(table.ids(moved)), 0, len(moved), False
+    dual = table.dual
+    flipped = dual(ids)
+    for moved, _, _, _ in _ui_moves(table, flipped):
+        yield dual(moved), 0, len(moved), False
+    for moved, k, _, _ in _split_moves(table, flipped):
+        moved = _high_part_sorted(table, moved, k + 1)
+        yield dual(moved), 0, len(moved), False
 
 
 def _as_multisegment(table, ids):
@@ -217,28 +277,28 @@ def _as_multisegment(table, ids):
 
 def exchange_neighbors(ms):
     """Results of every applicable row exchange."""
-    table = _Rows()
+    table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _exchange_moves(table, table.ids(ms.rows))]
+            for cand, _, _, _ in _exchange_moves(table, table.seed)]
 
 
 def neighbors(ms):
     """All single operator moves, filtered to valid strict states."""
-    table = _Rows()
+    table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _moves(table, table.ids(ms.rows))
+            for cand, _, _, _ in _moves(table, table.seed)
             if _valid_state([table.rows[i] for i in cand])]
 
 
-def _seed_ids(table, ms):
-    """The ids of the rows of ms, which must be a valid state."""
+def _seed_table(ms):
+    """The row table of a search from ms, which must be a valid state."""
     if not _valid_state(ms.rows):
         raise SegmentError("closure seed must be strict, admissible and non-vanishing")
-    return table.ids(ms.rows)
+    return _Rows(ms.rows)
 
 
-def _search(table, seed, moves, max_states, max_depth):
-    """Breadth-first search from the seed ids over moves(table, ids):
+def _search(table, moves, max_states, max_depth, edges):
+    """Breadth-first search from table.seed over moves(table, ids):
     (states, index, exchange_edges, stop).
 
     Each state is one tuple of ids, both its key in index and its entry in
@@ -246,21 +306,22 @@ def _search(table, seed, moves, max_states, max_depth):
     checked; a miss is checked with _valid_move, which looks only at what
     the move changed.  The search stops at the first new valid state past
     max_states, or after max_depth levels; stop says which, or is
-    "exhausted".
+    "exhausted".  exchange_edges is None unless edges is true.
     """
     # States are expanded in the order they are found, so states[start:]
     # is the frontier and exchange_edges[i] belongs to states[i].  A state
     # left mid-expansion by the state limit gets no entry.
+    seed = table.seed
     states = [seed]
     index = {seed: 0}
-    exchange_edges = []
+    exchange_edges = [] if edges else None
     full = False
     depth = 0
     start = 0
     while start < len(states) and not full and depth < max_depth:
         end = len(states)
         for ids in states[start:end]:
-            edges = []
+            found = [] if edges else None
             for cand, lo, hi, exchange in moves(table, ids):
                 j = index.get(cand)
                 if j is None:
@@ -273,11 +334,12 @@ def _search(table, seed, moves, max_states, max_depth):
                     j = len(states)
                     index[cand] = j
                     states.append(cand)
-                if exchange:
-                    edges.append(j)
+                if exchange and edges:
+                    found.append(j)
             if full:
                 break
-            exchange_edges.append(edges)
+            if edges:
+                exchange_edges.append(found)
         start = end
         depth += 1
     stop = ("states" if full else "exhausted" if start >= len(states)
@@ -292,20 +354,22 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     Each limit must be a plain int (ScopeError otherwise) of at least 0
     (SegmentError otherwise).
     """
-    for name, limit in (("max_states", max_states), ("max_depth", max_depth)):
-        if _integer(limit, name) < 0:
-            raise SegmentError("%s must be at least 0, got %d" % (name, limit))
-    table = _Rows()
+    _limit(max_states, "max_states")
+    _limit(max_depth, "max_depth")
+    table = _seed_table(ms)
     states, index, exchange_edges, stop = _search(
-        table, _seed_ids(table, ms), _moves, max_states, max_depth)
-    nodes = frozenset(_component_keys(table, states, index, exchange_edges))
-    psi = frozenset(tuple(sorted(map(table.ab.__getitem__, s)))
-                    for s in states)
-    return ClosureReport(nodes, psi, len(states), stop, max_states, max_depth)
+        table, _moves, max_states, max_depth, True)
+    keys = _component_keys(table, states, index, exchange_edges)
+    # Row exchanges keep the supports, so psi is one per component.
+    ab = table.ab.__getitem__
+    psi = frozenset(tuple(sorted(map(ab, states[root]))) for root in keys)
+    return ClosureReport(frozenset(keys.values()), psi, len(states), stop,
+                         max_states, max_depth)
 
 
 def _component_keys(table, states, index, exchange_edges):
-    """Canonical key per row-exchange component among the visited states.
+    """The canonical key of each row-exchange component among the visited
+    states, as {index of a state of the component: key}.
 
     exchange_edges holds the edges of the states the search expanded in
     full; the edges of the others are looked up here.
@@ -330,15 +394,15 @@ def _component_keys(table, states, index, exchange_edges):
     for i, s in enumerate(states):
         root, key = find(i), table.key(s)
         best[root] = min(best.get(root, key), key)
-    return best.values()
+    return best
 
 
 def canonical(ms):
     """Least serialized row list over the valid states reachable by row
     exchanges: the key closure gives the class of ms.  Raises closure's
     SegmentError when ms is not a valid state."""
-    table = _Rows()
-    states = _search(table, _seed_ids(table, ms), _exchange_moves, inf, inf)[0]
+    table = _seed_table(ms)
+    states = _search(table, _exchange_moves, inf, inf, False)[0]
     return min(map(table.key, states))
 
 

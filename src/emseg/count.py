@@ -7,6 +7,7 @@ from itertools import repeat
 from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
 from .closure import closure
 from .core import SegmentError, arthur_parameter
+from .ops import _limit
 from .sdata import build, iter_S, iter_ST
 
 RECURSION, ENUMERATION, CLOSURE = "recursion", "enumeration", "closure"
@@ -111,7 +112,14 @@ def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
     every c_min in turn.  A multiplicity above the rows left fits no
     instance, so the choices stop there.  The walk keeps one lazy sibling
     iterator per column, so a caller that stops early has made only the
-    instances it took."""
+    instances it took.
+
+    Each bound must be a plain int (ScopeError otherwise) of at least 0
+    (SegmentError otherwise), checked when the first instance is asked
+    for."""
+    for name, bound in (("max_len", max_len), ("max_mult", max_mult),
+                        ("max_cmin", max_cmin), ("max_rows", max_rows)):
+        _limit(bound, name)
     prefix, left = [], max_rows
     stack = [iter(range(1, min(max_mult, left) + 1, 2))] if max_len else []
     while stack:

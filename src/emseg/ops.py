@@ -7,7 +7,7 @@ chains of plain row exchanges.
 
 Each operator's formula lives once, in a row-level core that maps plain
 rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
-and dual_parities (which dual_rows puts together), sort_rows, split_points
+and dual_flip (which dual_rows puts together), sort_rows, split_points
 and split_pair.  The operators on multi-segments check their arguments, call
 the core and wrap its rows with _result; the closure search calls the cores
 directly.  Every row position an operator takes goes through _rows_at, and
@@ -58,6 +58,15 @@ def _non_nesting(k):
         "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
 
 
+def _shown(n):
+    """The int n as a message shows it: in decimal, or by its size when
+    str() refuses it (past sys.get_int_max_str_digits() digits)."""
+    try:
+        return str(n)
+    except ValueError:
+        return "<%s%d-bit integer>" % ("-" if n < 0 else "", n.bit_length())
+
+
 def _integer(value, name):
     """value, when it is a plain int (a bool is not one); ScopeError,
     naming the argument, otherwise."""
@@ -66,13 +75,24 @@ def _integer(value, name):
     return value
 
 
+def _limit(value, name):
+    """value, when it is a plain int of at least 0, such as a search limit
+    or a grid bound: ScopeError, naming the argument, when it is not a
+    plain int, and SegmentError when it is negative."""
+    if _integer(value, name) < 0:
+        raise SegmentError("%s must be at least 0, got %s"
+                           % (name, _shown(value)))
+    return value
+
+
 def _rows_at(rows, k, span):
     """rows[k:k + span], the row (span 1) or the adjacent pair (span 2) at
     row position k: ScopeError unless k is a plain int, SegmentError
     unless 0 <= k <= len(rows) - span."""
     if not 0 <= _integer(k, "a row position") <= len(rows) - span:
-        raise SegmentError("no %s at position %d"
-                           % ("row" if span == 1 else "adjacent pair", k))
+        raise SegmentError("no %s at position %s"
+                           % ("row" if span == 1 else "adjacent pair",
+                              _shown(k)))
     return rows[k:k + span]
 
 
@@ -172,20 +192,20 @@ def dual_row(row, flip):
     return weak_normalize(Row(A, -B, l + B, -eta if flip else eta))
 
 
-def dual_parities(a):
-    """The parity at which dual_rows takes the dual_row of each of the
-    (P')-sorted rows with these a: that of alpha + beta, where alpha sums
-    a over the rows before and beta sums b over the rows after.  Since
-    b = a - 2B, it is the parity of the sum of a over the other rows."""
-    total = sum(a)
-    return [(total - x) & 1 for x in a]
+def dual_flip(total, a):
+    """The parity at which dual_rows takes the dual_row of a row with this
+    a among (P')-sorted rows whose a sum to total: that of alpha + beta,
+    where alpha sums a over the rows before and beta sums b over the rows
+    after.  Since b = a - 2B, it is the parity of the sum of a over the
+    other rows, so only the parity of total matters."""
+    return (total - a) & 1
 
 
 def dual_rows(rows):
     """The dual of (P')-sorted rows: reversed, each row's dual_row at its
-    dual_parities."""
-    flips = dual_parities([r.a for r in rows])
-    return [dual_row(r, flip) for r, flip in zip(rows, flips)][::-1]
+    dual_flip."""
+    total = sum(r.a for r in rows)
+    return [dual_row(r, dual_flip(total, r.a)) for r in rows][::-1]
 
 
 def sort_rows(rows):
@@ -298,11 +318,12 @@ def split_circles(ms, k, X):
         raise SegmentError("split requires an all-circles row (l = 0)")
     points = split_points(r)
     if X not in points:
-        raise SegmentError("split point %d outside [%d,%d)"
-                           % (X, points.start, points.stop))
+        raise SegmentError("split point %s outside [%s,%s)" % tuple(
+            map(_shown, (X, points.start, points.stop))))
     rows = ms.rows[:k] + split_pair(r, X) + ms.rows[k + 1:]
     if not order_admissible(rows):
-        raise OrderError("split at %d leaves an inadmissible order" % X)
+        raise OrderError("split at %s leaves an inadmissible order"
+                         % _shown(X))
     return MultiSegment._of(rows, ms.mode)
 
 

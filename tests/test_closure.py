@@ -224,9 +224,8 @@ class TestAgainstReference:
         are closure's nodes."""
         start = time.perf_counter()
         for seed in self.SEEDS:
-            table = _Rows()
-            states, _, _, stop = _search(table, table.ids(seed.rows), _moves,
-                                         inf, inf)
+            table = _Rows(seed.rows)
+            states, _, _, stop = _search(table, _moves, inf, inf, True)
             assert stop == "exhausted"
             members = {ms.rows: ms for ms in (
                 MultiSegment(tuple(table.rows[i] for i in s)) for s in states)}
@@ -338,9 +337,9 @@ class TestNeighbors:
 
 def _candidates(ms):
     """Every move of ms as a multi-segment, before the validity filter."""
-    table = _Rows()
+    table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _moves(table, table.ids(ms.rows))]
+            for cand, _, _, _ in _moves(table, table.seed)]
 
 
 class TestCandidateModes:
@@ -428,8 +427,8 @@ def _table_moves(ms):
     """The table, the ids of ms and the moves _moves gives on them, with
     each candidate mapped back to rows: (table, ids, [(rows, cand, lo,
     hi)])."""
-    table = _Rows()
-    ids = table.ids(ms.rows)
+    table = _Rows(ms.rows)
+    ids = table.seed
     return table, ids, [(tuple(table.rows[i] for i in cand), cand, lo, hi)
                         for cand, lo, hi, _ in _moves(table, ids)]
 
@@ -470,15 +469,19 @@ class TestMoves:
     @given(st.randoms(use_true_random=False))
     def test_moves_keep_the_invariants(self, rand):
         """On a strict, non-vanishing, sorted state every _moves candidate
-        keeps the sum of a * b over the rows, and every row exchange keeps
-        the multiset psi of (a, b)."""
+        keeps the sum of a * b over the rows and the parity of the sum of
+        a, which fixes each row's dual_flip for the whole search (_Rows
+        keeps one dual per id); every row exchange keeps the multiset psi
+        of (a, b), so psi is one per exchange class."""
         ms = rand_sorted_ms(rand, require_star=True)
-        table = _Rows()
+        table = _Rows(ms.rows)
         area = sum(r.a * r.b for r in ms.rows)
+        parity = sum(r.a for r in ms.rows) % 2
         psi = sorted((r.a, r.b) for r in ms.rows)
-        for cand, _, _, exchange in _moves(table, table.ids(ms.rows)):
+        for cand, _, _, exchange in _moves(table, table.seed):
             rows = [table.rows[i] for i in cand]
             assert sum(r.a * r.b for r in rows) == area, (ms, rows)
+            assert sum(r.a for r in rows) % 2 == parity, (ms, rows)
             if exchange:
                 assert sorted((r.a, r.b) for r in rows) == psi, (ms, rows)
 

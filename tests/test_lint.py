@@ -216,3 +216,41 @@ def test_cli_leaves_operator_positions_to_ops():
                      if isinstance(node, ast.Assign)
                      and ast.unparse(node.targets[0]) == "_OPS")
     assert not [v for v in ops_table.values if isinstance(v, ast.Tuple)]
+
+
+def _imported(name):
+    """The names the module `name` imports."""
+    path = Path(emseg.__file__).parent / name
+    return {alias.asname or alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names}
+
+
+def test_closure_sorts_and_dualizes_on_ids():
+    """The dual-conjugated moves stay on row ids: closure.py sorts no rows
+    with sort_rows, tests no (P') order with order_sorted and sums no
+    parities with a per-state dual_parities."""
+    assert not _imported("closure.py") & {
+        "sort_rows", "order_sorted", "dual_parities"}
+
+
+def test_dual_flip_rule_lives_in_ops():
+    """ops.dual_flip is the one statement of the parity at which a row is
+    dualized: only ops.py defines it, every dual_row call takes its flip
+    from it, and closure.py takes no parity of its own."""
+    calls = 0
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(), str(p))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        assert ("dual_flip" in defined) == (p.name == "ops.py"), p.name
+        for node in ast.walk(tree):
+            if _is_call_of(node, "dual_row"):
+                assert _is_call_of(node.args[1], "dual_flip"), p.name
+                calls += 1
+        if p.name == "closure.py":
+            assert not [node for node in ast.walk(tree)
+                        if isinstance(node, ast.BinOp)
+                        and isinstance(node.op, (ast.BitAnd, ast.Mod))]
+    assert calls == 2

@@ -4,6 +4,7 @@ import random
 import re
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,9 @@ from emseg.core import (
 )
 from emseg.blocks import BlockTuple, remove_column
 from emseg.closure import are_equivalent, closure, neighbors
-from emseg.count import count_block_closure
+from emseg.count import (
+    count_block_closure, grid_instances, iter_grid, verify_grid,
+)
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
     merge_condition, merge_hats, op_D, op_S, op_U, row_exchange,
@@ -235,11 +238,16 @@ class TestRowPositions:
             op(parse(dsl), *args(k))
 
 
+def _grid_bounds(bounds):
+    """The iter_grid keywords of four bounds, in its order."""
+    return dict(zip(("max_len", "max_mult", "max_cmin", "max_rows"), bounds))
+
+
 class TestLibraryBoundaryFuzz:
-    """Every row position, split point, circle count and closure limit the
-    library takes, drawn valid or wrong: each call returns, or raises a
-    SegmentError with a message, and no argument that is not a plain int
-    is ever acted on."""
+    """Every row position, split point, circle count, closure limit and
+    grid bound the library takes, drawn valid or wrong: each call returns,
+    or raises a SegmentError with a message, and no argument that is not
+    a plain int is ever acted on."""
 
     # Valid states on which each operator below applies at some position.
     SEEDS = ("[0,0;0;+][1,1;0;-][1,1;0;-]", "[2,-2;2;+][1,-1;1;-]",
@@ -247,8 +255,9 @@ class TestLibraryBoundaryFuzz:
              "[1,-1;1;+][0,0;0;-]", "[0,0;0;+][3,1;0;-]")
 
     # Wrong arguments: wrong-typed, negative or past every symbol.
-    WRONG = (True, False, 0.0, 1.5, float("nan"), -1, -4, 10 ** 30, "0",
-             "1", None, [0], [1, 2])
+    # 10 ** 5000 and its negative have more digits than str() converts.
+    WRONG = (True, False, 0.0, 1.5, float("nan"), -1, -4, 10 ** 30,
+             10 ** 5000, -10 ** 5000, "0", "1", None, [0], [1, 2])
 
     # Each call and the kinds of its arguments after the symbol.
     CALLS = {
@@ -268,6 +277,11 @@ class TestLibraryBoundaryFuzz:
             lambda ms, states, depth: count_block_closure(
                 BlockTuple(0, (1, 3, 1)), max_states=states, max_depth=depth),
             ("limit", "limit")),
+        # A grid of huge bounds is endless, so only its start is taken.
+        "iter_grid": (lambda ms, *bounds: list(islice(iter_grid(*bounds), 40)),
+                      ("bound",) * 4),
+        "verify_grid": (lambda ms, *bounds: next(
+            verify_grid(**_grid_bounds(bounds)), None), ("bound",) * 4),
     }
 
     @staticmethod
@@ -276,7 +290,8 @@ class TestLibraryBoundaryFuzz:
         if kind == "pair":
             return st.integers(0, n - 2) if n > 1 else st.nothing()
         return {"row": st.integers(0, n - 1), "point": st.integers(-1, 4),
-                "count": st.integers(0, 4), "limit": st.integers(0, 6)}[kind]
+                "count": st.integers(0, 4), "limit": st.integers(0, 6),
+                "bound": st.integers(0, 4)}[kind]
 
     @pytest.mark.parametrize("name", sorted(CALLS))
     @settings(derandomize=True, deadline=None, max_examples=60)
@@ -300,6 +315,33 @@ class TestLibraryBoundaryFuzz:
                                        % not_ints[0])
             return
         assert not not_ints, (name, render(ms), args)
+
+
+    @pytest.mark.parametrize("call, args", [
+        (row_exchange, (10 ** 5000,)), (ui, (10 ** 5000,)),
+        (split_circles, (0, 10 ** 5000)), (closure, (-10 ** 5000,)),
+    ])
+    def test_huge_integers_raise_a_segment_error(self, call, args):
+        """An int past the digits str() converts is shown by its size, so
+        the call raises its SegmentError, not str()'s ValueError."""
+        with pytest.raises(SegmentError, match="16610-bit integer"):
+            call(parse("[3,0;0;+][1,1;0;-]"), *args)
+
+    @pytest.mark.parametrize("bounds, error", [
+        ({"max_len": 1.5}, ScopeError), ({"max_len": True}, ScopeError),
+        ({"max_rows": 2.5}, ScopeError), ({"max_mult": "5"}, ScopeError),
+        ({"max_cmin": -1}, SegmentError),
+        ({"max_rows": -10 ** 5000}, SegmentError),
+    ])
+    def test_grid_bounds_are_checked(self, bounds, error):
+        """Each grid bound is a plain int of at least 0; the first bad one
+        raises before any instance, in all three grid functions."""
+        name = next(iter(bounds))
+        for call in (grid_instances, lambda **b: list(iter_grid(**b)),
+                     lambda **b: list(verify_grid(**b))):
+            with pytest.raises(error, match=name) as caught:
+                call(**bounds)
+            assert type(caught.value) is error
 
 
 class TestMergeHats:
