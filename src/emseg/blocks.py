@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
-from .core import MultiSegment, Row, ScopeError, SegmentError
+from .core import MultiSegment, Row, ScopeError, SegmentError, _shown
 
 
 @dataclass(frozen=True)
@@ -16,12 +16,12 @@ class BlockTuple:
 
     def __post_init__(self):
         if type(self.c_min) is not int:
-            raise ScopeError("c_min must be an integer, got %r"
-                             % (self.c_min,))
+            raise ScopeError("c_min must be an integer, got %s"
+                             % _shown(self.c_min))
         if (type(self.mults) is not tuple
                 or not set(map(type, self.mults)) <= {int}):
-            raise ScopeError("mults must be a tuple of integers, got %r"
-                             % (self.mults,))
+            raise ScopeError("mults must be a tuple of integers, got %s"
+                             % _shown(self.mults))
         if self.c_min < 0:
             raise SegmentError("c_min must be >= 0")
         if min(self.mults, default=1) < 1:
@@ -55,8 +55,8 @@ def _check_block(M):
     """Raise unless M is a block: its multiplicities are odd."""
     for c, m in enumerate(M.mults, M.c_min):
         if m % 2 == 0:
-            raise SegmentError(
-                "a block has odd multiplicities, got %d at column %d" % (m, c))
+            raise SegmentError("a block has odd multiplicities, got %s at "
+                               "column %s" % (_shown(m), _shown(c)))
 
 
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"

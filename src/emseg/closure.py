@@ -7,16 +7,18 @@ quotient out row exchanges and give the packet-level node set.
 
 closure and canonical share one breadth-first loop, _search: closure runs
 it over every move within its limits, canonical over the row exchanges
-alone with no limit; only closure keeps the exchange edges of each
-state.  neighbors and exchange_neighbors list the moves of one state.
-Each of the four keeps one row table, _Rows, for the length of its call,
-made from the seed.  The table gives each distinct row a small int id the
-first time the search meets it and works out, once per id, what the
-search asks of a row: whether it is strict and non-vanishing, its DSL
-item, its (a, b), A and B, its split pairs and its dual (one per id,
-since every move keeps the parity that picks it); and, once per adjacent
-pair of ids, its row exchange and its union-intersection.  The formulas
-stay in the row-level cores of ops; the table only keeps their results.
+alone with no limit.  The loop records the exchange edges of each state;
+closure joins its states along them, and canonical, whose every move is
+an exchange, reads only the states.  neighbors and exchange_neighbors
+list the moves of one state.  Each of the four keeps one row table,
+_Rows, for the length of its call, made from the seed.  The table gives
+each distinct row a small int id the first time the search meets it and
+works out, once per id, what the search asks of a row: whether it is
+strict and non-vanishing, its DSL item, A and B, its split pairs and its
+dual (one per id, since every move keeps the parity that picks it); and,
+once per adjacent pair of ids, its row exchange and its
+union-intersection.  The formulas stay in the row-level cores of ops; the
+table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
 candidate tuple of ids, the dual-conjugated ones too: their sort back to
@@ -25,11 +27,10 @@ candidate is looked up among the visited states first, and only a new
 one is checked, by the flags of the ids the move may have changed (see
 _valid_move).  A canonical key joins the DSL items of its ids.  Row
 exchanges keep the supports, so the Arthur parameter, which sorts the
-(a, b) of the ids, is taken once per exchange class.
+(a, b) of the rows, is taken once per exchange class.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import inf
 
 from .core import MultiSegment, order_admissible, render, row_is_strict, STRICT
@@ -79,7 +80,7 @@ class _Rows:
     ui and a split change the sum by an even number, and the dual's sum
     of b is the sum of a less twice the sum of B), so each id's dual_flip
     is the same in every state of the search, and the table keeps one
-    dual per id, at the seed's total."""
+    dual per id, at total, the sum of a over the seed."""
 
     def __init__(self, seed):
         """The table of a search from the rows seed, whose ids are
@@ -88,19 +89,13 @@ class _Rows:
         self.rows = []      # id -> row
         self.ok = []        # id -> _row_ok
         self.text = []      # id -> DSL item, as bytes
-        self.ab = []        # id -> (a, b)
         self.A = []         # id -> A, for the splits that keep (P)
         self.B = []         # id -> B, for them and the (P') order
         self.splits = []    # id -> (split_points, {X: split pair ids})
         self.duals = []     # id -> dual id, None until asked for
         self.pairs = []     # id i -> {id j: (exchange ids, ui ids)}, see pair
         self.seed = self.ids(seed)
-
-    @cached_property
-    def total(self):
-        """The sum of a over the seed, dual_flip's total for every state;
-        taken when the first dual is, since canonical takes none."""
-        return sum(self.ab[i][0] for i in self.seed)
+        self.total = sum(row.a for row in seed)  # dual_flip's total
 
     def id(self, row):
         """The id of row; a row met for the first time gets the next one."""
@@ -110,7 +105,6 @@ class _Rows:
             self.rows.append(row)
             self.ok.append(_row_ok(row))
             self.text.append(render(MultiSegment._of((row,), STRICT)).encode())
-            self.ab.append((row.a, row.b))
             self.A.append(row.A)
             self.B.append(row.B)
             self.splits.append((split_points(row), {}))
@@ -297,7 +291,7 @@ def _seed_table(ms):
     return _Rows(ms.rows)
 
 
-def _search(table, moves, max_states, max_depth, edges):
+def _search(table, moves, max_states, max_depth):
     """Breadth-first search from table.seed over moves(table, ids):
     (states, index, exchange_edges, stop).
 
@@ -306,7 +300,8 @@ def _search(table, moves, max_states, max_depth, edges):
     checked; a miss is checked with _valid_move, which looks only at what
     the move changed.  The search stops at the first new valid state past
     max_states, or after max_depth levels; stop says which, or is
-    "exhausted".  exchange_edges is None unless edges is true.
+    "exhausted".  exchange_edges[i] lists the index of every state a row
+    exchange of states[i] leads to, for each state expanded in full.
     """
     # States are expanded in the order they are found, so states[start:]
     # is the frontier and exchange_edges[i] belongs to states[i].  A state
@@ -314,14 +309,14 @@ def _search(table, moves, max_states, max_depth, edges):
     seed = table.seed
     states = [seed]
     index = {seed: 0}
-    exchange_edges = [] if edges else None
+    exchange_edges = []
     full = False
     depth = 0
     start = 0
     while start < len(states) and not full and depth < max_depth:
         end = len(states)
         for ids in states[start:end]:
-            found = [] if edges else None
+            found = []
             for cand, lo, hi, exchange in moves(table, ids):
                 j = index.get(cand)
                 if j is None:
@@ -334,12 +329,11 @@ def _search(table, moves, max_states, max_depth, edges):
                     j = len(states)
                     index[cand] = j
                     states.append(cand)
-                if exchange and edges:
+                if exchange:
                     found.append(j)
             if full:
                 break
-            if edges:
-                exchange_edges.append(found)
+            exchange_edges.append(found)
         start = end
         depth += 1
     stop = ("states" if full else "exhausted" if start >= len(states)
@@ -358,11 +352,12 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     _limit(max_depth, "max_depth")
     table = _seed_table(ms)
     states, index, exchange_edges, stop = _search(
-        table, _moves, max_states, max_depth, True)
+        table, _moves, max_states, max_depth)
     keys = _component_keys(table, states, index, exchange_edges)
     # Row exchanges keep the supports, so psi is one per component.
-    ab = table.ab.__getitem__
-    psi = frozenset(tuple(sorted(map(ab, states[root]))) for root in keys)
+    rows = table.rows
+    psi = frozenset(tuple(sorted([(rows[i].a, rows[i].b) for i in states[r]]))
+                    for r in keys)
     return ClosureReport(frozenset(keys.values()), psi, len(states), stop,
                          max_states, max_depth)
 
@@ -402,7 +397,7 @@ def canonical(ms):
     exchanges: the key closure gives the class of ms.  Raises closure's
     SegmentError when ms is not a valid state."""
     table = _seed_table(ms)
-    states = _search(table, _exchange_moves, inf, inf, False)[0]
+    states = _search(table, _exchange_moves, inf, inf)[0]
     return min(map(table.key, states))
 
 

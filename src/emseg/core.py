@@ -38,6 +38,18 @@ class ScopeError(SegmentError):
     """Input outside the supported (integral) scope."""
 
 
+def _shown(value):
+    """value as an error message shows it: its repr, or, when repr refuses
+    an int in it (past sys.get_int_max_str_digits() digits), an int by its
+    size and anything else by its type."""
+    try:
+        return repr(value)
+    except ValueError:
+        if not isinstance(value, int):
+            return "<%s>" % type(value).__name__
+        return "<%s%d-bit integer>" % ("-" * (value < 0), value.bit_length())
+
+
 class Row(NamedTuple):
     """One extended segment ([A, B], l, eta)."""
 
@@ -69,7 +81,7 @@ class Row(NamedTuple):
 
 def _check_mode(mode):
     if mode not in (STRICT, RELAXED):
-        raise SegmentError("unknown mode %r" % (mode,))
+        raise SegmentError("unknown mode %s" % _shown(mode))
 
 
 def weak_normalize(row):
@@ -104,13 +116,14 @@ def _made_rows(rows, mode, out):
             append(_new_row((A, B, l, eta)))
             continue
         if eta != 1 and eta != -1:
-            raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
+            raise SegmentError("eta must be +1 or -1, got %s" % _shown(eta))
+        support = _shown(A), _shown(B)
         if b <= 0:
-            raise SegmentError("need A >= B, got [%d,%d]" % (A, B))
+            raise SegmentError("need A >= B, got [%s,%s]" % support)
         if A + B < 0:
-            raise SegmentError("need A + B >= 0, got [%d,%d]" % (A, B))
-        raise SegmentError(
-            "need 0 <= 2l <= b in strict mode, got l=%d with b=%d" % (l, b))
+            raise SegmentError("need A + B >= 0, got [%s,%s]" % support)
+        raise SegmentError("need 0 <= 2l <= b in strict mode, got l=%s with "
+                           "b=%s" % (_shown(l), _shown(b)))
     return out
 
 
@@ -120,7 +133,8 @@ def make_row(A, B, l, eta, mode=STRICT):
     if not type(A) is type(B) is type(l) is type(eta) is int:
         for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
             if not isinstance(v, int) or isinstance(v, bool):
-                raise ScopeError("%s must be an integer, got %r" % (name, v))
+                raise ScopeError("%s must be an integer, got %s"
+                                 % (name, _shown(v)))
     return _made_rows(((A, B, l, eta),), mode, [])[0]
 
 
@@ -353,7 +367,7 @@ def from_json(text, mode=STRICT):
             rows.append(make_row(item["A"], item["B"], item["l"],
                                  item["eta"], mode))
         except (KeyError, TypeError) as e:
-            raise ParseError("bad row object %r" % (item,), 0) from e
+            raise ParseError("bad row object %s" % _shown(item), 0) from e
         except SegmentError as e:
             raise ParseError(str(e), 0) from e
     _check_mode(mode)

@@ -36,7 +36,7 @@ from typing import Optional
 
 from .core import (
     MultiSegment, OrderError, Row, ScopeError, SegmentError, STRICT, RELAXED,
-    order_admissible, order_sorted, row_is_strict, weak_normalize,
+    _shown, order_admissible, order_sorted, row_is_strict, weak_normalize,
 )
 
 T1, T2, T3, T3PRIME = "T1", "T2", "T3", "T3prime"
@@ -58,20 +58,12 @@ def _non_nesting(k):
         "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
 
 
-def _shown(n):
-    """The int n as a message shows it: in decimal, or by its size when
-    str() refuses it (past sys.get_int_max_str_digits() digits)."""
-    try:
-        return str(n)
-    except ValueError:
-        return "<%s%d-bit integer>" % ("-" if n < 0 else "", n.bit_length())
-
-
 def _integer(value, name):
     """value, when it is a plain int (a bool is not one); ScopeError,
     naming the argument, otherwise."""
     if type(value) is not int:
-        raise ScopeError("%s must be an integer, got %r" % (name, value))
+        raise ScopeError("%s must be an integer, got %s"
+                         % (name, _shown(value)))
     return value
 
 

@@ -8,6 +8,13 @@ on.  A T-refinement cuts inside each interval, marking its upper parts as
 hats.  Leftover column multiplicity becomes single-circle multiples.  Signs
 follow the odd-alternating assignment.
 
+Both are splits of a column range, made by one walk, _splits, and checked
+by one predicate, _is_split: validate_S asks it whether S splits
+c_min..c_max, with an overlap only where the multiplicity exceeds one, and
+validate_T whether each T[i] splits S[i], with no overlap.  The validators
+answer False, and raise nothing, for anything that is not a tuple or list
+of (a, b) pairs.
+
 build and build_labeled share the rows of a block: each distinct row
 (A, B, l, eta) is made once, in the block's row table, and every later
 member that has it gets that same Row.  An n-column block has at most
@@ -18,10 +25,40 @@ holds only rows of members built so far, so it never outgrows them.
 from itertools import chain, product, repeat
 
 from .blocks import _check_block
-from .core import STRICT, MultiSegment, Row, ScopeError, SegmentError
+from .core import STRICT, MultiSegment, Row, ScopeError, SegmentError, _shown
 from .ops import merge_hats, op_D, op_S, op_U
 
 CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
+# What S, T, each split in T and each (a, b) pair may be.
+_SEQUENCE = (tuple, list)
+
+
+def _is_split(parts, iv, mult=None):
+    """Whether parts split the columns iv = (lo, hi) into nonempty
+    intervals, in order: the first starts at lo, the last ends at hi, and
+    each next one starts at b + 1, or at b when it is wider and
+    mult(b) > 1; without mult no two overlap.  parts must be a tuple or
+    list of (a, b) pairs, and each pair and iv a tuple or list: anything
+    else, such as a pair of three entries or of a None, is False, and
+    nothing raises."""
+    if not (isinstance(iv, _SEQUENCE) and isinstance(parts, _SEQUENCE)
+            and parts):
+        return False
+    try:
+        lo, hi = iv
+        prev = lo - 1
+        for p in parts:
+            a, b = p
+            if not isinstance(p, _SEQUENCE) or a > b or (
+                    a != prev + 1 and not (
+                        mult and a == prev < b and mult(prev) > 1)):
+                return False
+            prev = b
+        return prev == hi
+    except (TypeError, ValueError):
+        # A pair of other than two entries, an endpoint that is no number,
+        # or a float b where mult reads a column.
+        return False
 
 
 def validate_S(M, S):
@@ -29,47 +66,32 @@ def validate_S(M, S):
     column range, weakly increasing, overlapping only at single points where
     the next interval is wider and the column multiplicity exceeds one.
 
-    One pass over adjacent pairs decides this: the first interval starts at
-    c_min, the last ends at c_max, and each next interval starts at b + 1,
-    or at b when it is wider and mult(b) > 1.  Weak increase is transitive,
-    and a touch between non-adjacent intervals would force a one-point
-    interval between them, which the adjacent-pair rule already rejects.
+    One pass over adjacent pairs, _is_split, decides this: the first
+    interval starts at c_min, the last ends at c_max, and each next interval
+    starts at b + 1, or at b when it is wider and mult(b) > 1.  Weak
+    increase is transitive, and a touch between non-adjacent intervals would
+    force a one-point interval between them, which the adjacent-pair rule
+    already rejects.  Anything but a tuple or list of (a, b) pairs is
+    invalid; nothing raises.
     """
-    if not S or S[0][0] != M.c_min or S[-1][1] != M.c_max:
-        return False
-    prev = None
-    for a, b in S:
-        if a > b:
-            return False
-        if prev is not None and a != prev + 1 and not (
-                a == prev < b and M.mult(prev) > 1):
-            return False
-        prev = b
-    return True
-
-
-def _partition_consecutive(parts, iv):
-    if not parts or parts[-1][1] != iv[1]:
-        return False
-    nxt = iv[0]
-    for p in parts:
-        if p[0] != nxt or p[0] > p[1]:
-            return False
-        nxt = p[1] + 1
-    return True
+    return _is_split(S, (M.c_min, M.c_max), M.mult)
 
 
 def validate_T(M, S, T):
-    """T partitions each S_i upward; a z-chain keeps at least two columns."""
-    if len(T) != len(S):
+    """Validity of a T-refinement: T[i] splits S[i] upward with no overlap
+    (_is_split), into one part unless c_min = 0, and the first part of a
+    z-chain (an interval that starts where the one before ends) keeps at
+    least two columns.  Anything but a tuple or list of such splits, one
+    per interval of S, is invalid; nothing raises."""
+    if not (isinstance(S, _SEQUENCE) and isinstance(T, _SEQUENCE)
+            and len(T) == len(S)):
         return False
-    if M.c_min != 0 and any(len(parts) > 1 for parts in T):
-        return False
-    for i, parts in enumerate(T):
-        if not _partition_consecutive(parts, S[i]):
+    prev = None
+    for iv, parts in zip(S, T):
+        if (not _is_split(parts, iv) or M.c_min != 0 and len(parts) > 1
+                or iv[0] == prev and parts[0][0] == parts[0][1]):
             return False
-        if i and S[i - 1][1] == S[i][0] and parts[0][1] == parts[0][0]:
-            return False  # the chain of an overlapping set needs >= 2 columns
+        prev = iv[1]
     return True
 
 
@@ -161,16 +183,17 @@ def _rows(M, S, T, eta):
     plain tuple sort is the sort by (B, rank).
     """
     if not validate_S(M, S):
-        raise SegmentError("invalid S-tuple for %r" % (M,))
+        raise SegmentError("invalid S-tuple for %s" % _shown(M))
+    if T is not None and not validate_T(M, S, T):
+        raise SegmentError("invalid T-refinement")
+    # trivial_T(S) holds S's own endpoints, so only a given T adds any.
+    for x in chain(chain.from_iterable(S),
+                   chain.from_iterable(chain.from_iterable(T or ()))):
+        if type(x) is not int:
+            raise ScopeError("S and T endpoints must be integers, got %s"
+                             % _shown(x))
     if T is None:
         T = trivial_T(S)
-    elif not validate_T(M, S, T):
-        raise SegmentError("invalid T-refinement")
-    for x in chain(chain.from_iterable(S),
-                   chain.from_iterable(chain.from_iterable(T))):
-        if type(x) is not int:
-            raise ScopeError("S and T endpoints must be integers, got %r"
-                             % (x,))
     lo = M.c_min
     free = [m - 1 for m in M.mults]
     items = []
@@ -186,14 +209,14 @@ def _rows(M, S, T, eta):
             items.append((-p, 0, q, p, 1, i, j))
     for c, n in enumerate(free, lo):
         if n < 0:
-            raise SegmentError(
-                "column %d covered more often than its multiplicity" % c)
+            raise SegmentError("column %s covered more often than its "
+                               "multiplicity" % _shown(c))
         if n:
             items.append((c, 1, c, 0, n, None, None))
     if type(eta) is not int:
-        raise ScopeError("eta must be an integer, got %r" % (eta,))
+        raise ScopeError("eta must be an integer, got %s" % _shown(eta))
     if eta not in (1, -1):
-        raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
+        raise SegmentError("eta must be +1 or -1, got %s" % _shown(eta))
     items.sort()
     # Every check has passed: each distinct row of the block is made once,
     # in its row table, and shared by every later member.

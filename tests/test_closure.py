@@ -225,7 +225,7 @@ class TestAgainstReference:
         start = time.perf_counter()
         for seed in self.SEEDS:
             table = _Rows(seed.rows)
-            states, _, _, stop = _search(table, _moves, inf, inf, True)
+            states, _, _, stop = _search(table, _moves, inf, inf)
             assert stop == "exhausted"
             members = {ms.rows: ms for ms in (
                 MultiSegment(tuple(table.rows[i] for i in s)) for s in states)}

@@ -148,6 +148,27 @@ def test_splits_of_a_column_range_are_one_walk():
                 if isinstance(node, ast.While)]
 
 
+def test_a_split_of_a_column_range_has_one_check():
+    """Whether parts split a column range is one predicate, _is_split:
+    validate_S asks it of an S-tuple (overlaps where mult(c) > 1) and
+    validate_T of each T-part (no overlap); no other function checks a
+    split."""
+    assert _callers("sdata.py", "_is_split") == {"validate_S", "validate_T"}
+
+
+def test_the_search_has_no_edges_knob():
+    """_search always records the exchange edges; canonical ignores them,
+    and no argument switches them off."""
+    path = Path(emseg.__file__).parent / "closure.py"
+    search = next(node for node in ast.parse(path.read_text()).body
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "_search")
+    assert [arg.arg for arg in search.args.args] == [
+        "table", "moves", "max_states", "max_depth"]
+    assert not (search.args.kwonlyargs or search.args.vararg
+                or search.args.kwarg or search.args.defaults)
+
+
 def test_only_core_checks_rows():
     """Rows are checked once, at the boundary in core (make_row, parse,
     from_json and the constructors).  ops, closure, sdata, blocks and the

@@ -14,10 +14,11 @@ from emseg.core import (
     arthur_parameter, check_star, group_sign, make_row, multi_segment, parse,
     render, validate,
 )
-from emseg.blocks import BlockTuple, remove_column
+from emseg.blocks import BlockTuple, remove_column, tempered_block
 from emseg.closure import are_equivalent, closure, neighbors
 from emseg.count import (
-    count_block_closure, grid_instances, iter_grid, verify_grid,
+    count_block_closure, count_block_recursive, grid_instances, iter_grid,
+    verify_grid,
 )
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
@@ -25,7 +26,7 @@ from emseg.ops import (
     split_circles, to_sorted, ui, ui_type,
 )
 
-from emseg.sdata import iter_ST, theta1, theta_family
+from emseg.sdata import build, iter_ST, theta1, theta_family
 
 from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
 
@@ -238,6 +239,10 @@ class TestRowPositions:
             op(parse(dsl), *args(k))
 
 
+# An int with more digits than str() and repr() convert.
+HUGE = 10 ** 5000
+
+
 def _grid_bounds(bounds):
     """The iter_grid keywords of four bounds, in its order."""
     return dict(zip(("max_len", "max_mult", "max_cmin", "max_rows"), bounds))
@@ -254,10 +259,10 @@ class TestLibraryBoundaryFuzz:
              "[1,-1;1;-][0,0;0;+]", "[2,-1;1;-][0,0;0;-]", "[3,0;0;+]",
              "[1,-1;1;+][0,0;0;-]", "[0,0;0;+][3,1;0;-]")
 
-    # Wrong arguments: wrong-typed, negative or past every symbol.
-    # 10 ** 5000 and its negative have more digits than str() converts.
+    # Wrong arguments: wrong-typed, negative or past every symbol.  repr()
+    # refuses HUGE, its negative and the list that holds it.
     WRONG = (True, False, 0.0, 1.5, float("nan"), -1, -4, 10 ** 30,
-             10 ** 5000, -10 ** 5000, "0", "1", None, [0], [1, 2])
+             HUGE, -HUGE, "0", "1", None, [0], [1, 2], [HUGE])
 
     # Each call and the kinds of its arguments after the symbol.
     CALLS = {
@@ -311,8 +316,9 @@ class TestLibraryBoundaryFuzz:
             assert str(e)
             if not_ints and sum(not valid for _, valid in drawn) == 1:
                 assert type(e) is ScopeError, (name, args, e)
-                assert str(e).endswith("must be an integer, got %r"
-                                       % not_ints[0])
+                shown = ("<list>" if not_ints[0] == [HUGE]
+                         else repr(not_ints[0]))
+                assert str(e).endswith("must be an integer, got " + shown)
             return
         assert not not_ints, (name, render(ms), args)
 
@@ -326,6 +332,41 @@ class TestLibraryBoundaryFuzz:
         the call raises its SegmentError, not str()'s ValueError."""
         with pytest.raises(SegmentError, match="16610-bit integer"):
             call(parse("[3,0;0;+][1,1;0;-]"), *args)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: make_row(HUGE, HUGE + 1, 0, 1), SegmentError,
+         "need A >= B, got [<16610-bit integer>,<16610-bit integer>]"),
+        (lambda: count_block_recursive(BlockTuple(0, (2 * HUGE,))),
+         SegmentError, "a block has odd multiplicities, got <16611-bit "
+                       "integer> at column 0"),
+        (lambda: BlockTuple(0, [HUGE]), ScopeError,
+         "mults must be a tuple of integers, got <list>"),
+        (lambda: build(BlockTuple(HUGE, (1,)), ((0, 0),)), SegmentError,
+         "invalid S-tuple for <BlockTuple>"),
+        (lambda: build(BlockTuple(0, (1,)), ((0, 0),), None, HUGE),
+         SegmentError, "eta must be +1 or -1, got <16610-bit integer>"),
+        (lambda: MultiSegment(((0, 0, 0, 1),), HUGE), SegmentError,
+         "unknown mode <16610-bit integer>"),
+        (lambda: parse("[0,0;0;+]", HUGE), SegmentError,
+         "unknown mode <16610-bit integer>"),
+        (lambda: tempered_block(BlockTuple(0, (1,)), HUGE), SegmentError,
+         "eta must be +1 or -1, got <16610-bit integer>"),
+        (lambda: row_exchange(parse("[3,0;0;+][1,1;0;-]"), [HUGE]),
+         ScopeError, "a row position must be an integer, got <list>"),
+        (lambda: closure(parse("[3,0;0;+]"), max_states=[HUGE]), ScopeError,
+         "max_states must be an integer, got <list>"),
+        (lambda: closure(parse("[3,0;0;+]"), -HUGE), SegmentError,
+         "max_states must be at least 0, got <-16610-bit integer>"),
+    ])
+    def test_values_holding_huge_integers_are_shown(self, call, error,
+                                                    message):
+        """Every library message shows a huge int by its size, and a value
+        that holds one by its type, so each of these calls raises its
+        documented error with that message, not repr()'s ValueError."""
+        with pytest.raises(SegmentError) as caught:
+            call()
+        assert type(caught.value) is error
+        assert str(caught.value) == message
 
     @pytest.mark.parametrize("bounds, error", [
         ({"max_len": 1.5}, ScopeError), ({"max_len": True}, ScopeError),

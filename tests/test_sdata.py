@@ -512,6 +512,24 @@ class TestBuildOnce:
             assert str(err.value) == "eta must be an integer, got %r" % (eta,)
         assert M._row_table == table and len(table) == 2
 
+    def test_lists_of_pairs_build_as_tuples_do(self):
+        """S and T may be lists, of lists or tuples, as well as tuples."""
+        M = BlockTuple(0, (1, 3, 1))
+        for S, T in enumerate_ST(M):
+            want = build(M, S, T, -1)
+            assert build(M, [list(iv) for iv in S],
+                         [[list(p) for p in parts] for parts in T], -1) == want
+            assert build(M, list(S), list(T), -1) == want
+
+    def test_a_float_overlap_column_is_an_invalid_S_tuple(self):
+        """An overlap reads the multiplicity of its column, so one at a
+        float column makes no valid S-tuple."""
+        M = BlockTuple(0, (1, 3, 1))
+        assert validate_S(M, ((0, 1), (1, 2)))
+        assert not validate_S(M, ((0, 1.0), (1.0, 2)))
+        with pytest.raises(SegmentError, match="^invalid S-tuple for "):
+            build(M, ((0, 1.0), (1.0, 2)))
+
     def test_equal_rows_are_one_object(self):
         """Across the members of one block, with both signs, every equal
         row is the one Row of the block's row table."""
@@ -673,6 +691,73 @@ class TestBuildAgainstReference:
             "invalid T-refinement", "eta must be +1 or -1",
             "eta must be an integer",
             "column 0 covered more often than its multiplicity"}, seen
+
+
+# Any value of a few small nested tuples, lists and dicts, of ints,
+# floats, bools, strings and None.
+_ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats()
+    | st.text("0123", max_size=2),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.integers(0, 2), inner, max_size=2)),
+    max_leaves=12)
+
+
+class TestMalformedCoordinates:
+    """validate_S and validate_T answer False, and raise nothing, for
+    anything that is not a tuple or list of (a, b) pairs, so build raises
+    its "invalid S-tuple" or "invalid T-refinement" SegmentError."""
+
+    M = BlockTuple(0, (1, 1, 1))
+
+    @pytest.mark.parametrize("S", [
+        ((0,),), ((0, 2, 5),), (0,), 5, None, "02", (), [],
+        ((0, None),), ((0, "2"),), ((None, 2),), (("0", "2"),),
+        ({0: 0, 1: 2},), (frozenset((0, 2)),), ([0, [2]],),
+        ((0, 0), (1, 2), 5), ((0, 0), (1,)), iter([(0, 2)]),
+    ])
+    def test_malformed_S(self, S):
+        assert validate_S(self.M, S) is False
+        with pytest.raises(SegmentError) as err:
+            build(self.M, S)
+        assert type(err.value) is SegmentError
+        assert str(err.value) == (
+            "invalid S-tuple for BlockTuple(c_min=0, mults=(1, 1, 1))")
+
+    @pytest.mark.parametrize("T", [
+        5, ((5,),), (((0, 2, 9),),), (((0, 2),), ((0, 2),)), (), "0",
+        ((),), (((0,),),), (((0, None),),), ((("0", 2),),),
+        (({0: 0, 1: 2},),), ((frozenset((0, 2)),),), (((0, 0), (1, 2), 5),),
+        (iter([(0, 2)]),), ((0, 2),),
+    ])
+    def test_malformed_T(self, T):
+        S = ((0, 2),)
+        assert validate_T(self.M, S, T) is False
+        with pytest.raises(SegmentError) as err:
+            build(self.M, S, T)
+        assert type(err.value) is SegmentError
+        assert str(err.value) == "invalid T-refinement"
+
+    def test_validate_T_of_a_malformed_S(self):
+        for S in (5, None, ((0,),), ((0, 2, 5),), ({0: 0, 1: 2},)):
+            assert validate_T(self.M, S, (((0, 2),),)) is False
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(_ANY, st.one_of(st.none(), _ANY))
+    def test_any_value_is_answered(self, S, T):
+        """Any S, beside any T or its one-part refinement, gets a bool from
+        each validator, and build returns or raises a SegmentError."""
+        one_part = (tuple((iv,) for iv in S)
+                    if isinstance(S, (tuple, list)) else S)
+        for M in (self.M, BlockTuple(0, (3, 1))):
+            assert validate_S(M, S) in (True, False)
+            for refinement in (T, one_part):
+                assert validate_T(M, S, refinement) in (True, False)
+                try:
+                    build(M, S, refinement)
+                except SegmentError as e:
+                    assert str(e)
 
 
 @st.composite
