@@ -4,7 +4,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
 
-from .core import MultiSegment, Row, ScopeError, SegmentError, _shown
+from .core import (
+    MultiSegment, Row, ScopeError, SegmentError, _eta, _integer, _shown,
+)
 
 
 @dataclass(frozen=True)
@@ -15,9 +17,7 @@ class BlockTuple:
     mults: tuple
 
     def __post_init__(self):
-        if type(self.c_min) is not int:
-            raise ScopeError("c_min must be an integer, got %s"
-                             % _shown(self.c_min))
+        _integer(self.c_min, "c_min")
         if (type(self.mults) is not tuple
                 or not set(map(type, self.mults)) <= {int}):
             raise ScopeError("mults must be a tuple of integers, got %s"
@@ -80,16 +80,6 @@ def is_tempered(ms):
     return True
 
 
-def _column_runs(ms):
-    """(row, multiplicity) for each run of equal consecutive rows of a
-    tempered ms, which must be sorted by column.  On a tempered input equal
-    rows are equal columns, so a run is a column."""
-    runs = [(r, len(list(g))) for r, g in groupby(ms.rows)]
-    if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
-        raise SegmentError("tempered input must be sorted by column")
-    return runs
-
-
 def block_tuples(ms):
     """Greedy split of a tempered multi-segment into maximal blocks, as
     (BlockTuple, sign of the first column) pairs in column order.
@@ -100,7 +90,11 @@ def block_tuples(ms):
     """
     if not is_tempered(ms):
         raise SegmentError("block decomposition requires a tempered input")
-    runs = _column_runs(ms)
+    # On a tempered input equal rows are equal columns, so each run of
+    # equal rows is a column, (row, multiplicity).
+    runs = [(r, len(list(g))) for r, g in groupby(ms.rows)]
+    if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
+        raise SegmentError("tempered input must be sorted by column")
     blocks = []
     mults = []
     c_min = eta = last = None
@@ -134,25 +128,28 @@ def block_decompose(ms):
 
 
 def block_tuple(block):
-    """Column multiplicities of one tempered block.
+    """The BlockTuple of a tempered multi-segment that block_tuples splits
+    into one block (EMPTY_BLOCK when it has no rows).
 
-    Each column is one run of the sorted rows, so the runs cover the span
-    of columns exactly when there is no gap.
+    Anything that splits into more blocks raises SegmentError: "block has
+    a column gap" when its columns do not run on, and otherwise at an even
+    multiplicity or a repeated sign.
     """
-    if not block.rows:
-        return EMPTY_BLOCK
     if not is_tempered(block):
         raise SegmentError("block_tuple requires a tempered block")
-    runs = _column_runs(block)
-    c_min = runs[0][0].B
-    if runs[-1][0].B - c_min + 1 != len(runs):
-        raise SegmentError("block has a column gap")
-    return BlockTuple(c_min, tuple(m for _, m in runs))
+    blocks = [bt for bt, _ in block_tuples(block)] or [EMPTY_BLOCK]
+    if len(blocks) > 1:
+        if any(q.c_min > p.c_max + 1 for p, q in zip(blocks, blocks[1:])):
+            raise SegmentError("block has a column gap")
+        raise SegmentError("the rows split into %d blocks" % len(blocks))
+    return blocks[0]
 
 
 def remove_column(ms, c):
     """Drop every single-circle row in column c (the rc operator); the rows
-    left are checked already."""
+    left are checked already.  c must be a plain int (ScopeError
+    otherwise)."""
+    _integer(c, "a column")
     rows = tuple(r for r in ms.rows
                  if not (r.A == r.B == c and r.l == 0))
     return MultiSegment._of(rows, ms.mode)
@@ -187,5 +184,6 @@ def _block_rows(bt, eta):
 
 def tempered_block(bt, eta=1):
     """The tempered multi-segment with the given multiplicities, signs
-    alternating between columns starting from eta."""
-    return MultiSegment(_block_rows(bt, eta))
+    alternating between columns starting from eta, a plain int of +1 or
+    -1."""
+    return MultiSegment(_block_rows(bt, _eta(eta)))

@@ -12,9 +12,7 @@ import os
 import sys
 from itertools import islice, repeat
 
-from .blocks import (
-    BlockTuple, _check_block, block_decompose, block_tuple, classify_boundary,
-)
+from .blocks import BlockTuple, block_decompose, block_tuple, classify_boundary
 from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
 from .core import (
     _INTEGER_RE, SegmentError, from_json, parse, render, render_grid, to_json,
@@ -82,7 +80,7 @@ def _pretty(ms, args):
     return render_grid(ms, unicode_symbols=True) + "\n"
 
 
-def _integer(text, name, least=None):
+def _read_int(text, name, least=None):
     """The integer text of the input called name: ASCII digits after an
     optional "-", as in the DSL, and no less than least when that is
     given.  Anything else raises a CliInputError that names the input."""
@@ -109,7 +107,7 @@ def _parse_eta(text):
 
 
 def _parse_block_tuple(text, c_min):
-    M = BlockTuple(c_min, tuple(_integer(x, "--M")
+    M = BlockTuple(c_min, tuple(_read_int(x, "--M")
                                 for x in text.replace(" ", "").split(",")))
     try:
         str(M.c_max)
@@ -129,7 +127,7 @@ def _parse_grid_spec(spec):
         key, _, val = item.partition("<=")
         if key not in ("len", "mult", "cmin", "rows"):
             raise CliInputError("unknown grid bound %r" % key)
-        bounds["max_" + key] = _integer(val, "grid bound %r" % item, least=0)
+        bounds["max_" + key] = _read_int(val, "grid bound %r" % item, least=0)
     return bounds
 
 
@@ -195,7 +193,6 @@ def _cmd_blocks(args, out):
 
 def _cmd_enumerate(args, out):
     M = _parse_block_tuple(args.M, args.cmin)
-    _check_block(M)
     eta = _parse_eta(args.eta)
     members = iter_ST(M) if args.with_T else zip(iter_S(M), repeat(None))
     for S, T in members:
@@ -312,9 +309,9 @@ def _add_output_flags(p):
 
 
 def _add_integer_flag(p, flag, least=None, **kwargs):
-    """A flag whose value _integer reads; argparse lets its CliInputError
+    """A flag whose value _read_int reads; argparse lets its CliInputError
     through to run."""
-    p.add_argument(flag, type=functools.partial(_integer, name=flag,
+    p.add_argument(flag, type=functools.partial(_read_int, name=flag,
                                                 least=least), **kwargs)
 
 

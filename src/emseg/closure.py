@@ -33,9 +33,11 @@ exchanges keep the supports, so the Arthur parameter, which sorts the
 from dataclasses import dataclass
 from math import inf
 
-from .core import MultiSegment, order_admissible, render, row_is_strict, STRICT
+from .core import (
+    MultiSegment, _limit, order_admissible, render, row_is_strict, STRICT,
+)
 from .ops import (
-    SegmentError, _limit, _result, _supports_nest, dual_flip, dual_row,
+    SegmentError, _result, _supports_nest, dual_flip, dual_row,
     exchange_pair, pair_ui_type, split_pair, split_points, ui_rows,
 )
 

@@ -5,6 +5,12 @@ pairs and a sign for the first circle.  A multi-segment is an ordered list of
 rows.  This module houses the value types, admissibility checks, parsing and
 rendering, and the derived quantities (Arthur parameter, sign product,
 non-vanishing condition).
+
+It also holds the boundary rule of the library, once: _integer is the
+plain-int check (type(v) is int, so a bool or an int subclass is no
+integer) of every integer argument, _limit its check of a search limit or
+grid bound, _eta its check of a sign, and _checked the one path by which
+Python values become Rows.
 """
 
 import json
@@ -84,6 +90,33 @@ def _check_mode(mode):
         raise SegmentError("unknown mode %s" % _shown(mode))
 
 
+def _integer(value, name):
+    """value, when it is a plain int (a bool or an int subclass is not
+    one); ScopeError, naming the argument, otherwise."""
+    if type(value) is not int:
+        raise ScopeError("%s must be an integer, got %s"
+                         % (name, _shown(value)))
+    return value
+
+
+def _limit(value, name):
+    """value, when it is a plain int of at least 0, such as a search limit
+    or a grid bound: ScopeError, naming the argument, when it is not a
+    plain int, and SegmentError when it is negative."""
+    if _integer(value, name) < 0:
+        raise SegmentError("%s must be at least 0, got %s"
+                           % (name, _shown(value)))
+    return value
+
+
+def _eta(eta):
+    """eta, when it is a plain int of +1 or -1: ScopeError when it is not a
+    plain int, and SegmentError when it is another int."""
+    if _integer(eta, "eta") not in (1, -1):
+        raise SegmentError("eta must be +1 or -1, got %s" % _shown(eta))
+    return eta
+
+
 def weak_normalize(row):
     """Store eta as +1 whenever the row has no circles (2l = b)."""
     if row.eta != 1 and 2 * row.l == row.A - row.B + 1:
@@ -97,7 +130,7 @@ _new_row = partial(tuple.__new__, Row)
 
 
 def _made_rows(rows, mode, out):
-    """Append each (A, B, l, eta) of ints in rows to out as a checked,
+    """Append each (A, B, l, eta) of plain ints in rows to out as a checked,
     weak-normalized Row, and return out.
 
     This loop holds the row conditions and their messages for every
@@ -115,8 +148,7 @@ def _made_rows(rows, mode, out):
                 eta = 1
             append(_new_row((A, B, l, eta)))
             continue
-        if eta != 1 and eta != -1:
-            raise SegmentError("eta must be +1 or -1, got %s" % _shown(eta))
+        _eta(eta)
         support = _shown(A), _shown(B)
         if b <= 0:
             raise SegmentError("need A >= B, got [%s,%s]" % support)
@@ -129,39 +161,48 @@ def _made_rows(rows, mode, out):
 
 def make_row(A, B, l, eta, mode=STRICT):
     """Build a weak-normalized row, checking the invariants for the mode."""
-    # Plain ints skip the type checks.
-    if not type(A) is type(B) is type(l) is type(eta) is int:
-        for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScopeError("%s must be an integer, got %s"
-                                 % (name, _shown(v)))
-    return _made_rows(((A, B, l, eta),), mode, [])[0]
+    return _checked(((A, B, l, eta),), mode)[0]
 
 
 def row_is_strict(row):
     return 0 <= 2 * row.l <= row.b
 
 
-def _four_tuples(rows):
-    return set(map(type, rows)) <= {tuple, Row} and set(map(len, rows)) <= {4}
+def _checked(rows, mode):
+    """The rows, each a tuple or list (A, B, l, eta) of plain ints, as
+    checked Rows under mode: the one path by which values become Rows.
 
-
-def _checked(rows, mode, shaped=False):
-    """The tuple rows, checked under mode; shaped says the caller has seen
-    that _four_tuples(rows) holds.
+    The mode is checked first, then the rows in order, and the first bad
+    one raises: ScopeError for rows that cannot be iterated, a row that is
+    not a tuple or list of four entries or an entry that is not a plain
+    int, and SegmentError for a row that breaks a condition of _made_rows.
 
     When every row is a tuple or Row of four plain ints, equal rows are
     alike, and the distinct ones are checked once, in one batch.  Elsewhere
     they need not be: (1,0,0,True), (1,0,0,1.0) and (1,0,0,1) are equal and
-    hash alike, so each row goes through make_row, which also raises the
-    TypeError of a row of another arity.
+    hash alike, so each row is checked on its own.
     """
-    if (shaped or _four_tuples(rows)) and set(
-            map(type, chain.from_iterable(rows))) <= {int}:
+    _check_mode(mode)
+    try:
+        it = iter(rows)
+    except TypeError:
+        raise ScopeError("rows must be iterable, got %s"
+                         % _shown(rows)) from None
+    rows = tuple(it)
+    if (set(map(type, rows)) <= {tuple, Row} and set(map(len, rows)) <= {4}
+            and set(map(type, chain.from_iterable(rows))) <= {int}):
         distinct = list(dict.fromkeys(rows))
         made = dict(zip(distinct, _made_rows(distinct, mode, [])))
         return tuple(map(made.__getitem__, rows))
-    return tuple(make_row(*r, mode=mode) for r in rows)
+    out = []
+    for r in rows:
+        if not isinstance(r, (tuple, list)) or len(r) != 4:
+            raise ScopeError("a row must be a tuple or list of four integers, "
+                             "got %s" % _shown(r))
+        for name, v in zip(Row._fields, r):
+            _integer(v, name)
+        _made_rows((r,), mode, out)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -177,8 +218,7 @@ class MultiSegment:
     mode: str = STRICT
 
     def __post_init__(self):
-        _check_mode(self.mode)
-        object.__setattr__(self, "rows", _checked(tuple(self.rows), self.mode))
+        object.__setattr__(self, "rows", _checked(self.rows, self.mode))
 
     def __len__(self):
         return len(self.rows)
@@ -193,7 +233,7 @@ class MultiSegment:
     def _of(cls, rows, mode):
         """Wrap a tuple of rows that are valid under mode.
 
-        No row is checked again; internal code whose rows passed make_row
+        No row is checked again; internal code whose rows passed _checked
         or are valid by construction (build, the row-level cores of ops)
         uses this in place of the public constructor.
         """
@@ -204,17 +244,9 @@ class MultiSegment:
 
 
 def multi_segment(rows, mode=STRICT):
-    """Convenience constructor from (A, B, l, eta) tuples.
-
-    Rows that are not all 4-tuples go through Row(*r) first, so a wrong
-    arity raises before the mode or any row is checked.  Their shape is
-    scanned once.
-    """
-    rows = tuple(rows)
-    if not _four_tuples(rows):
-        rows = tuple(Row(*r) for r in rows)
-    _check_mode(mode)
-    return MultiSegment._of(_checked(rows, mode, shaped=True), mode)
+    """Convenience constructor from (A, B, l, eta) tuples: MultiSegment(rows,
+    mode)."""
+    return MultiSegment(rows, mode)
 
 
 def order_admissible(rows):
@@ -239,7 +271,7 @@ def validate(ms, criterion="P"):
     B-sorted rows skip the O(n^2) check of (P).  The rows fit the mode by
     construction: make_row checked each of them under it."""
     if criterion not in ("P", "Pprime"):
-        raise ValueError("criterion must be 'P' or 'Pprime'")
+        raise SegmentError("criterion must be 'P' or 'Pprime'")
     if criterion == "Pprime":
         return order_sorted(ms.rows)
     return order_sorted(ms.rows) or order_admissible(ms.rows)
@@ -361,6 +393,7 @@ def from_json(text, mode=STRICT):
         raise ParseError("invalid JSON: nested too deeply", 0) from e
     if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
         raise ParseError('expected an object with a "rows" list', 0)
+    _check_mode(mode)
     rows = []
     for item in data["rows"]:
         try:
@@ -370,7 +403,6 @@ def from_json(text, mode=STRICT):
             raise ParseError("bad row object %s" % _shown(item), 0) from e
         except SegmentError as e:
             raise ParseError(str(e), 0) from e
-    _check_mode(mode)
     return MultiSegment._of(tuple(rows), mode)
 
 

@@ -6,8 +6,7 @@ from itertools import repeat
 
 from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
 from .closure import closure
-from .core import SegmentError, arthur_parameter
-from .ops import _limit
+from .core import SegmentError, _limit, arthur_parameter
 from .sdata import build, iter_S, iter_ST
 
 RECURSION, ENUMERATION, CLOSURE = "recursion", "enumeration", "closure"
@@ -50,8 +49,8 @@ def count_block_recursive(M):
 
 
 def count_block_enumerative(M, eta=1):
-    """Distinct packets among all built class members."""
-    _check_block(M)
+    """Distinct packets among all built class members; the enumeration
+    refuses a block with an even multiplicity."""
     members = iter_ST(M) if M.c_min == 0 else zip(iter_S(M), repeat(None))
     psis = {arthur_parameter(build(M, S, T, eta)) for S, T in members}
     return PacketCount(len(psis), ENUMERATION)
@@ -109,10 +108,10 @@ def count_multi(parts):
 def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
     """Yield the block-tuples of the verification grid, in the order of
     grid_instances: depth first over the multiplicity prefixes, each at
-    every c_min in turn.  A multiplicity above the rows left fits no
-    instance, so the choices stop there.  The walk keeps one lazy sibling
-    iterator per column, so a caller that stops early has made only the
-    instances it took.
+    every c_min in turn.  The next prefix appends a 1 while a column of 1
+    fits, or else drops columns until the last one can grow by 2 within
+    max_mult and the rows left.  So a caller that stops early has made
+    only the instances it took.
 
     Each bound must be a plain int (ScopeError otherwise) of at least 0
     (SegmentError otherwise), checked when the first instance is asked
@@ -121,23 +120,20 @@ def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
                         ("max_cmin", max_cmin), ("max_rows", max_rows)):
         _limit(bound, name)
     prefix, left = [], max_rows
-    stack = [iter(range(1, min(max_mult, left) + 1, 2))] if max_len else []
-    while stack:
-        m = next(stack[-1], None)
-        if m is None:
-            stack.pop()
-            if prefix:
+    while True:
+        if len(prefix) < max_len and left >= 1 <= max_mult:
+            prefix.append(1)
+            left -= 1
+        else:
+            while prefix and (left < 2 or prefix[-1] + 2 > max_mult):
                 left += prefix.pop()
-            continue
-        prefix.append(m)
-        left -= m
+            if not prefix:
+                return
+            prefix[-1] += 2
+            left -= 2
         mults = tuple(prefix)
         for c_min in range(max_cmin + 1):
             yield BlockTuple(c_min, mults)
-        if len(prefix) != max_len:
-            stack.append(iter(range(1, min(max_mult, left) + 1, 2)))
-        else:
-            left += prefix.pop()
 
 
 def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):

@@ -11,7 +11,8 @@ and dual_flip (which dual_rows puts together), sort_rows, split_points
 and split_pair.  The operators on multi-segments check their arguments, call
 the core and wrap its rows with _result; the closure search calls the cores
 directly.  Every row position an operator takes goes through _rows_at, and
-every other integer argument through _integer, its plain-int check.
+every other integer argument through core._integer, the library's one
+plain-int check.
 
 No row goes through make_row again: on checked input rows, every row a
 core builds is valid as built, that is A >= B, A + B >= 0, eta = +1 or -1
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
-    MultiSegment, OrderError, Row, ScopeError, SegmentError, STRICT, RELAXED,
+    MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED, _integer,
     _shown, order_admissible, order_sorted, row_is_strict, weak_normalize,
 )
 
@@ -56,25 +57,6 @@ class NoExchangeError(SegmentError):
 def _non_nesting(k):
     return NoExchangeError(
         "rows %d,%d have non-nesting supports in an inadmissible order" % (k, k + 1))
-
-
-def _integer(value, name):
-    """value, when it is a plain int (a bool is not one); ScopeError,
-    naming the argument, otherwise."""
-    if type(value) is not int:
-        raise ScopeError("%s must be an integer, got %s"
-                         % (name, _shown(value)))
-    return value
-
-
-def _limit(value, name):
-    """value, when it is a plain int of at least 0, such as a search limit
-    or a grid bound: ScopeError, naming the argument, when it is not a
-    plain int, and SegmentError when it is negative."""
-    if _integer(value, name) < 0:
-        raise SegmentError("%s must be at least 0, got %s"
-                           % (name, _shown(value)))
-    return value
 
 
 def _rows_at(rows, k, span):

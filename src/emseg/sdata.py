@@ -22,10 +22,13 @@ member that has it gets that same Row.  An n-column block has at most
 holds only rows of members built so far, so it never outgrows them.
 """
 
+from functools import cache
 from itertools import chain, product, repeat
 
 from .blocks import _check_block
-from .core import STRICT, MultiSegment, Row, ScopeError, SegmentError, _shown
+from .core import (
+    STRICT, MultiSegment, Row, ScopeError, SegmentError, _eta, _shown,
+)
 from .ops import merge_hats, op_D, op_S, op_U
 
 CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
@@ -122,8 +125,10 @@ def iter_S(M):
     Every tuple generated is valid, so none is filtered: an overlap starts
     the next interval on c and a later boundary or c_max ends it, so it is
     wider.  The tuples stream out one at a time, in O(n) memory for n
-    columns.
+    columns.  A block with an even multiplicity raises SegmentError when
+    the first tuple is asked for.
     """
+    _check_block(M)
     lo, hi = M.c_min, M.c_max
     if lo > hi:
         yield ()
@@ -155,13 +160,19 @@ def iter_ST(M):
     Every pair generated is valid, so none is filtered: each S comes from
     iter_S, and _partitions_of gives each interval its upward partitions
     with the chain of an overlapping interval (a z-chain) at least two
-    columns wide.
+    columns wide.  Equal intervals recur across the S-tuples, so each
+    distinct (interval, least first part) is partitioned once per call.
+
+    A block that does not start at 0 or has an even multiplicity raises
+    SegmentError at once.
     """
     if M.c_min != 0:
         raise SegmentError("T-refinements only apply to blocks starting at 0")
+    _check_block(M)
+    partitions = cache(_partitions_of)
     return chain.from_iterable(
         zip(repeat(S), product(*[
-            _partitions_of(iv, 2 if i and S[i - 1][1] == iv[0] else 1)
+            partitions(iv, 2 if i and S[i - 1][1] == iv[0] else 1)
             for i, iv in enumerate(S)]))
         for S in iter_S(M))
 
@@ -213,10 +224,7 @@ def _rows(M, S, T, eta):
                                "multiplicity" % _shown(c))
         if n:
             items.append((c, 1, c, 0, n, None, None))
-    if type(eta) is not int:
-        raise ScopeError("eta must be an integer, got %s" % _shown(eta))
-    if eta not in (1, -1):
-        raise SegmentError("eta must be +1 or -1, got %s" % _shown(eta))
+    _eta(eta)
     items.sort()
     # Every check has passed: each distinct row of the block is made once,
     # in its row table, and shared by every later member.

@@ -113,6 +113,19 @@ class TestBlockTupleOf:
         with pytest.raises(SegmentError, match="^block has a column gap$"):
             block_tuple(parse(dsl))
 
+    @pytest.mark.parametrize("dsl", [
+        "[0,0;0;+][1,1;0;+]", "[0,0;0;+][0,0;0;+]",
+        "[0,0;0;+][1,1;0;-][1,1;0;-]",
+    ])
+    def test_more_than_one_block(self, dsl):
+        """A repeated sign or an even multiplicity splits the rows into
+        two blocks, as block_tuples finds, so they are no one block."""
+        ms = parse(dsl)
+        assert len(block_tuples(ms)) == 2
+        with pytest.raises(SegmentError,
+                           match="^the rows split into 2 blocks$"):
+            block_tuple(ms)
+
     @pytest.mark.parametrize("rows", [
         [(1, 1, 0, 1), (0, 0, 0, -1), (2, 2, 0, -1)],
         [(1, 1, 0, 1), (0, 0, 0, -1)],
@@ -210,6 +223,11 @@ def _reference_block_tuple(block):
         mults[c - c_min] += m
     if any(m == 0 for m in mults):
         raise SegmentError("block has a column gap")
+    # One block of the decomposition, or none: an even multiplicity or a
+    # repeated sign splits it.
+    n = len(_reference_block_tuples(block))
+    if n > 1:
+        raise SegmentError("the rows split into %d blocks" % n)
     return BlockTuple(c_min, tuple(mults))
 
 
@@ -265,7 +283,8 @@ class TestAgainstRowByRow:
                 "block decomposition requires a tempered input",
                 "tempered input must be sorted by column",
                 "block_tuple requires a tempered block",
-                "block has a column gap"} <= seen
+                "block has a column gap",
+                "the rows split into 2 blocks"} <= seen
 
     def test_untempered_wins_over_unsorted(self):
         ms = parse("[1,1;0;+][0,0;0;+][0,0;0;-]")

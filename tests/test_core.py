@@ -58,6 +58,32 @@ class TestMakeRow:
         with pytest.raises(SegmentError):
             make_row(1, 0, 0, 0)
 
+    def test_checks_the_mode_first(self):
+        with pytest.raises(SegmentError, match="^unknown mode 'loose'$"):
+            make_row(1, 0, 5, 1, "loose")
+        with pytest.raises(SegmentError, match="^unknown mode 'loose'$"):
+            make_row(1.5, 0, 0, 1, "loose")
+
+    @pytest.mark.parametrize("rows, message", [
+        (5, "rows must be iterable, got 5"),
+        (None, "rows must be iterable, got None"),
+        ([(1, 0, 0)], "a row must be a tuple or list of four integers, "
+                      "got (1, 0, 0)"),
+        ([(1, 0, 0, 1, 0)], "a row must be a tuple or list of four "
+                            "integers, got (1, 0, 0, 1, 0)"),
+        ([(1, 0, 0, 1), 7], "a row must be a tuple or list of four "
+                            "integers, got 7"),
+        (["1001"], "a row must be a tuple or list of four integers, "
+                   "got '1001'"),
+    ])
+    def test_rows_of_the_wrong_shape(self, rows, message):
+        """Rows that are not a tuple or list of four entries, and rows
+        that cannot be iterated, raise ScopeError in both constructors."""
+        for f in (MultiSegment, multi_segment):
+            with pytest.raises(ScopeError) as caught:
+                f(rows)
+            assert str(caught.value) == message
+
 
 class TestOrders:
     def test_sorted_order_is_admissible(self):
@@ -75,7 +101,8 @@ class TestOrders:
         assert not validate(bad, "P")
 
     def test_unknown_criterion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SegmentError,
+                           match="^criterion must be 'P' or 'Pprime'$"):
             validate(parse(THREE_ROW), "Q")
 
 
@@ -166,11 +193,11 @@ class TestParseRender:
 
 def _reference_make_row(A, B, l, eta, mode=STRICT):
     """The row-by-row make_row that the shared check loop, core._made_rows,
-    replaced: the conditions as an if-chain, kept as an oracle."""
-    if not type(A) is type(B) is type(l) is type(eta) is int:
-        for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ScopeError("%s must be an integer, got %r" % (name, v))
+    replaced: the conditions as an if-chain, kept as an oracle.  An entry
+    must be a plain int."""
+    for name, v in (("A", A), ("B", B), ("l", l), ("eta", eta)):
+        if type(v) is not int:
+            raise ScopeError("%s must be an integer, got %r" % (name, v))
     if eta not in (1, -1):
         raise SegmentError("eta must be +1 or -1, got %r" % (eta,))
     if A < B:
@@ -306,19 +333,17 @@ class TestParseAgainstReference:
 # and render replaced, kept as oracles.
 
 def _reference_multisegment(rows, mode=STRICT):
-    """Each row through _reference_make_row.  A row of another arity than
-    four goes to make_row, which raises its own TypeError for the call
-    before it checks anything."""
+    """Each row through _reference_make_row, in order.  A row that is not
+    a tuple or list of four entries raises ScopeError when it is reached.
+    multi_segment is MultiSegment, so this is the oracle of both."""
     _check_mode(mode)
-    rows = tuple(
-        _reference_make_row(*r, mode=mode) if len(r) == 4
-        else make_row(*r, mode=mode)
-        for r in rows)
-    return MultiSegment._of(rows, mode)
-
-
-def _reference_multi_segment(rows, mode=STRICT):
-    return _reference_multisegment(tuple(Row(*r) for r in rows), mode)
+    out = []
+    for r in rows:
+        if not isinstance(r, (tuple, list)) or len(r) != 4:
+            raise ScopeError("a row must be a tuple or list of four "
+                             "integers, got %r" % (r,))
+        out.append(_reference_make_row(*r, mode=mode))
+    return MultiSegment._of(tuple(out), mode)
 
 
 def _reference_render(ms):
@@ -328,7 +353,7 @@ def _reference_render(ms):
 
 
 class _Int(int):
-    """An int subclass: make_row accepts it and keeps it in the row."""
+    """An int subclass: no constructor takes it as an integer."""
 
 
 # Each converts a plain int to an equal value of another type.
@@ -391,8 +416,8 @@ def _rendered(f, rows):
 
 
 class TestConstructorsAgainstReference:
-    # "loose" is no mode: MultiSegment refuses it before any row, and
-    # multi_segment after its Row(*r) conversion.
+    # "loose" is no mode: MultiSegment and multi_segment refuse it before
+    # any row.
     MODES = (STRICT, RELAXED, "loose")
 
     def test_random_rows(self):
@@ -404,12 +429,12 @@ class TestConstructorsAgainstReference:
                 expected = _made(_reference_multisegment, rows, mode)
                 assert _made(MultiSegment, rows, mode) == expected, (
                     rows, mode)
-                assert _made(multi_segment, rows, mode) == _made(
-                    _reference_multi_segment, rows, mode), (rows, mode)
+                assert _made(multi_segment, rows, mode) == expected, (
+                    rows, mode)
                 kinds.add(expected[0])
             assert _rendered(render, rows) == _rendered(
                 _reference_render, rows), rows
-        assert kinds == {"rows", TypeError, ScopeError, SegmentError}
+        assert kinds == {"rows", ScopeError, SegmentError}
 
     @pytest.mark.parametrize("rows", [
         [],
@@ -425,10 +450,9 @@ class TestConstructorsAgainstReference:
     ])
     @pytest.mark.parametrize("mode", MODES)
     def test_fixed_rows(self, rows, mode):
-        assert _made(MultiSegment, rows, mode) == _made(
-            _reference_multisegment, rows, mode)
-        assert _made(multi_segment, rows, mode) == _made(
-            _reference_multi_segment, rows, mode)
+        expected = _made(_reference_multisegment, rows, mode)
+        assert _made(MultiSegment, rows, mode) == expected
+        assert _made(multi_segment, rows, mode) == expected
 
 
 def _row_made(f, row, mode):
@@ -453,7 +477,7 @@ class TestSharedCheckAgainstReference:
     @pytest.mark.parametrize("mode", [STRICT, RELAXED])
     def test_random_rows(self, mode):
         rng = random.Random(20261020)
-        kinds, normalized, kept = set(), 0, 0
+        kinds, normalized, refused = set(), 0, 0
         for _ in range(2000):
             rows = [_random_row(rng) for _ in range(rng.randint(0, 6))]
             if rows and rng.random() < 0.3:
@@ -467,16 +491,15 @@ class TestSharedCheckAgainstReference:
                 kinds.add(expected[0])
                 if expected[0] == "row":
                     normalized += row[3] == -1 and expected[2].eta == 1
-                    kept += _Int in expected[3]
-            assert _made(MultiSegment, rows, mode) == _made(
-                _reference_multisegment, rows, mode), (rows, mode)
-            assert _made(multi_segment, rows, mode) == _made(
-                _reference_multi_segment, rows, mode), (rows, mode)
+                refused += expected[0] is ScopeError and _Int in map(type, row)
+            expected = _made(_reference_multisegment, rows, mode)
+            assert _made(MultiSegment, rows, mode) == expected, (rows, mode)
+            assert _made(multi_segment, rows, mode) == expected, (rows, mode)
             text = _dsl(r for r in rows if r[3] in (1, -1))
             assert _outcome(parse, text, mode) == _outcome(
                 _reference_parse, text, mode), (text, mode)
         assert kinds == {"row", ScopeError, SegmentError}
-        assert normalized and kept
+        assert normalized and refused
 
     @pytest.mark.parametrize("row", [
         (1, 0, 1, _Int(1)), (1, 0, 1, _Int(-1)), (1, 0, 1, -1),
@@ -487,10 +510,10 @@ class TestSharedCheckAgainstReference:
         """Weak normalization at 2l = b, and int-subclass entries."""
         expected = _row_made(_reference_make_row, row, mode)
         assert _row_made(make_row, row, mode) == expected
-        for f, g in ((MultiSegment, _reference_multisegment),
-                     (multi_segment, _reference_multi_segment)):
-            assert _made(f, [row, (1, 0, 0, 1), row], mode) == _made(
-                g, [row, (1, 0, 0, 1), row], mode)
+        rows = [row, (1, 0, 0, 1), row]
+        expected = _made(_reference_multisegment, rows, mode)
+        for f in (MultiSegment, multi_segment):
+            assert _made(f, rows, mode) == expected
 
     @pytest.mark.parametrize("text, message", [
         ("[1,2;0;+][x]", "need A >= B, got [1,2]"),

@@ -181,13 +181,40 @@ def test_only_core_checks_rows():
 
 
 def test_rows_are_checked_in_one_loop():
-    """_made_rows, the row-check loop, runs only under make_row, the
-    constructors' _checked and parse."""
-    assert _callers("core.py", "_made_rows") == {"make_row", "_checked",
-                                                 "parse"}
+    """_made_rows, the row-check loop, runs only under _checked, the one
+    path of make_row and the constructors, and parse."""
+    assert _callers("core.py", "_made_rows") == {"_checked", "parse"}
     for p in SOURCES:
         if p.name != "core.py":
             assert _callers(p.name, "_made_rows") == set(), p.name
+
+
+def test_the_boundary_rule_lives_in_core():
+    """The plain-int check _integer, the limit check _limit and the sign
+    check _eta are defined only in core.py, and no module tests
+    isinstance(..., int) but core._shown, which only picks how to show a
+    value in a message: every other integer test is type(v) is int."""
+    checks = {"_integer", "_limit", "_eta"}
+    for p in SOURCES:
+        tree = ast.parse(p.read_text(), str(p))
+        defined = {node.name for node in tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        assert defined & checks == (checks if p.name == "core.py"
+                                    else set()), p.name
+    assert {(p.name, owner) for p in SOURCES
+            for owner in _callers(p.name, "isinstance")
+            if _tests_int(p.name, owner)} == {("core.py", "_shown")}
+
+
+def _tests_int(name, owner):
+    """Whether the module-level function owner of the module `name` calls
+    isinstance with int among its types."""
+    path = Path(emseg.__file__).parent / name
+    fn = next(node for node in ast.parse(path.read_text()).body
+              if isinstance(node, ast.FunctionDef) and node.name == owner)
+    return any(_is_call_of(node, "isinstance") and "int" in {
+        sub.id for sub in ast.walk(node.args[1]) if isinstance(sub, ast.Name)}
+        for node in ast.walk(fn))
 
 
 def test_blocks_are_counted_through_the_method_table():
@@ -201,9 +228,10 @@ def test_blocks_are_counted_through_the_method_table():
 
 
 def test_cli_reads_integers_in_one_place():
-    """Every integer the command line takes goes through cli._integer, the
-    ASCII-digit reader: only it calls int(), and no flag has type=int."""
-    assert _callers("cli.py", "int") == {"_integer"}
+    """Every integer the command line takes goes through
+    cli._read_int, the ASCII-digit reader: only it calls int(), and no
+    flag has type=int."""
+    assert _callers("cli.py", "int") == {"_read_int"}
     path = Path(emseg.__file__).parent / "cli.py"
     assert not [kw for kw in ast.walk(ast.parse(path.read_text()))
                 if isinstance(kw, ast.keyword) and kw.arg == "type"

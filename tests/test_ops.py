@@ -6,19 +6,22 @@ import time
 from collections import Counter
 from itertools import islice
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import emseg
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, OrderError, Row, ScopeError, SegmentError,
-    arthur_parameter, check_star, group_sign, make_row, multi_segment, parse,
-    render, validate,
+    arthur_parameter, check_star, from_json, group_sign, make_row,
+    multi_segment, parse, render, to_json, validate,
 )
 from emseg.blocks import BlockTuple, remove_column, tempered_block
 from emseg.closure import are_equivalent, closure, neighbors
 from emseg.count import (
-    count_block_closure, count_block_recursive, grid_instances, iter_grid,
-    verify_grid,
+    count_block_closure, count_block_enumerative, count_block_recursive,
+    grid_instances, iter_grid, verify_grid,
 )
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
@@ -26,7 +29,9 @@ from emseg.ops import (
     split_circles, to_sorted, ui, ui_type,
 )
 
-from emseg.sdata import build, iter_ST, theta1, theta_family
+from emseg.sdata import (
+    build, iter_ST, theta1, theta_family, validate_S, validate_T,
+)
 
 from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
 
@@ -248,11 +253,54 @@ def _grid_bounds(bounds):
     return dict(zip(("max_len", "max_mult", "max_cmin", "max_rows"), bounds))
 
 
+class _E(IntEnum):
+    """An int subclass: no integer argument of the library takes it."""
+
+    ONE = 1
+
+
+# The sample block of the calls on a BlockTuple, and its one S-tuple and
+# T-refinement with a hat.
+_M, _S, _T = BlockTuple(0, (1, 3)), ((0, 1),), (((0, 0), (1, 1)),)
+
+# The kinds of argument whose rule is the plain-int rule: a value of
+# another type raises ScopeError, "... must be an integer, got ...".
+_INT_KINDS = {"pair", "row", "point", "count", "limit", "bound", "int",
+              "sign"}
+
+
+def _may_act_on(kind, value):
+    """Whether a call may return on a value of this kind: a plain int (a
+    sign +1 or -1), a mode or criterion it knows, a tuple of plain ints
+    for mults, and anything for the (S, T) coordinates, which the
+    validators answer False for."""
+    if kind in _INT_KINDS:
+        return type(value) is int and (kind != "sign" or value in (1, -1))
+    if kind == "mode":
+        return value in (STRICT, RELAXED)
+    if kind == "criterion":
+        return value in ("P", "Pprime")
+    if kind == "mults":
+        return type(value) is tuple and set(map(type, value)) <= {int}
+    if kind == "rows":
+        return isinstance(value, (tuple, list)) and all(
+            isinstance(r, (tuple, list)) and len(r) == 4
+            and set(map(type, r)) <= {int} for r in value)
+    return kind == "coords"
+
+
+def _plain_rows(result):
+    """The rows of a MultiSegment or Row result hold plain ints only."""
+    rows = ((result,) if isinstance(result, Row)
+            else getattr(result, "rows", ()))
+    return all(type(r) is Row and set(map(type, r)) <= {int} for r in rows)
+
+
 class TestLibraryBoundaryFuzz:
-    """Every row position, split point, circle count, closure limit and
-    grid bound the library takes, drawn valid or wrong: each call returns,
-    or raises a SegmentError with a message, and no argument that is not
-    a plain int is ever acted on."""
+    """Every integer, sign, row, mode and criterion argument of the public
+    callables of emseg (and of ui_type, dual_ui_dual and iter_grid), drawn
+    valid or wrong: each call returns, or raises a SegmentError with a
+    message, and no argument that breaks its rule is ever acted on."""
 
     # Valid states on which each operator below applies at some position.
     SEEDS = ("[0,0;0;+][1,1;0;-][1,1;0;-]", "[2,-2;2;+][1,-1;1;-]",
@@ -262,10 +310,28 @@ class TestLibraryBoundaryFuzz:
     # Wrong arguments: wrong-typed, negative or past every symbol.  repr()
     # refuses HUGE, its negative and the list that holds it.
     WRONG = (True, False, 0.0, 1.5, float("nan"), -1, -4, 10 ** 30,
-             HUGE, -HUGE, "0", "1", None, [0], [1, 2], [HUGE])
+             HUGE, -HUGE, "0", "1", None, [0], [1, 2], [HUGE], _E.ONE)
+
+    # Wrong rows arguments: not iterable, rows of another shape, entries
+    # that are no plain int, and a bad row after a good one.
+    WRONG_ROWS = (None, 5, "1001", [None], [5], ["1001"], [(1, 0, 0)],
+                  [(1, 0, 0, 1, 0)], [{"A": 1, "B": 0, "l": 0, "eta": 1}],
+                  [(1, 0, 0, True)], [(1.0, 0, 0, 1)], [(_E.ONE, 0, 0, 1)],
+                  [[1, 0, 0, _E.ONE]], [(HUGE, 0, 0, 1.0)],
+                  [(0, 0, 0, 1), (1, 0, 0, None)], [(1, 0, 0, 1), [1, 0, 0]])
 
     # Each call and the kinds of its arguments after the symbol.
     CALLS = {
+        "MultiSegment": (lambda ms, rows, mode: MultiSegment(rows, mode),
+                         ("rows", "mode")),
+        "multi_segment": (lambda ms, rows, mode: multi_segment(rows, mode),
+                          ("rows", "mode")),
+        "make_row": (lambda ms, *args: make_row(*args),
+                     ("int", "int", "int", "sign", "mode")),
+        "parse": (lambda ms, mode: parse(render(ms), mode), ("mode",)),
+        "from_json": (lambda ms, mode: from_json(to_json(ms), mode),
+                      ("mode",)),
+        "validate": (validate, ("criterion",)),
         "row_exchange": (row_exchange, ("pair",)),
         "ui_type": (ui_type, ("pair",)),
         "ui": (ui, ("pair",)),
@@ -275,13 +341,26 @@ class TestLibraryBoundaryFuzz:
         "op_S": (op_S, ("row", "count")),
         "op_U": (op_U, ("row", "count")),
         "op_D": (op_D, ("row", "row")),
+        "BlockTuple": (lambda ms, *args: BlockTuple(*args),
+                       ("int", "mults")),
+        "remove_column": (remove_column, ("int",)),
+        "tempered_block": (lambda ms, eta: tempered_block(_M, eta),
+                           ("sign",)),
+        "validate_S": (lambda ms, S: validate_S(_M, S), ("coords",)),
+        "validate_T": (lambda ms, T: validate_T(_M, _S, T), ("coords",)),
+        "build": (lambda ms, eta: build(_M, _S, _T, eta), ("sign",)),
+        "theta_family": (lambda ms, eta: theta_family(_M, _S, _T, eta),
+                         ("sign",)),
+        "count_block_enumerative": (
+            lambda ms, eta: count_block_enumerative(_M, eta), ("sign",)),
         "closure": (closure, ("limit", "limit")),
         "are_equivalent": (lambda ms, *limits: are_equivalent(ms, ms, *limits),
                            ("limit", "limit")),
         "count_block_closure": (
-            lambda ms, states, depth: count_block_closure(
-                BlockTuple(0, (1, 3, 1)), max_states=states, max_depth=depth),
-            ("limit", "limit")),
+            lambda ms, eta, states, depth: count_block_closure(
+                BlockTuple(0, (1, 3, 1)), eta, max_states=states,
+                max_depth=depth),
+            ("sign", "limit", "limit")),
         # A grid of huge bounds is endless, so only its start is taken.
         "iter_grid": (lambda ms, *bounds: list(islice(iter_grid(*bounds), 40)),
                       ("bound",) * 4),
@@ -289,39 +368,104 @@ class TestLibraryBoundaryFuzz:
             verify_grid(**_grid_bounds(bounds)), None), ("bound",) * 4),
     }
 
+    # The public callables of emseg that take none of these arguments,
+    # each with the reason.
+    OUT_OF_SCOPE = {
+        # Only multi-segments, block-tuples or S-tuples, which are
+        # duck-typed, or a parts list of multi-segments.
+        "arthur_parameter": "a MultiSegment",
+        "check_star": "a MultiSegment",
+        "group_sign": "a MultiSegment",
+        "render": "a MultiSegment",
+        "to_json": "a MultiSegment",
+        "dual": "a MultiSegment",
+        "to_sorted": "a MultiSegment",
+        "block_decompose": "a MultiSegment",
+        "block_tuple": "a MultiSegment",
+        "is_tempered": "a MultiSegment",
+        "classify_boundary": "two MultiSegments",
+        "count_tempered": "a MultiSegment",
+        "count_multi": "MultiSegments",
+        "theta1": "a MultiSegment",
+        "canonical": "a MultiSegment",
+        "count_block_recursive": "a BlockTuple",
+        "enumerate_S": "a BlockTuple",
+        "enumerate_ST": "a BlockTuple",
+        "theta2_matches_theta4": "a BlockTuple and an S-tuple",
+        "render_grid": "a MultiSegment and a bool flag",
+        # Value and result records: the constructors check rows, and the
+        # library builds the records.
+        "Row": "the unchecked value type of a row",
+        "OpResult": "a result record",
+        "Boundary": "a result record",
+        "PacketCount": "a result record",
+        "ClosureReport": "a result record",
+    }
+
     @staticmethod
     def _valid(kind, n):
         """The valid arguments of a kind on a symbol of n rows."""
         if kind == "pair":
             return st.integers(0, n - 2) if n > 1 else st.nothing()
+        entry = st.integers(-2, 4)
         return {"row": st.integers(0, n - 1), "point": st.integers(-1, 4),
                 "count": st.integers(0, 4), "limit": st.integers(0, 6),
-                "bound": st.integers(0, 4)}[kind]
+                "bound": st.integers(0, 4), "int": entry,
+                "sign": st.sampled_from((1, -1)),
+                "mode": st.sampled_from((STRICT, RELAXED)),
+                "criterion": st.sampled_from(("P", "Pprime")),
+                "mults": st.lists(st.integers(1, 5), max_size=3).map(tuple),
+                "rows": st.lists(st.tuples(entry, entry, entry, entry),
+                                 max_size=4),
+                "coords": st.sampled_from((_S, _T, ((0, 0), (1, 1))))}[kind]
+
+    def _wrong(self, kind):
+        """The wrong arguments of a kind."""
+        if kind == "rows":
+            return st.sampled_from(self.WRONG_ROWS)
+        if kind == "mults":
+            return st.sampled_from(self.WRONG).map(lambda v: (v,))
+        extra = {"mode": ("loose", "STRICT", ""), "criterion": ("Q", "p", ""),
+                 "sign": (0, 2)}.get(kind, ())
+        return st.sampled_from(self.WRONG + extra)
+
+    def test_every_public_callable_is_fuzzed_or_out_of_scope(self):
+        public = {name for name in dir(emseg) if not name.startswith("_")
+                  and callable(value := getattr(emseg, name))
+                  and not (isinstance(value, type)
+                           and issubclass(value, Exception))}
+        assert not set(self.CALLS) & set(self.OUT_OF_SCOPE)
+        assert public <= set(self.CALLS) | set(self.OUT_OF_SCOPE)
+        assert set(self.OUT_OF_SCOPE) <= public
 
     @pytest.mark.parametrize("name", sorted(CALLS))
-    @settings(derandomize=True, deadline=None, max_examples=60)
+    @settings(derandomize=True, deadline=None, max_examples=30)
     @given(data=st.data())
     def test_returns_or_raises_a_segment_error(self, name, data):
         call, kinds = self.CALLS[name]
         ms = parse(data.draw(st.sampled_from(self.SEEDS), "symbol"))
         drawn = [data.draw(st.one_of(
             self._valid(kind, len(ms)).map(lambda v: (v, True)),
-            st.sampled_from(self.WRONG).map(lambda v: (v, False))), kind)
+            self._wrong(kind).map(lambda v: (v, False))), kind)
             for kind in kinds]
         args = [v for v, _ in drawn]
-        not_ints = [v for v in args if type(v) is not int]
+        refused = [(kind, v) for kind, v in zip(kinds, args)
+                   if not _may_act_on(kind, v)]
         try:
-            call(ms, *args)
+            result = call(ms, *args)
         except SegmentError as e:
             assert str(e)
-            if not_ints and sum(not valid for _, valid in drawn) == 1:
+            wrong = [(kind, v) for kind, (v, valid) in zip(kinds, drawn)
+                     if not valid]
+            if (len(wrong) == 1 and wrong[0][0] in _INT_KINDS
+                    and type(wrong[0][1]) is not int):
                 assert type(e) is ScopeError, (name, args, e)
-                shown = ("<list>" if not_ints[0] == [HUGE]
-                         else repr(not_ints[0]))
+                value = wrong[0][1]
+                shown = "<list>" if value == [HUGE] else repr(value)
                 assert str(e).endswith("must be an integer, got " + shown)
             return
-        assert not not_ints, (name, render(ms), args)
-
+        assert not refused, (name, render(ms), args)
+        assert _plain_rows(result), (name, args, result)
 
     @pytest.mark.parametrize("call, args", [
         (row_exchange, (10 ** 5000,)), (ui, (10 ** 5000,)),

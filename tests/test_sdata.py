@@ -186,7 +186,8 @@ class TestTheta:
         checked = 0
         for mults in ((2,), (1, 2), (2, 1), (2, 1, 2)):
             M = BlockTuple(0, mults)
-            for S, T in enumerate_ST(M):
+            # iter_ST refuses the block, so its (S, T) come from the old walk.
+            for S, T in _reference_iter_ST(M):
                 with pytest.raises(SegmentError, match="odd multiplicities"):
                     theta_family(M, S, T)
                 checked += 1
@@ -293,7 +294,9 @@ class TestValidByConstruction:
             M = BlockTuple(rng.choice((0, 1, 2)),
                            tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(1, 5))))
             if rng.random() < 0.5:
-                S = list(rng.choice(enumerate_S(M)))
+                # The old walk, which also splits blocks of even
+                # multiplicities, as iter_S no longer does.
+                S = list(rng.choice(list(_reference_iter_S(M))))
                 for _ in range(rng.randint(0, 2)):
                     k = rng.randrange(len(S))
                     a, b = S[k]
@@ -377,9 +380,42 @@ class TestOneWalkForSplits:
         def head(members):
             return list(itertools.islice(members, 2000))
 
+        if any(m % 2 == 0 for m in M.mults):
+            # The walks refuse a block of an even multiplicity, so the
+            # order is compared on the block made odd.
+            with pytest.raises(SegmentError, match="odd multiplicities"):
+                next(iter_S(M))
+            if M.c_min == 0:
+                with pytest.raises(SegmentError, match="odd multiplicities"):
+                    iter_ST(M)
+            M = BlockTuple(M.c_min, tuple(m | 1 for m in M.mults))
+
         assert head(iter_S(M)) == head(_reference_iter_S(M))
         if M.c_min == 0:
             assert head(iter_ST(M)) == head(_reference_iter_ST(M))
+
+    def test_enumerations_refuse_an_even_multiplicity(self):
+        """The walks check their block as every count method does: one
+        of an even multiplicity is no block."""
+        for f in (enumerate_S, enumerate_ST):
+            with pytest.raises(SegmentError, match="^a block has odd "
+                               "multiplicities, got 2 at column 0$"):
+                f(BlockTuple(0, (2,)))
+
+    def test_iter_ST_partitions_each_interval_once(self, monkeypatch):
+        """Equal intervals recur across the S-tuples; iter_ST partitions
+        each distinct (interval, least first part) once per call."""
+        calls = []
+        real = sdata._partitions_of
+
+        def counted(iv, min_first):
+            calls.append((iv, min_first))
+            return real(iv, min_first)
+
+        monkeypatch.setattr(sdata, "_partitions_of", counted)
+        M = BlockTuple(0, (1, 3, 1, 3, 1, 1, 1, 1, 1))
+        assert len(list(iter_ST(M))) == 11664
+        assert len(calls) == len(set(calls)) == 57
 
     def test_partitions_of_every_reachable_interval(self):
         """An interval of iter_S is at least one column wide, and at least
