@@ -1,31 +1,29 @@
 """Tempered structure: alternating signs, block decomposition, boundaries."""
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
+from typing import NamedTuple
 
 from .core import (
-    MultiSegment, Row, ScopeError, SegmentError, _eta, _integer, _shown,
+    MultiSegment, Row, ScopeError, SegmentError, _Value, _eta, _integer, _shown,
 )
 
 
-@dataclass(frozen=True)
-class BlockTuple:
+class BlockTuple(_Value):
     """Column multiplicities (m_{c_min}, ..., m_{c_max}) of a block."""
 
-    c_min: int
-    mults: tuple
+    _fields = ("c_min", "mults")
 
-    def __post_init__(self):
-        _integer(self.c_min, "c_min")
-        if (type(self.mults) is not tuple
-                or not set(map(type, self.mults)) <= {int}):
+    def __init__(self, c_min, mults):
+        _integer(c_min, "c_min")
+        if type(mults) is not tuple or not set(map(type, mults)) <= {int}:
             raise ScopeError("mults must be a tuple of integers, got %s"
-                             % _shown(self.mults))
-        if self.c_min < 0:
+                             % _shown(mults))
+        if c_min < 0:
             raise SegmentError("c_min must be >= 0")
-        if min(self.mults, default=1) < 1:
+        if min(mults, default=1) < 1:
             raise SegmentError("multiplicities must be positive")
+        vars(self).update(c_min=c_min, mults=mults)
 
     @property
     def c_max(self):
@@ -62,8 +60,7 @@ def _check_block(M):
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
 
 
-@dataclass(frozen=True)
-class Boundary:
+class Boundary(NamedTuple):
     kind: str
     H_col: int
     N_col: int

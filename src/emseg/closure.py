@@ -30,8 +30,8 @@ exchanges keep the supports, so the Arthur parameter, which sorts the
 (a, b) of the rows, is taken once per exchange class.
 """
 
-from dataclasses import dataclass
 from math import inf
+from typing import NamedTuple
 
 from .core import (
     MultiSegment, _limit, order_admissible, render, row_is_strict, STRICT,
@@ -42,8 +42,7 @@ from .ops import (
 )
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(NamedTuple):
     nodes: frozenset          # canonical keys, one per row-exchange class
     psi: frozenset            # Arthur parameters
     states: int               # exact row lists visited

@@ -4,7 +4,10 @@ A row is a triple ([A, B], l, eta): a support segment, a count of triangle
 pairs and a sign for the first circle.  A multi-segment is an ordered list of
 rows.  This module houses the value types, admissibility checks, parsing and
 rendering, and the derived quantities (Arthur parameter, sign product,
-non-vanishing condition).
+non-vanishing condition).  MultiSegment and blocks.BlockTuple are plain
+classes on one immutable base, _Value, and the result records of the
+library are named tuples: neither needs dataclasses, whose import (with
+inspect, ast and dis) would weigh on every start of the command line.
 
 It also holds the boundary rule of the library, once: _integer is the
 plain-int check (type(v) is int, so a bool or an int subclass is no
@@ -15,7 +18,6 @@ Python values become Rows.
 
 import json
 import re
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import NamedTuple
@@ -205,20 +207,57 @@ def _checked(rows, mode):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class MultiSegment:
+class _Value:
+    """The base of the immutable value classes, which name their fields in
+    _fields.  A value equals only a value of its own type with equal
+    fields, hashes and shows by them, and refuses assignment and deletion
+    with AttributeError; its __init__ sets the fields past that refusal,
+    in their slots or in its __dict__."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class MultiSegment(_Value):
     """An ordered list of rows, either strict or relaxed ("symbol") mode.
 
     Rows are stored weak-normalized, and each distinct row is checked
-    once.  The order is not constrained on construction; use validate() to
-    test admissibility.
+    once.  The public constructor checks them in __post_init__, a hook of
+    its own that tracing can wrap.  The order is not constrained on
+    construction; use validate() to test admissibility.
     """
 
-    rows: tuple
-    mode: str = STRICT
+    __slots__ = _fields = ("rows", "mode")
+
+    def __init__(self, rows, mode=STRICT):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "mode", mode)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _checked(self.rows, self.mode))
+
+    def __reduce__(self):
+        return type(self)._of, (self.rows, self.mode)
 
     def __len__(self):
         return len(self.rows)
@@ -329,7 +368,10 @@ def parse(text, mode=STRICT):
     in order of first appearance and stops at the first that is no item or
     has an integer out of range; one _made_rows call then checks the rows
     read before it.  So an error names the first bad item of the text.
+    The text must be a str (ScopeError otherwise).
     """
+    if not isinstance(text, str):
+        raise ScopeError("text must be a str, got %s" % _shown(text))
     pieces = text.split("]")
     items = pieces[:-1]
     distinct = list(dict.fromkeys(items))
@@ -382,7 +424,11 @@ def to_json(ms):
 
 
 def from_json(text, mode=STRICT):
-    """Parse the JSON wire format."""
+    """Parse the JSON wire format, a str, bytes or bytearray (ScopeError
+    otherwise)."""
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ScopeError("text must be a str, bytes or bytearray, got %s"
+                         % _shown(text))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

@@ -1,8 +1,8 @@
 """Packet counting: the recursions, the enumeration, and the product rule."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
 from .closure import closure
@@ -12,8 +12,7 @@ from .sdata import build, iter_S, iter_ST
 RECURSION, ENUMERATION, CLOSURE = "recursion", "enumeration", "closure"
 
 
-@dataclass(frozen=True)
-class PacketCount:
+class PacketCount(NamedTuple):
     value: int
     method: str
 

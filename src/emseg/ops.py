@@ -32,8 +32,7 @@ _result reads off for the mode:
   core but split_pair (whose rows have l = 0) ends in weak_normalize.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .core import (
     MultiSegment, OrderError, Row, SegmentError, STRICT, RELAXED, _integer,
@@ -43,8 +42,7 @@ from .core import (
 T1, T2, T3, T3PRIME = "T1", "T2", "T3", "T3prime"
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(NamedTuple):
     out: MultiSegment
     applied: bool
     type_tag: Optional[str] = None

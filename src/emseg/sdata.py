@@ -362,5 +362,8 @@ def _separate_top(ms, c_max):
 
 def theta2_matches_theta4(M, S):
     """Whether the second and fourth lifts share a packet: the S-tuple
-    contains the singleton top column."""
+    contains the singleton top column.  An S that validate_S refuses
+    raises build's SegmentError."""
+    if not validate_S(M, S):
+        raise SegmentError("invalid S-tuple for %s" % _shown(M))
     return any(iv == (M.c_max, M.c_max) for iv in S)

@@ -417,6 +417,13 @@ class TestVerifyVerb:
         assert code == EXIT_OK
         assert out == invoke("verify", "--grid", grid)[1]
 
+    def test_spawned_workers_print_the_serial_records(self):
+        """Each spawned worker gets its BlockTuples pickled."""
+        grid = "len<=3,rows<=5"
+        code, out, _ = invoke("verify", "--grid", grid, "--jobs", "2")
+        assert code == EXIT_OK and len(out.splitlines()) == 20
+        assert out == invoke("verify", "--grid", grid, "--jobs", "1")[1]
+
     def test_jobs_must_be_positive(self):
         code, _, err = invoke("verify", "--grid", "len<=1", "--jobs", "0")
         assert code == EXIT_INVALID and "error" in err
@@ -809,6 +816,23 @@ class TestRun:
         assert invoke("parse", "--dsl", "[1,0;5;+]", "--relaxed")[0] == EXIT_OK
         assert invoke("parse", "--dsl", "[1,0;5;+]")[0] == EXIT_INVALID
         assert built == []
+
+
+def test_start_up_loads_no_introspection_modules():
+    """A fresh `import emseg.cli`, as in every command and every spawned
+    verify worker, loads none of the modules dataclasses brought in."""
+    src = str(Path(emseg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import emseg.cli\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))\n")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "emseg.cli" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize",
+                "linecache", "copy"} & set(loaded)
 
 
 def test_determinism():

@@ -173,6 +173,22 @@ class TestParseRender:
             from_json(payload)
         assert exc.value.position == 0
 
+    @pytest.mark.parametrize("text", [5, None, b"[1,0;0;+]", ["[1,0;0;+]"]])
+    def test_parse_takes_a_str(self, text):
+        with pytest.raises(ScopeError) as exc:
+            parse(text)
+        assert str(exc.value) == "text must be a str, got %r" % (text,)
+
+    @pytest.mark.parametrize("text", [5, None, ['{"rows": []}'],
+                                      memoryview(b'{"rows": []}')])
+    def test_from_json_takes_a_str_or_bytes(self, text):
+        with pytest.raises(ScopeError, match="^text must be a str, bytes or "
+                                             "bytearray, got "):
+            from_json(text)
+        payload = '{"rows": [{"A": 1, "B": 0, "l": 0, "eta": 1}]}'
+        for text in (payload, payload.encode(), bytearray(payload.encode())):
+            assert from_json(text) == parse("[1,0;0;+]")
+
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             from_json("[" * 100000)

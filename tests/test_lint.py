@@ -303,3 +303,16 @@ def test_dual_flip_rule_lives_in_ops():
                         if isinstance(node, ast.BinOp)
                         and isinstance(node.op, (ast.BitAnd, ast.Mod))]
     assert calls == 2
+
+
+def test_no_module_imports_dataclasses():
+    """The value classes are plain classes on core._Value and the records
+    are named tuples: dataclasses would load inspect, ast and dis at every
+    start of the command line."""
+    for p in Path(emseg.__file__).parent.glob("*.py"):
+        names = {alias.name.split(".")[0] if isinstance(node, ast.Import)
+                 else (node.module or "").split(".")[0]
+                 for node in ast.walk(ast.parse(p.read_text(), str(p)))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for alias in node.names}
+        assert "dataclasses" not in names, p.name

@@ -30,7 +30,8 @@ from emseg.ops import (
 )
 
 from emseg.sdata import (
-    build, iter_ST, theta1, theta_family, validate_S, validate_T,
+    build, iter_ST, theta1, theta_family, theta2_matches_theta4, validate_S,
+    validate_T,
 )
 
 from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
@@ -268,14 +269,20 @@ _M, _S, _T = BlockTuple(0, (1, 3)), ((0, 1),), (((0, 0), (1, 1)),)
 _INT_KINDS = {"pair", "row", "point", "count", "limit", "bound", "int",
               "sign"}
 
+# The kinds of text argument and the types each takes: a value of another
+# type raises ScopeError, "text must be a ..., got ...".
+_TEXT_KINDS = {"text": (str,), "json": (str, bytes, bytearray)}
+
 
 def _may_act_on(kind, value):
     """Whether a call may return on a value of this kind: a plain int (a
-    sign +1 or -1), a mode or criterion it knows, a tuple of plain ints
-    for mults, and anything for the (S, T) coordinates, which the
-    validators answer False for."""
+    sign +1 or -1), a text of a type it takes, a mode or criterion it
+    knows, a tuple of plain ints for mults, and anything for the (S, T)
+    coordinates, which the validators answer False for."""
     if kind in _INT_KINDS:
         return type(value) is int and (kind != "sign" or value in (1, -1))
+    if kind in _TEXT_KINDS:
+        return isinstance(value, _TEXT_KINDS[kind])
     if kind == "mode":
         return value in (STRICT, RELAXED)
     if kind == "criterion":
@@ -297,10 +304,11 @@ def _plain_rows(result):
 
 
 class TestLibraryBoundaryFuzz:
-    """Every integer, sign, row, mode and criterion argument of the public
-    callables of emseg (and of ui_type, dual_ui_dual and iter_grid), drawn
-    valid or wrong: each call returns, or raises a SegmentError with a
-    message, and no argument that breaks its rule is ever acted on."""
+    """Every integer, sign, row, text, mode and criterion argument of the
+    public callables of emseg (and of ui_type, dual_ui_dual and
+    iter_grid), drawn valid or wrong: each call returns, or raises a
+    SegmentError with a message, and no argument that breaks its rule is
+    ever acted on."""
 
     # Valid states on which each operator below applies at some position.
     SEEDS = ("[0,0;0;+][1,1;0;-][1,1;0;-]", "[2,-2;2;+][1,-1;1;-]",
@@ -328,9 +336,9 @@ class TestLibraryBoundaryFuzz:
                           ("rows", "mode")),
         "make_row": (lambda ms, *args: make_row(*args),
                      ("int", "int", "int", "sign", "mode")),
-        "parse": (lambda ms, mode: parse(render(ms), mode), ("mode",)),
-        "from_json": (lambda ms, mode: from_json(to_json(ms), mode),
-                      ("mode",)),
+        "parse": (lambda ms, text, mode: parse(text, mode), ("text", "mode")),
+        "from_json": (lambda ms, text, mode: from_json(text, mode),
+                      ("json", "mode")),
         "validate": (validate, ("criterion",)),
         "row_exchange": (row_exchange, ("pair",)),
         "ui_type": (ui_type, ("pair",)),
@@ -348,6 +356,8 @@ class TestLibraryBoundaryFuzz:
                            ("sign",)),
         "validate_S": (lambda ms, S: validate_S(_M, S), ("coords",)),
         "validate_T": (lambda ms, T: validate_T(_M, _S, T), ("coords",)),
+        "theta2_matches_theta4": (
+            lambda ms, S: theta2_matches_theta4(_M, S), ("coords",)),
         "build": (lambda ms, eta: build(_M, _S, _T, eta), ("sign",)),
         "theta_family": (lambda ms, eta: theta_family(_M, _S, _T, eta),
                          ("sign",)),
@@ -371,8 +381,8 @@ class TestLibraryBoundaryFuzz:
     # The public callables of emseg that take none of these arguments,
     # each with the reason.
     OUT_OF_SCOPE = {
-        # Only multi-segments, block-tuples or S-tuples, which are
-        # duck-typed, or a parts list of multi-segments.
+        # Only multi-segments or block-tuples, which are duck-typed, or a
+        # parts list of multi-segments.
         "arthur_parameter": "a MultiSegment",
         "check_star": "a MultiSegment",
         "group_sign": "a MultiSegment",
@@ -391,7 +401,6 @@ class TestLibraryBoundaryFuzz:
         "count_block_recursive": "a BlockTuple",
         "enumerate_S": "a BlockTuple",
         "enumerate_ST": "a BlockTuple",
-        "theta2_matches_theta4": "a BlockTuple and an S-tuple",
         "render_grid": "a MultiSegment and a bool flag",
         # Value and result records: the constructors check rows, and the
         # library builds the records.
@@ -402,8 +411,15 @@ class TestLibraryBoundaryFuzz:
         "ClosureReport": "a result record",
     }
 
-    @staticmethod
-    def _valid(kind, n):
+    # Valid texts of each text kind: the seeds and a malformed DSL text,
+    # and for JSON their wire format as a str, bytes and bytearray.
+    TEXTS = SEEDS + ("[0,0;0;+][oops",)
+    JSON_TEXTS = tuple(to_json(parse(t)) for t in SEEDS) + ('{"rows": 5}',)
+    JSON_TEXTS += tuple(t.encode() for t in JSON_TEXTS) + (
+        bytearray(JSON_TEXTS[0].encode()),)
+
+    @classmethod
+    def _valid(cls, kind, n):
         """The valid arguments of a kind on a symbol of n rows."""
         if kind == "pair":
             return st.integers(0, n - 2) if n > 1 else st.nothing()
@@ -417,7 +433,9 @@ class TestLibraryBoundaryFuzz:
                 "mults": st.lists(st.integers(1, 5), max_size=3).map(tuple),
                 "rows": st.lists(st.tuples(entry, entry, entry, entry),
                                  max_size=4),
-                "coords": st.sampled_from((_S, _T, ((0, 0), (1, 1))))}[kind]
+                "coords": st.sampled_from((_S, _T, ((0, 0), (1, 1)))),
+                "text": st.sampled_from(cls.TEXTS),
+                "json": st.sampled_from(cls.JSON_TEXTS)}[kind]
 
     def _wrong(self, kind):
         """The wrong arguments of a kind."""
@@ -426,7 +444,8 @@ class TestLibraryBoundaryFuzz:
         if kind == "mults":
             return st.sampled_from(self.WRONG).map(lambda v: (v,))
         extra = {"mode": ("loose", "STRICT", ""), "criterion": ("Q", "p", ""),
-                 "sign": (0, 2)}.get(kind, ())
+                 "sign": (0, 2), "text": (b"[0,0;0;+]", ["[0,0;0;+]"]),
+                 "json": (["{}"], memoryview(b"{}"))}.get(kind, ())
         return st.sampled_from(self.WRONG + extra)
 
     def test_every_public_callable_is_fuzzed_or_out_of_scope(self):
@@ -457,12 +476,15 @@ class TestLibraryBoundaryFuzz:
             assert str(e)
             wrong = [(kind, v) for kind, (v, valid) in zip(kinds, drawn)
                      if not valid]
-            if (len(wrong) == 1 and wrong[0][0] in _INT_KINDS
-                    and type(wrong[0][1]) is not int):
-                assert type(e) is ScopeError, (name, args, e)
-                value = wrong[0][1]
-                shown = "<list>" if value == [HUGE] else repr(value)
-                assert str(e).endswith("must be an integer, got " + shown)
+            if len(wrong) == 1:
+                kind, value = wrong[0]
+                if kind in _INT_KINDS and type(value) is not int:
+                    assert type(e) is ScopeError, (name, args, e)
+                    shown = "<list>" if value == [HUGE] else repr(value)
+                    assert str(e).endswith("must be an integer, got " + shown)
+                if kind in _TEXT_KINDS and not _may_act_on(kind, value):
+                    assert type(e) is ScopeError, (name, args, e)
+                    assert str(e).startswith("text must be a str"), e
             return
         assert not refused, (name, render(ms), args)
         assert _plain_rows(result), (name, args, result)

@@ -198,6 +198,17 @@ class TestTheta:
         assert theta2_matches_theta4(M, ((0, 0), (1, 1)))
         assert not theta2_matches_theta4(M, ((0, 1),))
 
+    @pytest.mark.parametrize("S", [5, None, ((0, 9),), ((0, 0),), ()])
+    def test_coincidence_detector_checks_its_S_tuple(self, S):
+        """An S that validate_S refuses raises build's error."""
+        M = BlockTuple(0, (1, 3))
+        with pytest.raises(SegmentError) as exc:
+            theta2_matches_theta4(M, S)
+        assert type(exc.value) is SegmentError
+        assert str(exc.value) == "invalid S-tuple for " + repr(M)
+        with pytest.raises(SegmentError, match="^invalid S-tuple for "):
+            build(M, S)
+
 
 def _small_blocks(max_cols, c_min):
     """Every block at c_min of at most max_cols columns with multiplicities
