@@ -18,7 +18,9 @@ from .sdata import (
     theta2_matches_theta4, validate_S, validate_T,
 )
 from .count import (
-    LimitError, PacketCount, count_block_closure, count_block_enumerative,
+    PacketCount, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, verify_grid,
 )
-from .closure import ClosureReport, are_equivalent, canonical, closure
+from .closure import (
+    ClosureReport, LimitError, are_equivalent, canonical, closure,
+)

@@ -12,13 +12,15 @@ import os
 import sys
 from itertools import islice, repeat
 
-from .blocks import BlockTuple, block_decompose, block_tuple, classify_boundary
-from .closure import DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, closure
+from .blocks import BlockTuple, block_tuples, classify_boundary, tempered_block
+from .closure import (
+    DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, LimitError, closure,
+)
 from .core import (
     _INTEGER_RE, SegmentError, from_json, parse, render, render_grid, to_json,
 )
 from .count import (
-    LimitError, METHODS, RECURSION, count_tempered, iter_grid, verify_instance,
+    METHODS, RECURSION, count_tempered, iter_grid, verify_instance,
 )
 from .ops import (
     OpResult, dual, dual_ui_dual, merge_hats, row_exchange, split_circles,
@@ -175,10 +177,9 @@ def _cmd_apply(args, out):
 
 
 def _cmd_blocks(args, out):
-    ms = _read_ms(args)
-    blocks = block_decompose(ms)
-    for i, blk in enumerate(blocks):
-        bt = block_tuple(blk)
+    split = block_tuples(_read_ms(args))
+    blocks = [tempered_block(bt, eta) for bt, eta in split]
+    for i, ((bt, _), blk) in enumerate(zip(split, blocks)):
         record = {
             "index": i,
             "dsl": render(blk),

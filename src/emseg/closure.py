@@ -61,6 +61,23 @@ DEFAULT_MAX_STATES = 100000
 DEFAULT_MAX_DEPTH = 64
 
 
+class LimitError(SegmentError):
+    """A search stopped at one of its limits, such as a closure at its
+    state or depth limit before it exhausted the class; the message names
+    the limit and its value."""
+
+    @classmethod
+    def of(cls, report):
+        """The error for a ClosureReport that a limit stopped."""
+        # str.format, not %: closure.py takes no % at all (see the lint
+        # test that keeps the dual parity in ops).
+        if report.stop == "states":
+            return cls("closure hit the state limit ({} states)"
+                       .format(report.max_states))
+        return cls("closure hit the depth limit (depth {})"
+                   .format(report.max_depth))
+
+
 def _row_ok(r):
     """Strict (0 <= 2l <= b) and non-vanishing (B + l >= 0, the row-wise
     condition of check_star)."""
@@ -404,7 +421,15 @@ def canonical(ms):
 
 def are_equivalent(ms1, ms2,
                    max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
-    """Shared membership test via the closure of the first argument; False
-    when ms2 is not a valid state."""
+    """Shared membership test via the closure of the first argument: True
+    when the closure finds ms2's class, False when ms2 is not a valid state
+    or the closure exhausts the class without it, and LimitError when a
+    limit stops the closure before it finds ms2's class."""
     report = closure(ms1, max_states, max_depth)
-    return _valid_state(ms2.rows) and canonical(ms2) in report.nodes
+    if not _valid_state(ms2.rows):
+        return False
+    if canonical(ms2) in report.nodes:
+        return True
+    if not report.exhausted:
+        raise LimitError.of(report)
+    return False

@@ -433,6 +433,9 @@ def from_json(text, mode=STRICT):
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError("invalid JSON: %s" % e.msg, e.pos) from e
+    except UnicodeDecodeError as e:
+        raise ParseError("invalid JSON: byte 0x%02x is not valid %s"
+                         % (e.object[e.start], e.encoding), e.start) from e
     except ValueError as e:
         raise ParseError("invalid JSON: %s" % _OUT_OF_RANGE, 0) from e
     except RecursionError as e:

@@ -5,8 +5,8 @@ from itertools import repeat
 from typing import NamedTuple
 
 from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
-from .closure import closure
-from .core import SegmentError, _limit, arthur_parameter
+from .closure import LimitError, closure
+from .core import _limit, arthur_parameter
 from .sdata import build, iter_S, iter_ST
 
 RECURSION, ENUMERATION, CLOSURE = "recursion", "enumeration", "closure"
@@ -53,20 +53,6 @@ def count_block_enumerative(M, eta=1):
     members = iter_ST(M) if M.c_min == 0 else zip(iter_S(M), repeat(None))
     psis = {arthur_parameter(build(M, S, T, eta)) for S, T in members}
     return PacketCount(len(psis), ENUMERATION)
-
-
-class LimitError(SegmentError):
-    """A search stopped at one of its limits, such as a closure at its
-    state or depth limit before it exhausted the class; the message names
-    the limit and its value."""
-
-    @classmethod
-    def of(cls, report):
-        """The error for a ClosureReport that a limit stopped."""
-        if report.stop == "states":
-            return cls("closure hit the state limit (%d states)"
-                       % report.max_states)
-        return cls("closure hit the depth limit (depth %d)" % report.max_depth)
 
 
 def count_block_closure(M, eta=1, **limits):

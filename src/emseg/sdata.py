@@ -15,11 +15,12 @@ validate_T whether each T[i] splits S[i], with no overlap.  The validators
 answer False, and raise nothing, for anything that is not a tuple or list
 of (a, b) pairs.
 
-build and build_labeled share the rows of a block: each distinct row
-(A, B, l, eta) is made once, in the block's row table, and every later
-member that has it gets that same Row.  An n-column block has at most
-2n^2 rows (n^2 chains and hats, each with either sign), and the table
-holds only rows of members built so far, so it never outgrows them.
+build is the one constructor of a member, and its members share the rows
+of a block: each distinct row (A, B, l, eta) is made once, in the block's
+row table, and every later member that has it gets that same Row.  An
+n-column block has at most 2n^2 rows (n^2 chains and hats, each with
+either sign), and the table holds only rows of members built so far, so
+it never outgrows them.
 """
 
 from functools import cache
@@ -31,7 +32,6 @@ from .core import (
 )
 from .ops import merge_hats, op_D, op_S, op_U
 
-CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
 # What S, T, each split in T and each (a, b) pair may be.
 _SEQUENCE = (tuple, list)
 
@@ -184,10 +184,9 @@ def enumerate_ST(M):
 
 
 def _rows(M, S, T, eta):
-    """The checks and the rows of build_labeled, which build shares:
-    (rows, items), where items are the sorted (B, rank, A, l, n, i, j) the
-    rows come from, one per chain, hat or run of n equal multiples, with
-    (i, j) the origin of a chain or hat in T.
+    """The checks and the rows of build.  The rows come from items, the
+    sorted (B, rank, A, l, n), one per chain, hat or run of n equal
+    multiples.
 
     The rank puts chains and hats (0) before the multiples (1) and the
     z-chain (2) of one column.  No two items agree in (B, rank), so the
@@ -212,18 +211,17 @@ def _rows(M, S, T, eta):
         lo0, hi0 = parts[0]
         if i and S[i - 1][1] == lo0:  # a z-chain, on an overlap column
             free[lo0 - lo] -= 1
-            items.append((lo0, 2, hi0, 0, 1, i, 0))
+            items.append((lo0, 2, hi0, 0, 1))
         else:
-            items.append((lo0, 0, hi0, 0, 1, i, 0))
-        for j in range(1, len(parts)):
-            p, q = parts[j]
-            items.append((-p, 0, q, p, 1, i, j))
+            items.append((lo0, 0, hi0, 0, 1))
+        for p, q in parts[1:]:
+            items.append((-p, 0, q, p, 1))
     for c, n in enumerate(free, lo):
         if n < 0:
             raise SegmentError("column %s covered more often than its "
                                "multiplicity" % _shown(c))
         if n:
-            items.append((c, 1, c, 0, n, None, None))
+            items.append((c, 1, c, 0, n))
     _eta(eta)
     items.sort()
     # Every check has passed: each distinct row of the block is made once,
@@ -236,7 +234,7 @@ def _rows(M, S, T, eta):
     rows = []
     step = eta
     multiples_at = None
-    for B, rank, A, l, n, _, _ in items:
+    for B, rank, A, l, n in items:
         sign = -step if rank == 1 or B == multiples_at else step
         key = (A, B, l, sign)
         row = table.get(key) or table.setdefault(key, Row(*key))
@@ -246,12 +244,12 @@ def _rows(M, S, T, eta):
         else:
             rows.append(row)
             step, multiples_at = (sign if (A - B) & 1 else -sign), None
-    return tuple(rows), items
+    return tuple(rows)
 
 
-def build_labeled(M, S, T=None, eta=1):
-    """The multi-segment of (M, S, T, eta) and the (kind, origin) label of
-    each row, origin being the (i, j) of a chain or hat in T.
+def build(M, S, T=None, eta=1):
+    """The multi-segment attached to (M, S, T, eta): the one constructor of
+    a class member.
 
     The input is checked once, at this boundary: validate_S, validate_T of
     a given T (trivial_T of a valid S is valid by validate_S's overlap
@@ -265,28 +263,16 @@ def build_labeled(M, S, T=None, eta=1):
     - weak_normalize is a no-op, since 2l = b would need p = q + 1.
 
     Valid (S, T) cover each column once and an overlap column twice, and
-    the multiples of a column are what its multiplicity leaves over.
+    the multiples of a column are what its multiplicity leaves over.  So
+    the hats are the rows with l > 0: chains, z-chains and multiples all
+    have l = 0.
 
     Equal rows of the members of one block are one object: the rows come
     from the block's row table (see the module docstring), which holds at
     most 2n^2 rows for n columns.  A rejected input leaves it as it was,
     since no row is looked up before every check has passed.
     """
-    rows, items = _rows(M, S, T, eta)
-    labels = []
-    for _, rank, _, l, n, i, j in items:
-        if rank == 1:
-            labels += [(MULTIPLE, None)] * n
-        else:
-            labels.append((ZCHAIN if rank == 2 else HAT if l else CHAIN,
-                           (i, j)))
-    return MultiSegment._of(rows, STRICT), tuple(labels)
-
-
-def build(M, S, T=None, eta=1):
-    """The multi-segment attached to (M, S, T, eta); build_labeled without
-    the labels."""
-    return MultiSegment._of(_rows(M, S, T, eta)[0], STRICT)
+    return MultiSegment._of(_rows(M, S, T, eta), STRICT)
 
 
 def theta1(ms):
@@ -315,13 +301,12 @@ def theta_family(M, S, T=None, eta=1):
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
     _check_block(M)
-    E, labels = build_labeled(M, S, T, eta)
     c_max = M.c_max
-    t1 = theta1(E)
-    labels1 = (("lift-hat", None),) + labels
+    t1 = theta1(build(M, S, T, eta))
     ends = [i for i, r in enumerate(t1.rows) if r.A == c_max]
     first, last = ends[0], ends[-1]
-    if labels1[first][0] == HAT:
+    # The first top-column row is a hat exactly when it has l > 0.
+    if t1.rows[first].l:
         if first != 1:
             raise SegmentError("top-column hat is not the first row of the block")
         res2 = merge_hats(t1, 0)
@@ -340,7 +325,9 @@ def theta_family(M, S, T=None, eta=1):
         t3 = _separate_top(t2, c_max)
     family = [("theta1", t1), ("theta2", t2), ("theta3", t3)]
     if M.mult(c_max) > 1:
-        if labels1[last][0] != MULTIPLE:
+        # The multiples [c_max, c_max] sort after the singleton chain
+        # there, and no z-chain or hat has B = c_max.
+        if t1.rows[last].B != c_max:
             raise SegmentError("last top-column row is not a multiple")
         res4 = op_D(t1, 0, last)
         if not res4.applied:

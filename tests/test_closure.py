@@ -13,8 +13,8 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.closure import (
-    _Rows, _as_multisegment, _moves, _search, _valid_move, _valid_state,
-    are_equivalent, canonical, closure, neighbors,
+    LimitError, _Rows, _as_multisegment, _moves, _search, _valid_move,
+    _valid_state, are_equivalent, canonical, closure, neighbors,
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, Row, SegmentError, arthur_parameter,
@@ -531,6 +531,24 @@ class TestCanonical:
         with pytest.raises(SegmentError, match="closure seed"):
             canonical(vanishing)
         assert not are_equivalent(parse("[2,-1;1;+]"), vanishing)
+
+    def test_a_limit_raises_rather_than_answers(self):
+        """A limit that stops the closure before it finds ms2's class
+        raises LimitError; it does not answer False."""
+        seed = tempered_block(BlockTuple(0, (1, 3, 1)), 1)
+        far = parse(max(closure(seed).nodes).decode())
+        assert are_equivalent(seed, far) is True
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(2 states\)$")):
+            are_equivalent(seed, far, max_states=2)
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the depth limit \(depth 1\)$")):
+            are_equivalent(seed, far, max_depth=1)
+        # What the stopped closure found still answers, and an invalid
+        # state is in no class.
+        assert are_equivalent(seed, seed, max_states=0) is True
+        assert are_equivalent(seed, parse("[2,-2;1;+]"),
+                              max_states=0) is False
 
     def test_node_keys_are_their_own_canonical_forms(self, grid_closures):
         """On every grid closure (both signs) each node key is canonical,

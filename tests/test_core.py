@@ -189,6 +189,20 @@ class TestParseRender:
         for text in (payload, payload.encode(), bytearray(payload.encode())):
             assert from_json(text) == parse("[1,0;0;+]")
 
+    @pytest.mark.parametrize("payload, message", [
+        (b"\x80", "invalid JSON: byte 0x80 is not valid utf-8 "
+                   "(at position 0)"),
+        (b'{"rows": [\xff]}', "invalid JSON: byte 0xff is not valid utf-8 "
+                              "(at position 10)"),
+    ], ids=["lone-byte", "in-a-row-list"])
+    def test_bytes_that_are_not_utf8_are_named(self, payload, message):
+        """json.loads' UnicodeDecodeError is a ValueError too; it names
+        the byte and its position, not an integer out of range."""
+        for text in (payload, bytearray(payload)):
+            with pytest.raises(ParseError) as exc:
+                from_json(text)
+            assert str(exc.value) == message
+
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(ParseError, match="nested too deeply"):
             from_json("[" * 100000)

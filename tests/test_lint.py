@@ -114,7 +114,7 @@ def test_closure_and_canonical_share_one_search_loop():
 
 
 def test_build_trusts_its_checked_coordinates():
-    """build and build_labeled make the rows of checked (S, T) directly:
+    """build makes the rows of checked (S, T) directly:
     sdata.py checks no row with make_row and builds no MultiSegment(...)."""
     assert _callers("sdata.py", "make_row") == set()
     assert _callers("sdata.py", "MultiSegment") == set()

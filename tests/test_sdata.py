@@ -16,9 +16,9 @@ from emseg.core import (
 )
 from emseg.count import grid_instances
 from emseg.sdata import (
-    CHAIN, HAT, MULTIPLE, ZCHAIN, _partitions_of, build, build_labeled,
-    enumerate_S, enumerate_ST, iter_S, iter_ST, theta1, theta_family,
-    theta2_matches_theta4, trivial_T, validate_S, validate_T,
+    _partitions_of, build, enumerate_S, enumerate_ST, iter_S, iter_ST,
+    theta1, theta_family, theta2_matches_theta4, trivial_T, validate_S,
+    validate_T,
 )
 
 ELEVEN_ROW_M = BlockTuple(0, (1, 1, 3, 1, 1, 3, 1, 1, 3, 1))
@@ -123,10 +123,28 @@ class TestBuild:
                     ms = build(M, S, None, 1)
                     assert validate(ms, "P") and check_star(ms)
 
-    def test_labels(self):
-        _, labels = build_labeled(BlockTuple(0, (1, 3, 1, 1)),
-                                  ((0, 1), (1, 3)), None, 1)
-        assert [kind for kind, _ in labels] == ["chain", "multiple", "zchain"]
+    def test_row_facts_the_lift_family_reads(self):
+        """theta_family reads the kind of a row off the row: on every
+        member of the default grid's blocks, with both signs, a row is a
+        hat exactly when its l > 0, and when mult(c_max) > 1 the last row
+        ending at c_max is a multiple, and so has B = c_max."""
+        _, labels = _reference_build_labeled(BlockTuple(0, (1, 3, 1, 1)),
+                                             ((0, 1), (1, 3)), None, 1)
+        assert [kind for kind, _ in labels] == [CHAIN, MULTIPLE, ZCHAIN]
+        tops = 0
+        for M in grid_instances():
+            for S, T in _members(M):
+                for eta in (1, -1):
+                    ms, labels = _reference_build_labeled(M, S, T, eta)
+                    for r, (kind, _) in zip(ms.rows, labels):
+                        assert (kind == HAT) == (r.l > 0), (M, S, T)
+                    if M.mult(M.c_max) > 1:
+                        last = max(i for i, r in enumerate(ms.rows)
+                                   if r.A == M.c_max)
+                        assert labels[last][0] == MULTIPLE, (M, S, T)
+                        assert ms.rows[last].B == M.c_max
+                        tops += 1
+        assert tops > 500
 
     def test_parameter_collisions_are_exchange_equivalent(self):
         from emseg.closure import canonical
@@ -182,7 +200,7 @@ class TestTheta:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a member of an even block")
 
-        monkeypatch.setattr(sdata, "build_labeled", unreachable)
+        monkeypatch.setattr(sdata, "build", unreachable)
         checked = 0
         for mults in ((2,), (1, 2), (2, 1), (2, 1, 2)):
             M = BlockTuple(0, mults)
@@ -441,10 +459,16 @@ class TestOneWalkForSplits:
                         iv, min_first)
 
 
+# The kind of each row of a member, as the reference labels them.
+CHAIN, ZCHAIN, MULTIPLE, HAT = "chain", "zchain", "multiple", "hat"
+
+
 def _reference_build_labeled(M, S, T, eta):
     """The construction as it read before rows were made once: the checks
     of S, T and the coverage, then Row, sign, weak_normalize and the public
-    constructor, which checks every row with make_row."""
+    constructor, which checks every row with make_row.  Beside the member
+    it gives the (kind, origin) label of each row, origin being the (i, j)
+    of a chain or hat in T."""
     if not validate_S(M, S):
         raise SegmentError("invalid S-tuple for %r" % (M,))
     if T is None:
@@ -505,10 +529,9 @@ class TestBuildOnce:
         for M in grid_instances():
             for S, T in _members(M):
                 for eta in (1, -1):
-                    ms, labels = build_labeled(M, S, T, eta)
-                    want = _reference_build_labeled(M, S, T, eta)
-                    assert (ms.rows, ms.mode, labels) == (
-                        want[0].rows, want[0].mode, want[1])
+                    ms = build(M, S, T, eta)
+                    want = _reference_build(M, S, T, eta)
+                    assert (ms.rows, ms.mode) == (want.rows, want.mode)
                     assert ms == MultiSegment(ms.rows)
                     assert all(type(r) is Row for r in ms.rows)
                     built += 1
@@ -591,15 +614,15 @@ class TestBuildOnce:
     def test_the_row_table_stays_within_its_bound(self):
         """A block of n columns has at most 2n^2 rows in its table (chains
         and hats, each with either sign), and the table holds exactly the
-        distinct rows its members have: labelled or not, with or without
-        T, at c_min = 0 or past it."""
+        distinct rows its members have: with or without T, at c_min = 0 or
+        past it."""
         most = 0
         for M in grid_instances() + [BlockTuple(0, (1,) * 6),
                                      BlockTuple(2, (3, 1, 1, 3, 1))]:
             rows = set()
             for S, T in _members(M):
                 for eta in (1, -1):
-                    rows.update(build_labeled(M, S, T, eta)[0].rows)
+                    rows.update(build(M, S, T, eta).rows)
                     rows.update(build(M, S, None, eta).rows)
             n = len(M.mults)
             assert set(M._row_table) == rows
@@ -641,8 +664,7 @@ class TestBuildOnce:
         rows = 0
         for S, T in enumerate_ST(M):
             rows += len(build(M, S, T, -1).rows)
-        rows += len(build_labeled(ELEVEN_ROW_M, ELEVEN_ROW_S, ELEVEN_ROW_T,
-                                  1)[0].rows)
+        rows += len(build(ELEVEN_ROW_M, ELEVEN_ROW_S, ELEVEN_ROW_T, 1).rows)
         for S in enumerate_S(BlockTuple(2, (3, 1, 5))):
             rows += len(build(BlockTuple(2, (3, 1, 5)), S).rows)
         assert rows > 200
@@ -651,14 +673,17 @@ class TestBuildOnce:
 
 
 def _outcome(f, *args):
-    """("ok", rows, mode, labels, element types) or (exception type,
-    message)."""
+    """("ok", rows, mode, element types) or (exception type, message)."""
     try:
-        ms, labels = f(*args)
+        ms = f(*args)
     except (SegmentError, TypeError) as e:
         return type(e), str(e)
-    return ("ok", ms.rows, ms.mode, labels,
+    return ("ok", ms.rows, ms.mode,
             {type(x) for r in ms.rows for x in (r, *r)})
+
+
+def _reference_build(M, S, T, eta):
+    return _reference_build_labeled(M, S, T, eta)[0]
 
 
 def _has_non_int(S, T):
@@ -713,23 +738,23 @@ def _broken_member(rng):
 
 class TestBuildAgainstReference:
     def test_broken_inputs(self, rng):
-        """Every input gives the reference's rows, labels and mode, or its
+        """Every input gives the reference's rows and mode, or its
         exception type and message; one whose S or T passes the checks with
         a non-int endpoint gives ScopeError instead (the reference let a
         float in S escape as TypeError)."""
         seen = set()
         for _ in range(3000):
             M, S, T, eta = _broken_member(rng)
-            got = _outcome(build_labeled, M, S, T, eta)
+            got = _outcome(build, M, S, T, eta)
             if _checks_pass(M, S, T) and _has_non_int(S, T):
                 assert got[0] is ScopeError, (M, S, T, eta, got)
                 assert got[1].startswith("S and T endpoints must be integers")
                 seen.add("non-int endpoint")
                 continue
-            want = _outcome(_reference_build_labeled, M, S, T, eta)
+            want = _outcome(_reference_build, M, S, T, eta)
             assert got == want, (M, S, T, eta)
             if want[0] == "ok":
-                assert got[4] == {Row, int}
+                assert got[3] == {Row, int}
                 seen.add("ok")
             else:
                 seen.add(want[1].split(",")[0].split(" got")[0])
@@ -846,10 +871,9 @@ def test_build_of_any_member(member):
     family has three or four members of strict, admissible rows."""
     M, S, T, eta = member
     assert validate_S(M, S) and (T is None or validate_T(M, S, T))
-    ms, labels = build_labeled(M, S, T, eta)
-    want = _reference_build_labeled(M, S, T, eta)
-    assert (ms.rows, ms.mode, labels) == (want[0].rows, want[0].mode, want[1])
-    assert build(M, S, T, eta) == ms
+    ms = build(M, S, T, eta)
+    want = _reference_build(M, S, T, eta)
+    assert (ms.rows, ms.mode) == (want.rows, want.mode)
     assert all(make_row(*r) == r for r in ms.rows)
     assert validate(ms, "P") and check_star(ms)
     if M.c_min == 0:
