@@ -19,7 +19,7 @@ from .sdata import (
 )
 from .count import (
     PacketCount, count_block_closure, count_block_enumerative,
-    count_block_recursive, count_multi, count_tempered, verify_grid,
+    count_block_recursive, count_multi, count_tempered,
 )
 from .closure import (
     ClosureReport, LimitError, are_equivalent, canonical, closure,

@@ -29,10 +29,6 @@ class BlockTuple(_Value):
     def c_max(self):
         return self.c_min + len(self.mults) - 1
 
-    @property
-    def is_empty(self):
-        return not self.mults
-
     def mult(self, c):
         if self.c_min <= c <= self.c_max:
             return self.mults[c - self.c_min]

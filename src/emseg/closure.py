@@ -43,7 +43,9 @@ from .ops import (
 
 
 class ClosureReport(NamedTuple):
-    nodes: frozenset          # canonical keys, one per row-exchange class
+    nodes: frozenset          # one key per row-exchange class: canonical
+                              # when exhausted; at a limit, the least key
+                              # among a component's visited states
     psi: frozenset            # Arthur parameters
     states: int               # exact row lists visited
     stop: str                 # "exhausted", or the limit that stopped it:
@@ -381,8 +383,10 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
 
 
 def _component_keys(table, states, index, exchange_edges):
-    """The canonical key of each row-exchange component among the visited
-    states, as {index of a state of the component: key}.
+    """The least key among the visited states of each row-exchange
+    component, as {index of a state of the component: key}.  It is the
+    component's canonical key when the search exhausted the class; a
+    stopped search may not have visited the state that holds it.
 
     exchange_edges holds the edges of the states the search expanded in
     full; the edges of the others are looked up here.

@@ -265,9 +265,6 @@ class MultiSegment(_Value):
     def __iter__(self):
         return iter(self.rows)
 
-    def __getitem__(self, i):
-        return self.rows[i]
-
     @classmethod
     def _of(cls, rows, mode):
         """Wrap a tuple of rows that are valid under mode.
@@ -305,20 +302,17 @@ def order_sorted(rows):
     return Bs == sorted(Bs)
 
 
-def validate(ms, criterion="P"):
-    """True iff the order satisfies (P) or (P'); (P') implies (P), so
-    B-sorted rows skip the O(n^2) check of (P).  The rows fit the mode by
-    construction: make_row checked each of them under it."""
-    if criterion not in ("P", "Pprime"):
-        raise SegmentError("criterion must be 'P' or 'Pprime'")
-    if criterion == "Pprime":
-        return order_sorted(ms.rows)
+def validate(ms):
+    """True iff the order satisfies (P).  (P') implies (P), so B-sorted
+    rows skip the O(n^2) check; order_sorted(ms.rows) alone tests (P').
+    The rows fit the mode by construction: make_row checked each of them
+    under it."""
     return order_sorted(ms.rows) or order_admissible(ms.rows)
 
 
 def arthur_parameter(ms):
     """The multiset of (a, b) = (A+B+1, A-B+1), as a sorted tuple."""
-    if not validate(ms, "P"):
+    if not validate(ms):
         raise SegmentError("multi-segment has an inadmissible order")
     return tuple(sorted([(A + B + 1, A - B + 1) for A, B, _, _ in ms.rows]))
 

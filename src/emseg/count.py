@@ -91,12 +91,12 @@ def count_multi(parts):
 
 
 def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
-    """Yield the block-tuples of the verification grid, in the order of
-    grid_instances: depth first over the multiplicity prefixes, each at
-    every c_min in turn.  The next prefix appends a 1 while a column of 1
-    fits, or else drops columns until the last one can grow by 2 within
-    max_mult and the rows left.  So a caller that stops early has made
-    only the instances it took.
+    """Yield the block-tuples of the verification grid: depth first over
+    the multiplicity prefixes, each at every c_min in turn.  The next
+    prefix appends a 1 while a column of 1 fits, or else drops columns
+    until the last one can grow by 2 within max_mult and the rows left.
+    So a caller that stops early has made only the instances it took; a
+    caller that wants the list takes list(iter_grid(...)).
 
     Each bound must be a plain int (ScopeError otherwise) of at least 0
     (SegmentError otherwise), checked when the first instance is asked
@@ -121,20 +121,8 @@ def iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
             yield BlockTuple(c_min, mults)
 
 
-def grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9):
-    """The verification grid of block-tuples (the list of iter_grid)."""
-    return list(iter_grid(max_len, max_mult, max_cmin, max_rows))
-
-
 def verify_instance(M):
     """Three-way agreement report for one block-tuple, as a dict."""
     counts = {name: count(M).value for name, count in METHODS.items()}
     return {"c_min": M.c_min, "mults": list(M.mults), **counts,
             "agree": len(set(counts.values())) == 1}
-
-
-def verify_grid(**bounds):
-    """Three-way agreement report over iter_grid(**bounds); yields
-    per-instance dicts."""
-    for M in iter_grid(**bounds):
-        yield verify_instance(M)

@@ -40,12 +40,11 @@ def _is_split(parts, iv, mult=None):
     """Whether parts split the columns iv = (lo, hi) into nonempty
     intervals, in order: the first starts at lo, the last ends at hi, and
     each next one starts at b + 1, or at b when it is wider and
-    mult(b) > 1; without mult no two overlap.  parts must be a tuple or
-    list of (a, b) pairs, and each pair and iv a tuple or list: anything
-    else, such as a pair of three entries or of a None, is False, and
-    nothing raises."""
-    if not (isinstance(iv, _SEQUENCE) and isinstance(parts, _SEQUENCE)
-            and parts):
+    mult(b) > 1; without mult no two overlap.  No parts split exactly the
+    empty range, lo - 1 == hi.  parts must be a tuple or list of (a, b)
+    pairs, and each pair and iv a tuple or list: anything else, such as a
+    pair of three entries or of a None, is False, and nothing raises."""
+    if not (isinstance(iv, _SEQUENCE) and isinstance(parts, _SEQUENCE)):
         return False
     try:
         lo, hi = iv
@@ -82,16 +81,18 @@ def validate_S(M, S):
 
 def validate_T(M, S, T):
     """Validity of a T-refinement: T[i] splits S[i] upward with no overlap
-    (_is_split), into one part unless c_min = 0, and the first part of a
-    z-chain (an interval that starts where the one before ends) keeps at
-    least two columns.  Anything but a tuple or list of such splits, one
-    per interval of S, is invalid; nothing raises."""
+    (_is_split), into one part unless c_min = 0 and never into none, and
+    the first part of a z-chain (an interval that starts where the one
+    before ends) keeps at least two columns.  Anything but a tuple or
+    list of such splits, one per interval of S, is invalid; nothing
+    raises."""
     if not (isinstance(S, _SEQUENCE) and isinstance(T, _SEQUENCE)
             and len(T) == len(S)):
         return False
     prev = None
     for iv, parts in zip(S, T):
-        if (not _is_split(parts, iv) or M.c_min != 0 and len(parts) > 1
+        if (not _is_split(parts, iv) or not parts
+                or M.c_min != 0 and len(parts) > 1
                 or iv[0] == prev and parts[0][0] == parts[0][1]):
             return False
         prev = iv[1]

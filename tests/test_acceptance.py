@@ -20,7 +20,7 @@ from emseg.core import (
 )
 from emseg.count import (
     count_block_closure, count_block_enumerative, count_block_recursive,
-    count_tempered, grid_instances,
+    count_tempered, iter_grid,
 )
 from emseg.ops import NoExchangeError, dual, row_exchange
 from emseg.sdata import (
@@ -78,7 +78,7 @@ def test_criterion_3_smallest_block_closure():
 
 def test_criterion_4_three_way_agreement():
     start = time.monotonic()
-    instances = grid_instances(max_len=4, max_mult=5, max_cmin=1, max_rows=9)
+    instances = list(iter_grid(max_len=4, max_mult=5, max_cmin=1, max_rows=9))
     assert len(instances) >= 80
     for M in instances:
         r = count_block_recursive(M).value

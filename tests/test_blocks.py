@@ -24,7 +24,7 @@ class TestBlockTuple:
         assert bt.mult(7) == 0
 
     def test_empty(self):
-        assert EMPTY_BLOCK.is_empty
+        assert not EMPTY_BLOCK.mults
 
     def test_rejects_negative_start(self):
         with pytest.raises(SegmentError, match=r"^c_min must be >= 0$"):

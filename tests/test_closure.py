@@ -21,7 +21,7 @@ from emseg.core import (
     check_star, group_sign, make_row, order_sorted, parse, render,
     row_is_strict,
 )
-from emseg.count import count_tempered, grid_instances
+from emseg.count import count_tempered, iter_grid
 from emseg.ops import (
     dual, dual_rows, row_exchange, split_circles, to_sorted, ui,
 )
@@ -61,7 +61,7 @@ def tempered_symbols(draw, max_rows=9):
 @pytest.fixture(scope="module")
 def grid_closures():
     """(seed, closure report) for every grid instance, both signs."""
-    seeds = [tempered_block(M, eta) for M in grid_instances() for eta in (1, -1)]
+    seeds = [tempered_block(M, eta) for M in iter_grid() for eta in (1, -1)]
     return [(seed, closure(seed)) for seed in seeds]
 
 
@@ -83,6 +83,42 @@ class TestClosure:
             other = closure(parse(seed))
             assert other.psi == base.psi
             assert other.nodes == base.nodes
+
+    def test_any_node_seeds_the_same_class(self, grid_closures):
+        """A closure re-seeded from any of its node keys finds the same
+        nodes and psi, which makes are_equivalent symmetric: three random
+        node keys of every grid closure, both signs."""
+        rng = random.Random(20261019)
+        start = time.perf_counter()
+        reseeded = 0
+        for _, report in grid_closures:
+            for key in rng.sample(sorted(report.nodes),
+                                  min(3, len(report.nodes))):
+                other = closure(parse(key.decode()))
+                assert other.nodes == report.nodes, key
+                assert other.psi == report.psi, key
+                reseeded += 1
+        assert reseeded == 476
+        assert time.perf_counter() - start < 3.0
+
+    def test_stopped_closure_keys_are_least_visited_keys(self):
+        """At a limit each node is the least key among the visited states
+        of one exchange component.  The state that holds the canonical key
+        may lie past the limit, so a node can differ from canonical of its
+        own state; the full closure has the canonical key as its node."""
+        seed = theta1(tempered_block(BlockTuple(0, (1, 1, 1, 3)), 1))
+        report = closure(seed, max_states=30)
+        assert (report.stop, report.states, len(report.nodes)) == (
+            "states", 30, 20)
+        off = {key: canonical(parse(key.decode())) for key in report.nodes}
+        off = {key: least for key, least in off.items() if key != least}
+        assert off == {
+            b"[3,3;0;-][4,0;1;+][3,3;0;-]": b"[3,3;0;-][3,3;0;-][4,0;0;-]",
+            b"[0,0;0;-][4,1;0;+][3,3;0;-][3,3;0;-]":
+                b"[0,0;0;-][3,3;0;+][3,3;0;+][4,1;0;+]",
+            b"[1,0;0;-][4,2;0;-][3,3;0;-][3,3;0;-]":
+                b"[1,0;0;-][3,3;0;-][3,3;0;-][4,2;0;-]"}
+        assert set(off.values()) <= closure(seed).nodes
 
     def test_every_state_nonvanishing(self):
         report = closure(tempered_block(BlockTuple(0, (1, 3, 1)), 1))
@@ -256,7 +292,7 @@ class TestAgainstReference:
         general (see test_two_exchange_classes_can_share_a_parameter)."""
         start = time.perf_counter()
         seeds = [theta1(tempered_block(M, 1))
-                 for M in grid_instances() if M.c_min == 0]
+                 for M in iter_grid() if M.c_min == 0]
         while len(seeds) < 243:
             ms = rand_tempered(rng, max_cols=5, max_mult=3)
             if len(ms.rows) <= 9 and len(block_tuples(ms)) >= 2:

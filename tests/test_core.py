@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, ParseError, Row, ScopeError, SegmentError,
     _check_mode, arthur_parameter, check_star, from_json, group_sign,
-    make_row, multi_segment, parse, render, render_grid, to_json, validate,
-    weak_normalize,
+    make_row, multi_segment, order_sorted, parse, render, render_grid,
+    to_json, validate, weak_normalize,
 )
 
 THREE_ROW = "[4,-1;2;+][3,2;1;+][4,4;0;-]"
@@ -88,22 +88,23 @@ class TestMakeRow:
 class TestOrders:
     def test_sorted_order_is_admissible(self):
         ms = parse(THREE_ROW)
-        assert validate(ms, "P")
-        assert validate(ms, "Pprime")
+        assert validate(ms)
+        assert order_sorted(ms.rows)
 
     def test_nested_pair_any_order(self):
         ms = multi_segment([(1, 1, 0, 1), (2, 0, 0, 1)])
-        assert validate(ms, "P")
-        assert not validate(ms, "Pprime")
+        assert validate(ms)
+        assert not order_sorted(ms.rows)
 
     def test_increasing_pair_must_stay_increasing(self):
         bad = multi_segment([(2, 1, 0, 1), (1, 0, 0, 1)])
-        assert not validate(bad, "P")
+        assert not validate(bad)
 
     def test_unknown_criterion(self):
-        with pytest.raises(SegmentError,
-                           match="^criterion must be 'P' or 'Pprime'$"):
-            validate(parse(THREE_ROW), "Q")
+        """validate checks (P) and takes no criterion; order_sorted is the
+        (P') check."""
+        with pytest.raises(TypeError):
+            validate(parse(THREE_ROW), "P")
 
 
 class TestDerived:

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import emseg
 from emseg import cli, core
@@ -13,9 +14,15 @@ from emseg.core import (
 )
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
-    count_block_recursive, count_multi, count_tempered, grid_instances,
-    iter_grid, verify_grid,
+    count_block_recursive, count_multi, count_tempered, iter_grid,
+    verify_instance,
 )
+from emseg.sdata import build, iter_S, iter_ST, validate_S
+
+# The recursion count over which the enumeration property skips a block:
+# a cost limit that keeps it near 2 s, since the enumeration builds every
+# member.  Lowering it hides blocks, not faults.
+ENUMERATION_CAP = 3000
 
 
 class TestRecursive:
@@ -55,6 +62,47 @@ class TestEnumerative:
         for M in (BlockTuple(0, (1, 3)), BlockTuple(1, (3, 1))):
             assert (count_block_enumerative(M, 1).value
                     == count_block_enumerative(M, -1).value)
+
+    @pytest.mark.parametrize("c_min", [0, 2])
+    def test_empty_block_counts_by_all_three_methods(self, c_min):
+        """The empty block has one S-tuple, (), and at c_min 0 one (S, T),
+        ((), ()); each builds the empty multi-segment, so every method
+        counts 1.  () splits no other block."""
+        M = BlockTuple(c_min, ())
+        assert list(iter_S(M)) == [()]
+        if c_min == 0:
+            assert list(iter_ST(M)) == [((), ())]
+        assert validate_S(M, ())
+        assert build(M, ()) == MultiSegment(())
+        assert count_block_enumerative(M).value == 1
+        assert verify_instance(M) == {
+            "c_min": c_min, "mults": [], "recursion": 1, "enumeration": 1,
+            "closure": 1, "agree": True}
+        assert not validate_S(BlockTuple(0, (1,)), ())
+
+    def test_recursion_equals_enumeration_past_the_grid(self):
+        """On blocks of 6-11 columns, c_min 0-2 and multiplicities 1, 3
+        and 5, beyond the default grid's 4 columns, the recursion counts
+        what the enumeration finds.  Blocks that count over
+        ENUMERATION_CAP are skipped for time."""
+        checked = []
+
+        @settings(derandomize=True, deadline=None, max_examples=100,
+                  database=None)
+        @given(st.integers(0, 2),
+               st.lists(st.sampled_from((1, 3, 5)), min_size=6,
+                        max_size=11).map(tuple))
+        def agree(c_min, mults):
+            M = BlockTuple(c_min, mults)
+            expected = count_block_recursive(M).value
+            if expected <= ENUMERATION_CAP:
+                assert count_block_enumerative(M).value == expected, M
+                checked.append(M)
+
+        agree()
+        assert len(checked) >= 60
+        assert len({M.c_min for M in checked}) == 3
+        assert max(len(M.mults) for M in checked) >= 10
 
 
 class TestClosureCount:
@@ -206,16 +254,15 @@ class TestMulti:
 
 class TestGrid:
     def test_instances_respect_bounds(self):
-        for M in grid_instances(max_len=3, max_mult=3, max_cmin=1,
-                                max_rows=5):
+        for M in iter_grid(max_len=3, max_mult=3, max_cmin=1, max_rows=5):
             assert len(M.mults) <= 3
             assert all(m in (1, 3) for m in M.mults)
             assert M.c_min in (0, 1)
             assert sum(M.mults) <= 5
 
     def test_verify_reports_agreement(self):
-        for record in verify_grid(max_len=2, max_mult=3, max_cmin=1,
-                                  max_rows=4):
+        for M in iter_grid(max_len=2, max_mult=3, max_cmin=1, max_rows=4):
+            record = verify_instance(M)
             assert record["agree"], record
 
     def test_grid_order_is_the_recursive_walk(self):
@@ -239,9 +286,8 @@ class TestGrid:
 
         for bounds in itertools.product((0, 1, 2, 4), (0, 1, 3, 6),
                                         (0, 2), (0, 1, 5, 9)):
-            assert grid_instances(*bounds) == reference(*bounds), bounds
             assert list(iter_grid(*bounds)) == reference(*bounds), bounds
-        assert len(grid_instances()) == 86
+        assert len(list(iter_grid())) == 86
 
     def test_grid_streams(self):
         """Taking the first instances of a grid of 10^24 makes only them."""

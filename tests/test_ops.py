@@ -15,13 +15,13 @@ import emseg
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, OrderError, Row, ScopeError, SegmentError,
     arthur_parameter, check_star, from_json, group_sign, make_row,
-    multi_segment, parse, render, to_json, validate,
+    multi_segment, parse, render, to_json,
 )
 from emseg.blocks import BlockTuple, remove_column, tempered_block
 from emseg.closure import are_equivalent, closure, neighbors
 from emseg.count import (
     count_block_closure, count_block_enumerative, count_block_recursive,
-    grid_instances, iter_grid, verify_grid,
+    iter_grid,
 )
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
@@ -249,11 +249,6 @@ class TestRowPositions:
 HUGE = 10 ** 5000
 
 
-def _grid_bounds(bounds):
-    """The iter_grid keywords of four bounds, in its order."""
-    return dict(zip(("max_len", "max_mult", "max_cmin", "max_rows"), bounds))
-
-
 class _E(IntEnum):
     """An int subclass: no integer argument of the library takes it."""
 
@@ -276,8 +271,7 @@ _TEXT_KINDS = {"text": (str,), "json": (str, bytes, bytearray)}
 
 def _may_act_on(kind, value):
     """Whether a call may return on a value of this kind: a plain int (a
-    sign +1 or -1), a text of a type it takes, a mode or criterion it
-    knows, a tuple of plain ints for mults, and anything for the (S, T)
+    sign +1 or -1), a text of a type it takes, a mode it knows, a tuple of plain ints for mults, and anything for the (S, T)
     coordinates, which the validators answer False for."""
     if kind in _INT_KINDS:
         return type(value) is int and (kind != "sign" or value in (1, -1))
@@ -285,8 +279,6 @@ def _may_act_on(kind, value):
         return isinstance(value, _TEXT_KINDS[kind])
     if kind == "mode":
         return value in (STRICT, RELAXED)
-    if kind == "criterion":
-        return value in ("P", "Pprime")
     if kind == "mults":
         return type(value) is tuple and set(map(type, value)) <= {int}
     if kind == "rows":
@@ -304,7 +296,7 @@ def _plain_rows(result):
 
 
 class TestLibraryBoundaryFuzz:
-    """Every integer, sign, row, text, mode and criterion argument of the
+    """Every integer, sign, row, text and mode argument of the
     public callables of emseg (and of ui_type, dual_ui_dual and
     iter_grid), drawn valid or wrong: each call returns, or raises a
     SegmentError with a message, and no argument that breaks its rule is
@@ -339,7 +331,6 @@ class TestLibraryBoundaryFuzz:
         "parse": (lambda ms, text, mode: parse(text, mode), ("text", "mode")),
         "from_json": (lambda ms, text, mode: from_json(text, mode),
                       ("json", "mode")),
-        "validate": (validate, ("criterion",)),
         "row_exchange": (row_exchange, ("pair",)),
         "ui_type": (ui_type, ("pair",)),
         "ui": (ui, ("pair",)),
@@ -374,8 +365,6 @@ class TestLibraryBoundaryFuzz:
         # A grid of huge bounds is endless, so only its start is taken.
         "iter_grid": (lambda ms, *bounds: list(islice(iter_grid(*bounds), 40)),
                       ("bound",) * 4),
-        "verify_grid": (lambda ms, *bounds: next(
-            verify_grid(**_grid_bounds(bounds)), None), ("bound",) * 4),
     }
 
     # The public callables of emseg that take none of these arguments,
@@ -384,6 +373,7 @@ class TestLibraryBoundaryFuzz:
         # Only multi-segments or block-tuples, which are duck-typed, or a
         # parts list of multi-segments.
         "arthur_parameter": "a MultiSegment",
+        "validate": "a MultiSegment",
         "check_star": "a MultiSegment",
         "group_sign": "a MultiSegment",
         "render": "a MultiSegment",
@@ -429,7 +419,6 @@ class TestLibraryBoundaryFuzz:
                 "bound": st.integers(0, 4), "int": entry,
                 "sign": st.sampled_from((1, -1)),
                 "mode": st.sampled_from((STRICT, RELAXED)),
-                "criterion": st.sampled_from(("P", "Pprime")),
                 "mults": st.lists(st.integers(1, 5), max_size=3).map(tuple),
                 "rows": st.lists(st.tuples(entry, entry, entry, entry),
                                  max_size=4),
@@ -443,7 +432,7 @@ class TestLibraryBoundaryFuzz:
             return st.sampled_from(self.WRONG_ROWS)
         if kind == "mults":
             return st.sampled_from(self.WRONG).map(lambda v: (v,))
-        extra = {"mode": ("loose", "STRICT", ""), "criterion": ("Q", "p", ""),
+        extra = {"mode": ("loose", "STRICT", ""),
                  "sign": (0, 2), "text": (b"[0,0;0;+]", ["[0,0;0;+]"]),
                  "json": (["{}"], memoryview(b"{}"))}.get(kind, ())
         return st.sampled_from(self.WRONG + extra)
@@ -542,13 +531,11 @@ class TestLibraryBoundaryFuzz:
     ])
     def test_grid_bounds_are_checked(self, bounds, error):
         """Each grid bound is a plain int of at least 0; the first bad one
-        raises before any instance, in all three grid functions."""
+        raises before iter_grid yields any instance."""
         name = next(iter(bounds))
-        for call in (grid_instances, lambda **b: list(iter_grid(**b)),
-                     lambda **b: list(verify_grid(**b))):
-            with pytest.raises(error, match=name) as caught:
-                call(**bounds)
-            assert type(caught.value) is error
+        with pytest.raises(error, match=name) as caught:
+            next(iter_grid(**bounds))
+        assert type(caught.value) is error
 
 
 class TestMergeHats:

@@ -14,7 +14,7 @@ from emseg.core import (
     MultiSegment, Row, ScopeError, SegmentError, arthur_parameter, check_star,
     make_row, render, validate, weak_normalize,
 )
-from emseg.count import grid_instances
+from emseg.count import iter_grid
 from emseg.sdata import (
     _partitions_of, build, enumerate_S, enumerate_ST, iter_S, iter_ST,
     theta1, theta_family, theta2_matches_theta4, trivial_T, validate_S,
@@ -117,11 +117,11 @@ class TestBuild:
             if M.c_min == 0:
                 for S, T in enumerate_ST(M):
                     ms = build(M, S, T, 1)
-                    assert validate(ms, "P") and check_star(ms)
+                    assert validate(ms) and check_star(ms)
             else:
                 for S in enumerate_S(M):
                     ms = build(M, S, None, 1)
-                    assert validate(ms, "P") and check_star(ms)
+                    assert validate(ms) and check_star(ms)
 
     def test_row_facts_the_lift_family_reads(self):
         """theta_family reads the kind of a row off the row: on every
@@ -132,7 +132,7 @@ class TestBuild:
                                              ((0, 1), (1, 3)), None, 1)
         assert [kind for kind, _ in labels] == [CHAIN, MULTIPLE, ZCHAIN]
         tops = 0
-        for M in grid_instances():
+        for M in iter_grid():
             for S, T in _members(M):
                 for eta in (1, -1):
                     ms, labels = _reference_build_labeled(M, S, T, eta)
@@ -526,7 +526,7 @@ def _members(M):
 class TestBuildOnce:
     def test_same_as_public_constructor(self):
         built = 0
-        for M in grid_instances():
+        for M in iter_grid():
             for S, T in _members(M):
                 for eta in (1, -1):
                     ms = build(M, S, T, eta)
@@ -617,7 +617,7 @@ class TestBuildOnce:
         distinct rows its members have: with or without T, at c_min = 0 or
         past it."""
         most = 0
-        for M in grid_instances() + [BlockTuple(0, (1,) * 6),
+        for M in list(iter_grid()) + [BlockTuple(0, (1,) * 6),
                                      BlockTuple(2, (3, 1, 1, 3, 1))]:
             rows = set()
             for S, T in _members(M):
@@ -814,6 +814,8 @@ class TestMalformedCoordinates:
     def test_validate_T_of_a_malformed_S(self):
         for S in (5, None, ((0,),), ((0, 2, 5),), ({0: 0, 1: 2},)):
             assert validate_T(self.M, S, (((0, 2),),)) is False
+        # No parts split only an empty interval, which no valid S has.
+        assert validate_T(self.M, ((0, 1), (1, 0)), (((0, 1),), ())) is False
 
     @settings(derandomize=True, max_examples=150, deadline=None)
     @given(_ANY, st.one_of(st.none(), _ANY))
@@ -875,10 +877,10 @@ def test_build_of_any_member(member):
     want = _reference_build(M, S, T, eta)
     assert (ms.rows, ms.mode) == (want.rows, want.mode)
     assert all(make_row(*r) == r for r in ms.rows)
-    assert validate(ms, "P") and check_star(ms)
+    assert validate(ms) and check_star(ms)
     if M.c_min == 0:
         family = theta_family(M, S, T, eta)
         assert len(family) == (4 if M.mult(M.c_max) > 1 else 3)
         for _, lifted in family:
             assert all(make_row(*r) == r for r in lifted.rows)
-            assert validate(lifted, "P")
+            assert validate(lifted)
