@@ -5,12 +5,20 @@ from itertools import groupby
 from typing import NamedTuple
 
 from .core import (
-    MultiSegment, Row, ScopeError, SegmentError, _Value, _eta, _integer, _shown,
+    STRICT, MultiSegment, Row, ScopeError, SegmentError, _Value, _eta,
+    _integer, _shown,
 )
 
 
 class BlockTuple(_Value):
-    """Column multiplicities (m_{c_min}, ..., m_{c_max}) of a block."""
+    """Column multiplicities (m_{c_min}, ..., m_{c_max}) of a block.
+
+    The constructor holds the rule of a block, once: c_min is a plain int
+    of at least 0, and mults a tuple of plain ints, each positive and odd.
+    A wrong type raises ScopeError and a value out of range SegmentError,
+    so every BlockTuple is a block and no function that takes one checks
+    it again.
+    """
 
     _fields = ("c_min", "mults")
 
@@ -21,8 +29,15 @@ class BlockTuple(_Value):
                              % _shown(mults))
         if c_min < 0:
             raise SegmentError("c_min must be >= 0")
-        if min(mults, default=1) < 1:
+        # The range checks scan the distinct multiplicities, in C.
+        distinct = set(mults)
+        if min(distinct, default=1) < 1:
             raise SegmentError("multiplicities must be positive")
+        if not all(map((1).__and__, distinct)):
+            c, m = next((c, m) for c, m in enumerate(mults, c_min)
+                        if not m & 1)
+            raise SegmentError("a block has odd multiplicities, got %s at "
+                               "column %s" % (_shown(m), _shown(c)))
         vars(self).update(c_min=c_min, mults=mults)
 
     @property
@@ -43,14 +58,6 @@ class BlockTuple(_Value):
 
 
 EMPTY_BLOCK = BlockTuple(0, ())
-
-
-def _check_block(M):
-    """Raise unless M is a block: its multiplicities are odd."""
-    for c, m in enumerate(M.mults, M.c_min):
-        if m % 2 == 0:
-            raise SegmentError("a block has odd multiplicities, got %s at "
-                               "column %s" % (_shown(m), _shown(c)))
 
 
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
@@ -176,7 +183,8 @@ def _block_rows(bt, eta):
 
 
 def tempered_block(bt, eta=1):
-    """The tempered multi-segment with the given multiplicities, signs
-    alternating between columns starting from eta, a plain int of +1 or
-    -1."""
-    return MultiSegment(_block_rows(bt, _eta(eta)))
+    """The strict tempered multi-segment with the given multiplicities,
+    signs alternating between columns starting from eta, a plain int of +1
+    or -1.  Its rows [c, c] with c >= c_min >= 0, l = 0 and b = 1 are
+    valid as built, so none is checked again."""
+    return MultiSegment._of(_block_rows(bt, _eta(eta)), STRICT)

@@ -109,13 +109,12 @@ def _parse_eta(text):
 
 
 def _parse_block_tuple(text, c_min):
-    M = BlockTuple(c_min, tuple(_read_int(x, "--M")
-                                for x in text.replace(" ", "").split(",")))
+    mults = tuple(_read_int(x, "--M") for x in text.replace(" ", "").split(","))
     try:
-        str(M.c_max)
+        str(c_min + len(mults) - 1)
     except ValueError:
         raise CliInputError("the last column of --M is out of range")
-    return M
+    return BlockTuple(c_min, mults)
 
 
 def _parse_grid_spec(spec):
@@ -241,7 +240,7 @@ def _cmd_closure(args, out):
     ms = _read_ms(args)
     report = closure(ms, max_states=args.limit, max_depth=args.max_depth)
     if not report.exhausted:
-        raise LimitError.of(report)
+        raise LimitError.of(report.stop, report.max_states, report.max_depth)
     if args.emit == "nodes":
         for key in sorted(report.nodes):
             out.write(json.dumps({"node": key.decode()}) + "\n")

@@ -69,15 +69,16 @@ class LimitError(SegmentError):
     the limit and its value."""
 
     @classmethod
-    def of(cls, report):
-        """The error for a ClosureReport that a limit stopped."""
+    def of(cls, stop, max_states, max_depth):
+        """The error for a search that the limit stop, "states" or
+        "depth", stopped, such as a ClosureReport's."""
         # str.format, not %: closure.py takes no % at all (see the lint
         # test that keeps the dual parity in ops).
-        if report.stop == "states":
+        if stop == "states":
             return cls("closure hit the state limit ({} states)"
-                       .format(report.max_states))
+                       .format(max_states))
         return cls("closure hit the depth limit (depth {})"
-                   .format(report.max_depth))
+                   .format(max_depth))
 
 
 def _row_ok(r):
@@ -414,26 +415,36 @@ def _component_keys(table, states, index, exchange_edges):
     return best
 
 
+def _least_key(ms, max_states, max_depth):
+    """The least serialized row list over the valid states that row
+    exchanges reach from ms, searched within max_states states and
+    max_depth levels: LimitError when a limit stops the search."""
+    table = _seed_table(ms)
+    states, _, _, stop = _search(table, _exchange_moves, max_states, max_depth)
+    if stop != "exhausted":
+        raise LimitError.of(stop, max_states, max_depth)
+    return min(map(table.key, states))
+
+
 def canonical(ms):
     """Least serialized row list over the valid states reachable by row
     exchanges: the key closure gives the class of ms.  Raises closure's
     SegmentError when ms is not a valid state."""
-    table = _seed_table(ms)
-    states = _search(table, _exchange_moves, inf, inf)[0]
-    return min(map(table.key, states))
+    return _least_key(ms, inf, inf)
 
 
 def are_equivalent(ms1, ms2,
                    max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     """Shared membership test via the closure of the first argument: True
     when the closure finds ms2's class, False when ms2 is not a valid state
-    or the closure exhausts the class without it, and LimitError when a
-    limit stops the closure before it finds ms2's class."""
+    or the closure exhausts the class without it.  ms2's canonical key is
+    searched within the same limits, and LimitError is raised when a limit
+    stops that search, or stops the closure before it finds ms2's class."""
     report = closure(ms1, max_states, max_depth)
     if not _valid_state(ms2.rows):
         return False
-    if canonical(ms2) in report.nodes:
+    if _least_key(ms2, max_states, max_depth) in report.nodes:
         return True
     if not report.exhausted:
-        raise LimitError.of(report)
+        raise LimitError.of(report.stop, max_states, max_depth)
     return False

@@ -362,10 +362,12 @@ def parse(text, mode=STRICT):
     in order of first appearance and stops at the first that is no item or
     has an integer out of range; one _made_rows call then checks the rows
     read before it.  So an error names the first bad item of the text.
-    The text must be a str (ScopeError otherwise).
+    The text must be a str (ScopeError otherwise), and the mode is checked
+    before any item.
     """
     if not isinstance(text, str):
         raise ScopeError("text must be a str, got %s" % _shown(text))
+    _check_mode(mode)
     pieces = text.split("]")
     items = pieces[:-1]
     distinct = list(dict.fromkeys(items))
@@ -393,7 +395,6 @@ def parse(text, mode=STRICT):
             pieces, items.index(distinct[len(values)]))) from cause
     if pieces[-1].strip():
         raise ParseError(_EXPECTED_ROW, _position(pieces, len(items)))
-    _check_mode(mode)
     made = dict(zip(distinct, checked))
     return MultiSegment._of(tuple(map(made.__getitem__, items)), mode)
 

@@ -4,7 +4,7 @@ from functools import lru_cache
 from itertools import repeat
 from typing import NamedTuple
 
-from .blocks import BlockTuple, _check_block, block_tuples, tempered_block
+from .blocks import BlockTuple, block_tuples, tempered_block
 from .closure import LimitError, closure
 from .core import _limit, arthur_parameter
 from .sdata import build, iter_S, iter_ST
@@ -43,13 +43,11 @@ def _count_rec(c_min, mults):
 
 def count_block_recursive(M):
     """The two-term recursion over shortened blocks."""
-    _check_block(M)
     return PacketCount(_count_rec(0 if M.c_min == 0 else 1, M.mults), RECURSION)
 
 
 def count_block_enumerative(M, eta=1):
-    """Distinct packets among all built class members; the enumeration
-    refuses a block with an even multiplicity."""
+    """Distinct packets among all built class members."""
     members = iter_ST(M) if M.c_min == 0 else zip(iter_S(M), repeat(None))
     psis = {arthur_parameter(build(M, S, T, eta)) for S, T in members}
     return PacketCount(len(psis), ENUMERATION)
@@ -60,10 +58,9 @@ def count_block_closure(M, eta=1, **limits):
 
     Raises LimitError when a limit stops the closure.
     """
-    _check_block(M)
     report = closure(tempered_block(M, eta), **limits)
     if not report.exhausted:
-        raise LimitError.of(report)
+        raise LimitError.of(report.stop, report.max_states, report.max_depth)
     return PacketCount(len(report.psi), CLOSURE)
 
 

@@ -26,7 +26,6 @@ it never outgrows them.
 from functools import cache
 from itertools import chain, product, repeat
 
-from .blocks import _check_block
 from .core import (
     STRICT, MultiSegment, Row, ScopeError, SegmentError, _eta, _shown,
 )
@@ -126,10 +125,8 @@ def iter_S(M):
     Every tuple generated is valid, so none is filtered: an overlap starts
     the next interval on c and a later boundary or c_max ends it, so it is
     wider.  The tuples stream out one at a time, in O(n) memory for n
-    columns.  A block with an even multiplicity raises SegmentError when
-    the first tuple is asked for.
+    columns.
     """
-    _check_block(M)
     lo, hi = M.c_min, M.c_max
     if lo > hi:
         yield ()
@@ -164,12 +161,10 @@ def iter_ST(M):
     columns wide.  Equal intervals recur across the S-tuples, so each
     distinct (interval, least first part) is partitioned once per call.
 
-    A block that does not start at 0 or has an even multiplicity raises
-    SegmentError at once.
+    A block that does not start at 0 raises SegmentError at once.
     """
     if M.c_min != 0:
         raise SegmentError("T-refinements only apply to blocks starting at 0")
-    _check_block(M)
     partitions = cache(_partitions_of)
     return chain.from_iterable(
         zip(repeat(S), product(*[
@@ -295,13 +290,11 @@ def theta_family(M, S, T=None, eta=1):
 
     Three members when the top multiplicity is 1, four otherwise; the second
     and fourth coincide in packet exactly when S contains the singleton top
-    column.  The block must start at 0 and have odd multiplicities, as
-    every block of block_tuples does; any other raises SegmentError before
-    a lift is built.
+    column.  The block must start at 0; any other raises SegmentError
+    before a lift is built.
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
-    _check_block(M)
     c_max = M.c_max
     t1 = theta1(build(M, S, T, eta))
     ends = [i for i, r in enumerate(t1.rows) if r.A == c_max]

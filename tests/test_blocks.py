@@ -1,6 +1,7 @@
 """Tempered structure: decomposition into blocks and boundary taxonomy."""
 
 import random
+import re
 
 import pytest
 
@@ -27,13 +28,31 @@ class TestBlockTuple:
         assert not EMPTY_BLOCK.mults
 
     def test_rejects_negative_start(self):
-        with pytest.raises(SegmentError, match=r"^c_min must be >= 0$"):
-            BlockTuple(-1, (1,))
+        """c_min is checked before the multiplicities are."""
+        for mults in ((1,), (2,)):
+            with pytest.raises(SegmentError, match=r"^c_min must be >= 0$"):
+                BlockTuple(-1, mults)
 
     def test_rejects_zero_multiplicity(self):
-        with pytest.raises(SegmentError,
-                           match=r"^multiplicities must be positive$"):
-            BlockTuple(0, (1, 0, 1))
+        """Positivity is checked before oddness."""
+        for mults in ((1, 0, 1), (2, 0)):
+            with pytest.raises(SegmentError,
+                               match=r"^multiplicities must be positive$"):
+                BlockTuple(0, mults)
+
+    @pytest.mark.parametrize("c_min, mults, got", [
+        (0, (2,), "2 at column 0"),
+        (0, (2, 1), "2 at column 0"),
+        (3, (1, 1, 4, 2), "4 at column 5"),
+        (0, (1, 3, 2 * 10 ** 5000), "<16611-bit integer> at column 2"),
+        (10 ** 5000, (1, 2), "2 at column <16610-bit integer>"),
+    ], ids=["one", "first", "later", "huge-mult", "huge-column"])
+    def test_rejects_even_multiplicity(self, c_min, mults, got):
+        """A block has odd multiplicities: the first even one raises,
+        naming its column, and a huge int is shown by its size."""
+        with pytest.raises(SegmentError, match=re.escape(
+                "a block has odd multiplicities, got %s" % got) + "$"):
+            BlockTuple(c_min, mults)
 
     @pytest.mark.parametrize("c_min, mults", [
         (1.0, (3, 1)), (True, (1,)), (0, (1.0,)), (0, [1, 3]), (0, "13"),
@@ -68,6 +87,14 @@ class TestDecompose:
         blocks = block_decompose(parse("[0,0;0;+][3,3;0;-]"))
         assert len(blocks) == 2
         assert classify_boundary(blocks[0], blocks[1]).kind == TYPE1
+
+    def test_overlap_of_two_columns_is_no_boundary(self):
+        """Consecutive blocks share at most one column."""
+        first = tempered_block(BlockTuple(0, (1, 1, 1)))
+        for second in (BlockTuple(1, (1,)), BlockTuple(1, (1, 1, 1))):
+            with pytest.raises(SegmentError, match=(
+                    "^blocks overlap by more than one column$")):
+                classify_boundary(first, tempered_block(second, -1))
 
     def test_alternating_run_is_one_block(self):
         blocks = block_decompose(parse("[0,0;0;+][1,1;0;-][2,2;0;+]"))

@@ -14,7 +14,8 @@ from emseg.blocks import (
 )
 from emseg.closure import (
     LimitError, _Rows, _as_multisegment, _moves, _search, _valid_move,
-    _valid_state, are_equivalent, canonical, closure, neighbors,
+    _valid_state, are_equivalent, canonical, closure, exchange_neighbors,
+    neighbors,
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, Row, SegmentError, arthur_parameter,
@@ -370,6 +371,31 @@ class TestNeighbors:
     def test_single_circle_has_no_neighbors(self):
         assert neighbors(parse("[0,0;0;+]")) == []
 
+    def test_exchange_neighbors_are_the_applied_row_exchanges(
+            self, grid_closures, rng):
+        """exchange_neighbors is row_exchange at every position, keeping
+        each applied result that changes the rows, in position order and
+        in its mode: on every node of the grid closures (both signs) and
+        on random multi-segments of either mode, in any order."""
+        inputs = [parse(key.decode()) for _, report in grid_closures
+                  for key in report.nodes]
+        inputs += [rand_mode_ms(rng, mode, sort=False)
+                   for mode in (STRICT, RELAXED) for _ in range(300)]
+        modes = set()
+        for ms in inputs:
+            expected = []
+            for k in range(len(ms) - 1):
+                try:
+                    res = row_exchange(ms, k)
+                except SegmentError:  # the pair does not nest
+                    continue
+                if res.applied and res.out.rows != ms.rows:
+                    expected.append((res.out.rows, res.out.mode))
+            got = [(n.rows, n.mode) for n in exchange_neighbors(ms)]
+            assert got == expected, render(ms)
+            modes.update(mode for _, mode in got)
+        assert modes == {STRICT, RELAXED}
+
 
 def _candidates(ms):
     """Every move of ms as a multi-segment, before the validity filter."""
@@ -585,6 +611,27 @@ class TestCanonical:
         assert are_equivalent(seed, seed, max_states=0) is True
         assert are_equivalent(seed, parse("[2,-2;1;+]"),
                               max_states=0) is False
+
+    def test_the_search_of_ms2_keeps_the_limits(self):
+        """are_equivalent searches ms2's exchange class within its own
+        limits.  Nine mutually nested rows make a class that took seconds
+        and over 100 MB to search with no limit, after a closure that had
+        stopped at one state."""
+        nested = parse("".join("[%d,%d;0;+]" % (10 + j, 10 - j)
+                               for j in range(8, -1, -1)))
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(50 states\)$")):
+            are_equivalent(nested, nested, max_states=50)
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the depth limit \(depth 1\)$")):
+            are_equivalent(nested, nested, max_states=50, max_depth=1)
+        assert time.perf_counter() - start < 0.5
+        # A class the limits cover is searched to the end: a single
+        # circle is its own class, which the stopped closure did not find.
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(1 states\)$")):
+            are_equivalent(nested, parse("[0,0;0;+]"), max_states=1)
 
     def test_node_keys_are_their_own_canonical_forms(self, grid_closures):
         """On every grid closure (both signs) each node key is canonical,

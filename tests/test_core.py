@@ -117,6 +117,14 @@ class TestDerived:
     def test_group_sign_empty(self):
         assert group_sign(parse("")) == 1
 
+    def test_group_sign_refuses_a_symbol(self):
+        """The sign is taken in strict mode only, even of rows that are
+        strict."""
+        for text in ("[1,0;2;+]", THREE_ROW):
+            with pytest.raises(SegmentError,
+                               match="^sign undefined on symbols$"):
+                group_sign(parse(text, RELAXED))
+
     def test_check_star(self):
         assert check_star(parse(THREE_ROW))
         assert not check_star(multi_segment([(2, -2, 1, 1)]))
@@ -249,7 +257,9 @@ _ROW_RE = re.compile(
 def _reference_parse(text, mode=STRICT):
     """The loop parser parse replaced: one regex match and one
     _reference_make_row per row, in text order.  Its integers are ASCII
-    digits, as parse's are."""
+    digits, as parse's are.  It checks the mode first, as parse now
+    does."""
+    _check_mode(mode)
     rows = []
     pos = 0
     n = len(text)
@@ -267,7 +277,6 @@ def _reference_parse(text, mode=STRICT):
         except SegmentError as e:
             raise ParseError(str(e), pos) from e
         pos = m.end()
-    _check_mode(mode)
     return MultiSegment._of(tuple(rows), mode)
 
 
@@ -353,11 +362,13 @@ class TestParseAgainstReference:
             parse("[5,4;0;-]\n[4,0;1;-]\n[4,0;1;-", mode)
         assert exc.value.position == 20
 
-    def test_unknown_mode_is_checked_after_the_rows(self):
-        with pytest.raises(ParseError):
-            parse("[1,0;2;+]x", "loose")
-        with pytest.raises(SegmentError, match="unknown mode"):
-            parse("[1,0;2;+]", "loose")
+    def test_unknown_mode_is_checked_first(self):
+        """A bad mode raises before any item is read or checked, as in
+        _checked and from_json, where a bad item used to raise its
+        ParseError first and the rows were checked as if relaxed."""
+        for text in ("[1,0;2;+]x", "[1,0;2;+]", "[0,1;0;+]", "[1,0;0;+]", ""):
+            with pytest.raises(SegmentError, match="^unknown mode 'loose'$"):
+                parse(text, "loose")
 
 
 # The row-by-row constructors and render that MultiSegment, multi_segment

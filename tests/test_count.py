@@ -128,17 +128,18 @@ class TestClosureCount:
 
 class TestBlocksOnly:
     """README's blocks have odd multiplicities; the three methods count
-    nothing else, where they used to give three answers."""
+    nothing else, where they used to give three answers.  BlockTuple
+    refuses an even multiplicity, so no method is handed one."""
 
     @pytest.mark.parametrize("count", [
         count_block_recursive, count_block_enumerative, count_block_closure])
     @pytest.mark.parametrize("M, column", [
-        (BlockTuple(0, (2, 1)), 0), (BlockTuple(0, (1, 2, 1)), 1),
-        (BlockTuple(3, (1, 1, 4)), 5)])
+        ((0, (2, 1)), 0), ((0, (1, 2, 1)), 1), ((3, (1, 1, 4)), 5)])
     def test_even_multiplicities_are_rejected(self, count, M, column):
+        c_min, mults = M
         with pytest.raises(SegmentError, match="odd multiplicities, got "
-                           "%d at column %d$" % (M.mult(column), column)):
-            count(M)
+                           "%d at column %d$" % (mults[column - c_min], column)):
+            count(BlockTuple(c_min, mults))
 
 
 class TestTempered:
@@ -230,10 +231,13 @@ class TestOneCheckPerRow:
             assert MultiSegment(tuple(rows), mode) == ms
             assert len(checked_rows) == 1000
 
-    def test_tempered_block_checks_each_column_once(self, checked_rows):
-        ms = tempered_block(BlockTuple(0, (100,) * 1000))
-        assert len(checked_rows) == 1000
-        assert render(ms) == self.LONG
+    def test_tempered_block_checks_no_row(self, checked_rows):
+        """A BlockTuple is a block, so the rows of tempered_block are
+        valid as built."""
+        ms = tempered_block(BlockTuple(0, (101,) * 1000))
+        assert checked_rows == []
+        assert ms == MultiSegment([(c, c, 0, (-1) ** c)
+                                   for c in range(1000) for _ in range(101)])
 
     def test_decompose_and_count_check_no_row(self, checked_rows):
         ms = parse(self.SYMBOL)

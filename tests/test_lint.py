@@ -108,9 +108,10 @@ def test_closure_trusts_the_rows_the_cores_build():
 
 def test_closure_and_canonical_share_one_search_loop():
     """_search is the one breadth-first loop of closure.py: only it checks
-    a candidate with _valid_move, and only closure and canonical run it."""
+    a candidate with _valid_move, and only closure and _least_key, the
+    exchange-class search of canonical and are_equivalent, run it."""
     assert _callers("closure.py", "_valid_move") == {"_search"}
-    assert _callers("closure.py", "_search") == {"closure", "canonical"}
+    assert _callers("closure.py", "_search") == {"closure", "_least_key"}
 
 
 def test_build_trusts_its_checked_coordinates():
@@ -316,3 +317,27 @@ def test_no_module_imports_dataclasses():
                  if isinstance(node, (ast.Import, ast.ImportFrom))
                  for alias in node.names}
         assert "dataclasses" not in names, p.name
+
+
+def test_the_block_rule_lives_in_the_block_constructor():
+    """A BlockTuple is a block: BlockTuple.__init__ refuses an even
+    multiplicity, and no module keeps a check of its own for an entry
+    point, no _check_block, and no other "odd multiplicities" text."""
+    found = []
+    for p in Path(emseg.__file__).parent.glob("*.py"):
+        tree = ast.parse(p.read_text(), str(p))
+        assert "_check_block" not in {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)}, p.name
+        found += [(p.name, n) for n, line in
+                  enumerate(p.read_text().splitlines(), 1)
+                  if "odd multiplicities" in line]
+    path = Path(emseg.__file__).parent / "blocks.py"
+    init = next(node for cls in ast.parse(path.read_text()).body
+                if isinstance(cls, ast.ClassDef) and cls.name == "BlockTuple"
+                for node in cls.body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "__init__")
+    assert found and all(name == "blocks.py"
+                         and init.lineno <= n <= init.end_lineno
+                         for name, n in found), found

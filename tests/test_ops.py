@@ -548,6 +548,13 @@ class TestMergeHats:
     def test_condition_requires_abutment(self):
         assert not merge_condition(Row(3, -3, 3, 1), Row(1, -1, 1, -1))
 
+    def test_condition_requires_two_hats(self):
+        """[2,-2;2;+][1,-1;1;-] merges; with either row no hat, the
+        condition fails before the abutment is read."""
+        assert merge_condition(Row(2, -2, 2, 1), Row(1, -1, 1, -1))
+        assert not merge_condition(Row(2, -1, 1, 1), Row(1, -1, 1, -1))
+        assert not merge_condition(Row(2, -2, 2, 1), Row(1, 1, 0, -1))
+
     def test_not_applicable_same_signs(self):
         ms = parse("[2,-2;2;+][1,-1;1;+]")
         assert not merge_hats(ms, 0).applied
