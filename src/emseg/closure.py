@@ -14,9 +14,9 @@ list the moves of one state.  Each of the four keeps one row table,
 _Rows, for the length of its call, made from the seed.  The table gives
 each distinct row a small int id the first time the search meets it and
 works out, once per id, what the search asks of a row: whether it is
-strict and non-vanishing, its DSL item, A and B, its split pairs and its
-dual (one per id, since every move keeps the parity that picks it); and,
-once per adjacent pair of ids, its row exchange and its
+strict and non-vanishing, its DSL item, A and B, (a, b), its split pairs
+and its dual (one per id, since every move keeps the parity that picks
+it); and, once per adjacent pair of ids, its row exchange and its
 union-intersection.  The formulas stay in the row-level cores of ops; the
 table only keeps their results.
 
@@ -27,7 +27,8 @@ candidate is looked up among the visited states first, and only a new
 one is checked, by the flags of the ids the move may have changed (see
 _valid_move).  A canonical key joins the DSL items of its ids.  Row
 exchanges keep the supports, so the Arthur parameter, which sorts the
-(a, b) of the rows, is taken once per exchange class.
+(a, b) of the rows, is taken once per exchange class, from the table's
+(a, b) of each id.
 """
 
 from math import inf
@@ -112,6 +113,7 @@ class _Rows:
         self.text = []      # id -> DSL item, as bytes
         self.A = []         # id -> A, for the splits that keep (P)
         self.B = []         # id -> B, for them and the (P') order
+        self.ab = []        # id -> (a, b), for the Arthur parameter
         self.splits = []    # id -> (split_points, {X: split pair ids})
         self.duals = []     # id -> dual id, None until asked for
         self.pairs = []     # id i -> {id j: (exchange ids, ui ids)}, see pair
@@ -128,6 +130,7 @@ class _Rows:
             self.text.append(render(MultiSegment._of((row,), STRICT)).encode())
             self.A.append(row.A)
             self.B.append(row.B)
+            self.ab.append((row.a, row.b))
             self.splits.append((split_points(row), {}))
             self.duals.append(None)
             self.pairs.append({})
@@ -376,9 +379,8 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
         table, _moves, max_states, max_depth)
     keys = _component_keys(table, states, index, exchange_edges)
     # Row exchanges keep the supports, so psi is one per component.
-    rows = table.rows
-    psi = frozenset(tuple(sorted([(rows[i].a, rows[i].b) for i in states[r]]))
-                    for r in keys)
+    ab = table.ab
+    psi = frozenset(tuple(sorted([ab[i] for i in states[r]])) for r in keys)
     return ClosureReport(frozenset(keys.values()), psi, len(states), stop,
                          max_states, max_depth)
 

@@ -138,6 +138,12 @@ class TestApply:
         assert code == EXIT_OK and record["type"] == "T3prime"
         assert record["result"] == "[1,0;0;+]"
 
+    def test_dual_ui_dual_outside_its_domain_is_not_applied(self):
+        code, out, _ = invoke("apply", "--op", "dual-ui-dual", "--k", "0",
+                              "--format", "dsl", "--dsl", "[0,0;0;+][1,1;0;+]")
+        assert (code, json.loads(out)) == (EXIT_OK, {
+            "applied": False, "type": None, "result": "[0,0;0;+][1,1;0;+]"})
+
     def test_ui_outside_its_domain_is_not_applied(self):
         code, out, _ = invoke("apply", "--op", "ui", "--k", "0", "--relaxed",
                               "--format", "dsl", "--dsl", "[2,2;-1;-][4,3;-2;-]")
@@ -789,6 +795,18 @@ class TestRun:
             cli.main()
         assert exc.value.code == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: emseg apply ")
+
+    def test_a_closed_output_exits_0(self):
+        """A reader that goes away, as `emseg ... | head` does, ends the
+        run quietly with exit 0."""
+        class Closed:
+            def write(self, text):
+                raise BrokenPipeError
+
+        err = io.StringIO()
+        assert run(["count", "--dsl", "[0,0;0;+][1,1;0;-]"], Closed(),
+                   err) == EXIT_OK
+        assert err.getvalue() == ""
 
     def test_unexpected_exception_is_an_internal_error(self, monkeypatch):
         def broken(ms):

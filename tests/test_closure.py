@@ -1,12 +1,17 @@
 """Breadth-first class exploration and canonical forms."""
 
+import os
 import random
+import subprocess
 import sys
 import time
 from math import inf
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+
+import emseg
 
 from emseg.blocks import (
     TYPE3, BlockTuple, block_decompose, block_tuples, classify_boundary,
@@ -24,7 +29,8 @@ from emseg.core import (
 )
 from emseg.count import count_tempered, iter_grid
 from emseg.ops import (
-    dual, dual_rows, row_exchange, split_circles, to_sorted, ui,
+    _supports_nest, dual, dual_rows, exchange_pair, row_exchange,
+    split_circles, to_sorted, ui,
 )
 from emseg.sdata import theta1
 
@@ -172,6 +178,38 @@ class TestClosure:
         assert [(r.states, r.exhausted, r.stop) for r in reports] == [
             (66, True, "exhausted"), (8, False, "states"), (7, False, "depth")]
         assert calls == []
+
+
+# The peak resident memory, in MB, of a child process that runs the
+# closure of twelve 1s to 30 000 states: 34.8 MB measured on CPython
+# 3.11.7, plus a margin of 5.2 MB (see CHANGES.md).  A regression guard:
+# never raise it to let a change through.
+STATE_LIMIT_RSS_MB = 40
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak resident memory from /proc")
+def test_state_limit_memory():
+    """The closure of twelve 1s stops at a state limit of 30 000 with as
+    many nodes, within STATE_LIMIT_RSS_MB of peak resident memory for its
+    whole process.  The child reads its own VmHWM, which starts afresh
+    at exec, where ru_maxrss keeps the forking test process's peak."""
+    code = (
+        "from emseg.blocks import BlockTuple, tempered_block\n"
+        "from emseg.closure import closure\n"
+        "report = closure(tempered_block(BlockTuple(0, (1,) * 12), 1),"
+        " max_states=30000)\n"
+        "peak = [line.split()[1] for line in open('/proc/self/status')"
+        " if line.startswith('VmHWM:')]\n"
+        "print(report.stop, report.states, len(report.nodes), *peak)\n")
+    src = str(Path(emseg.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    stop, states, nodes, peak_kb = subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60,
+        capture_output=True, text=True).stdout.split()
+    assert (stop, states, nodes) == ("states", "30000", "30000")
+    assert int(peak_kb) < STATE_LIMIT_RSS_MB * 1024
 
 
 def _reference_closure(seed, max_states, max_depth):
@@ -352,6 +390,68 @@ class TestAgainstReference:
             assert count_tempered(ms).value == len(closure(ms).psi), ms
             checked += 1
         assert time.perf_counter() - start < 2.0
+
+
+def _rows_exchanged(rows, k):
+    """rows with exchange_pair at k, k + 1, or None where the supports do
+    not nest and the exchange is not defined."""
+    if rows is None or not _supports_nest(rows[k], rows[k + 1]):
+        return None
+    return rows[:k] + exchange_pair(rows[k], rows[k + 1]) + rows[k + 2:]
+
+
+class TestExchangeLaws:
+    def test_exchanges_act_on_the_orders_of_the_rows(self):
+        """On every state of the grid's closures, both signs:
+        exchange_pair is an involution; the braid relation
+        R_k R_k+1 R_k = R_k+1 R_k R_k+1 holds wherever both sides are
+        defined; and no exchange class holds two states with the same
+        order of supports.  A key of each class by the (B, A) sort of its
+        rows would rest on these laws (ROADMAP item 12); off the grid
+        they fail (see CHANGES.md)."""
+        start = time.perf_counter()
+        states_seen = involutions = braids = 0
+        for M in iter_grid():
+            for eta in (1, -1):
+                table = _Rows(tempered_block(M, eta).rows)
+                states, _, edges, stop = _search(table, _moves, inf, inf)
+                assert stop == "exhausted"
+                links = [[] for _ in states]
+                for i, ids in enumerate(states):
+                    rows = tuple(table.rows[j] for j in ids)
+                    for k in range(len(rows) - 1):
+                        once = _rows_exchanged(rows, k)
+                        if once is not None:
+                            assert _rows_exchanged(once, k) == rows
+                            involutions += 1
+                    for k in range(len(rows) - 2):
+                        left = _rows_exchanged(_rows_exchanged(
+                            _rows_exchanged(rows, k), k + 1), k)
+                        right = _rows_exchanged(_rows_exchanged(
+                            _rows_exchanged(rows, k + 1), k), k + 1)
+                        if left is not None and right is not None:
+                            assert left == right, render(MultiSegment(rows))
+                            braids += 1
+                    for j in edges[i]:
+                        links[i].append(j)
+                        links[j].append(i)
+                states_seen += len(states)
+                seen = set()
+                for i in range(len(states)):
+                    if i in seen:
+                        continue
+                    members, todo = set(), [i]
+                    while todo:
+                        j = todo.pop()
+                        if j not in members:
+                            members.add(j)
+                            todo += links[j]
+                    seen |= members
+                    orders = {tuple((table.rows[j].B, table.rows[j].A)
+                                    for j in states[m]) for m in members}
+                    assert len(orders) == len(members)
+        assert (states_seen, involutions, braids) == (5146, 19862, 10760)
+        assert time.perf_counter() - start < 3.0
 
 
 class TestNeighbors:

@@ -563,6 +563,69 @@ class TestMergeHats:
         with pytest.raises(SegmentError):
             merge_hats(parse("[1,0;0;+][2,2;0;-]"), 0)
 
+    @staticmethod
+    def _hat_pairs(rng):
+        """Sorted symbols of two to four rows in either mode, each with a
+        pair of hats at some k, as (symbol, k): half the pairs are built to
+        meet merge_condition."""
+        while True:
+            mode = rng.choice((STRICT, RELAXED))
+            lo = 0 if mode == STRICT else -3
+            l1 = rng.randint(max(lo, 1), 5)
+            A1 = rng.randint(l1, l1 + 3)
+            r1 = Row(A1, -l1, l1, rng.choice((1, -1)))
+            if rng.random() < 0.5:
+                l2 = rng.randint(lo, l1 - 1)
+                r2 = Row(l1 - 1, -l2, l2, (-1) ** r1.circles * r1.eta)
+            else:
+                l2 = rng.randint(lo, 5)
+                r2 = Row(rng.randint(max(l2, -l2), max(l2, -l2) + 3), -l2, l2,
+                         rng.choice((1, -1)))
+            rows = [r1, r2] + [rand_row(rng) for _ in range(rng.randint(0, 2))]
+            rows.sort(key=lambda r: (r.B, r.A))
+            try:
+                ms = multi_segment([tuple(r) for r in rows], mode)
+            except SegmentError:
+                continue
+            hats = [k for k in range(len(rows) - 1)
+                    if ms.rows[k].is_hat and ms.rows[k + 1].is_hat]
+            if hats:
+                return ms, rng.choice(hats)
+
+    def test_closed_form_is_the_dual_ui_dual_composite(self):
+        """merge_hats gives the composite dual . ui . dual at the pair's
+        image in the dual, in rows, mode and tag, wherever merge_condition
+        holds, and the input unapplied elsewhere: on every hat pair of the
+        closure states of the grid's lifts, and on random symbols of
+        either mode."""
+        rng = random.Random(20261020)
+        start = time.perf_counter()
+        inputs = []
+        for M in iter_grid(max_len=4):
+            if M.c_min == 0:
+                report = closure(theta1(tempered_block(M, 1)))
+                for key in report.nodes:
+                    ms = parse(key.decode())
+                    inputs += [(ms, k) for k in range(len(ms.rows) - 1)
+                               if ms.rows[k].is_hat and ms.rows[k + 1].is_hat]
+        inputs += [self._hat_pairs(rng) for _ in range(3000)]
+        merged = 0
+        for ms, k in inputs:
+            try:
+                got = merge_hats(ms, k)
+            except OrderError:
+                continue
+            if merge_condition(ms.rows[k], ms.rows[k + 1]):
+                want = dual_ui_dual(ms, len(ms.rows) - 2 - k)
+                assert want.applied and want.type_tag == T3PRIME, render(ms)
+                assert (got.out.rows, got.out.mode, got.applied, got.type_tag) \
+                    == (want.out.rows, want.out.mode, True, T3PRIME), render(ms)
+                merged += 1
+            else:
+                assert got == OpResult(ms, False)
+        assert merged == 3033
+        assert time.perf_counter() - start < 2.0
+
 
 class TestComposites:
     def test_unfold_then_merge_golden(self):
@@ -589,6 +652,13 @@ class TestComposites:
         res = dual_ui_dual(ms, 0)
         assert res.applied and res.type_tag == T3PRIME
         assert render(res.out) == "[1,0;0;+]"
+
+    def test_dual_ui_dual_where_the_ui_of_the_dual_does_not_apply(self):
+        """The dual of [0,0;0;+][1,1;0;+] has no ui at 0, so the input
+        comes back unapplied."""
+        ms = parse("[0,0;0;+][1,1;0;+]")
+        assert ui_type(dual(ms), 0) is None
+        assert dual_ui_dual(ms, 0) == OpResult(ms, False)
 
     def test_ui_first_pair_of_three_rows(self):
         ms = parse("[0,0;0;+][1,1;0;-][1,1;0;-]")
