@@ -22,13 +22,15 @@ table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
 candidate tuple of ids, the dual-conjugated ones too: their sort back to
-(P') order is a walk of at most one row by the table's exchanges.  The
-candidate is looked up among the visited states first, and only a new
-one is checked, by the flags of the ids the move may have changed (see
-_valid_move).  A canonical key joins the DSL items of its ids.  Row
-exchanges keep the supports, so the Arthur parameter, which sorts the
-(a, b) of the rows, is taken once per exchange class, from the table's
-(a, b) of each id.
+(P') order is a walk of at most one row by the table's exchanges.  It
+reads each adjacent pair of the state once, straight from the table's
+pair entries, and bounds each split by a running max or min over the
+other rows.  The candidate is looked up among the visited states first,
+and only a new one is checked, by the flags of the ids the move may have
+changed (see _valid_move).  A canonical key joins the DSL items of its
+ids.  Row exchanges keep the supports, so the Arthur parameter, which
+sorts the (a, b) of the rows, is taken once per exchange class, from the
+table's (a, b) of each id.
 """
 
 from math import inf
@@ -219,7 +221,9 @@ def _ui_moves(table, ids):
 
 def _split_moves(table, ids):
     """Every split that keeps the (P)-admissible rows admissible, as
-    (ids, lo, hi, False): the low part at lo, the high part at lo + 1."""
+    (ids, lo, hi, False): the low part at lo, the high part at lo + 1.
+    A row's low bound on X is a running max over the rows before it, and
+    its high bound a running min over the rows after it."""
     A, B, splits = table.A, table.B, table.splits
     for k, i in enumerate(ids):
         points = splits[i][0]
@@ -229,8 +233,13 @@ def _split_moves(table, ids):
             # that ends after X, and a later row with a smaller A that
             # starts at or before X.
             a, b = A[i], B[i]
-            low = max([points.start] + [A[j] for j in ids[:k] if B[j] > b])
-            high = min([points.stop] + [B[j] for j in ids[k + 1:] if A[j] < a])
+            low, high = points.start, points.stop
+            for j in ids[:k]:
+                if B[j] > b and A[j] > low:
+                    low = A[j]
+            for j in ids[k + 1:]:
+                if A[j] < a and B[j] < high:
+                    high = B[j]
             for X in range(low, high):
                 cand = ids[:k] + table.split(i, X) + ids[k + 1:]
                 yield cand, k, k + 2, False
@@ -259,10 +268,14 @@ def _moves(table, ids):
     candidate are ids of the input, ids[lo:hi] may be new, and exchange
     tells the row exchanges from the other moves.
 
-    Exchanges come first, then the ui and split moves, then, when the rows
-    are (P')-sorted, the ui and split moves of the dual, each taken back by
-    sorting it with row exchanges and dualizing.  The dual is (P')-sorted,
-    and a move of it needs at most one row moved to be sorted again:
+    One pass over the adjacent pairs reads each pair's (exchange, ui)
+    entry from table.pairs, calling table.pair only on a miss, and whether
+    the pair is in (P') order; it yields the exchanges as it goes and
+    keeps the uis for after them.  So exchanges come first, then the ui
+    and split moves, then, when the rows are (P')-sorted, the ui and split
+    moves of the dual, each taken back by sorting it with row exchanges
+    and dualizing.  The dual is (P')-sorted, and a move of it needs at
+    most one row moved to be sorted again:
     - a ui keeps the order as it is: the union [A2, B1] takes the place
       of B1 and the intersection [A1, B2] that of B2, and a T3' union
       leaves out B2;
@@ -272,12 +285,22 @@ def _moves(table, ids):
       _high_part_sorted), so no dual split is dropped.
     A dual-conjugated candidate is new throughout.
     """
-    yield from _exchange_moves(table, ids)
-    yield from _ui_moves(table, ids)
+    pairs, B = table.pairs, table.B
+    uis = []
+    unsorted = False
+    for k in range(len(ids) - 1):
+        i, j = ids[k], ids[k + 1]
+        if B[i] > B[j]:
+            unsorted = True
+        exchanged, united = pairs[i].get(j) or table.pair(i, j)
+        if exchanged is not None:
+            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2, True
+        if united is not None:
+            uis.append((k, united))
+    for k, united in uis:
+        yield ids[:k] + united + ids[k + 2:], k, k + len(united), False
     yield from _split_moves(table, ids)
-    B = table.B
-    Bs = [B[i] for i in ids]
-    if Bs != sorted(Bs):  # not in (P') order
+    if unsorted:  # not in (P') order
         return
     dual = table.dual
     flipped = dual(ids)

@@ -1,5 +1,6 @@
 """Breadth-first class exploration and canonical forms."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -27,12 +28,12 @@ from emseg.core import (
     check_star, group_sign, make_row, order_sorted, parse, render,
     row_is_strict,
 )
-from emseg.count import count_tempered, iter_grid
+from emseg.count import count_block_recursive, count_tempered, iter_grid
 from emseg.ops import (
     _supports_nest, dual, dual_rows, exchange_pair, row_exchange,
-    split_circles, to_sorted, ui,
+    split_circles, split_points, to_sorted, ui,
 )
-from emseg.sdata import theta1
+from emseg.sdata import enumerate_ST, theta1, theta_family
 
 from conftest import rand_mode_ms, rand_sorted_ms, rand_tempered
 
@@ -63,6 +64,23 @@ def tempered_symbols(draw, max_rows=9):
             st.integers(1, 3))
         col += 1 + draw(st.integers(0, 1))
     return MultiSegment(tuple(rows[:max_rows]))
+
+
+@st.composite
+def odd_column_symbols(draw, max_rows=9):
+    """A tempered symbol of at most max_rows rows: columns of one or three
+    single circles of one sign each, from column 0 to 2 on, with column
+    steps of 1 or 2.  Every column count is odd, so no column leaves a row
+    behind to start a block at c_min 0 past the first."""
+    col = draw(st.integers(0, 2))
+    rows = []
+    while not rows or draw(st.booleans()):
+        mult = draw(st.sampled_from((1, 3)))
+        if len(rows) + mult > max_rows:
+            break
+        rows += [Row(col, col, 0, draw(st.sampled_from((1, -1))))] * mult
+        col += draw(st.sampled_from((1, 2)))
+    return MultiSegment(tuple(rows))
 
 
 @pytest.fixture(scope="module")
@@ -362,6 +380,39 @@ class TestAgainstReference:
         report = closure(seed)
         assert report.exhausted
         assert count_tempered(seed).value == len(report.psi)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(odd_column_symbols())
+    def test_product_rule_joins_the_block_packets(self, seed):
+        """On multi-block tempered symbols whose later blocks start past
+        column 0, the closure's parameters are the sorted joins of one
+        parameter from each block's own closure."""
+        blocks = block_tuples(seed)
+        assume(len(blocks) >= 2)
+        assert all(bt.c_min > 0 for bt, _ in blocks[1:])
+        packets = [closure(block).psi for block in block_decompose(seed)]
+        joined = {tuple(sorted(itertools.chain(*psis)))
+                  for psis in itertools.product(*packets)}
+        assert set(closure(seed).psi) == joined, render(seed)
+
+    def test_lift_adds_a_column_of_one(self):
+        """The closure of the theta1 lift of a c_min 0 block M holds the
+        parameters of M's lift family, and as many as the recursion counts
+        for M with one more column, of multiplicity 1."""
+        start = time.perf_counter()
+        instances = 0
+        for M in iter_grid(6, 5, 0, 7):
+            for eta in (1, -1):
+                report = closure(theta1(tempered_block(M, eta)))
+                family = {arthur_parameter(member)
+                          for S, T in enumerate_ST(M)
+                          for _, member in theta_family(M, S, T, eta)}
+                assert report.exhausted and set(report.psi) == family, (M, eta)
+                wider = BlockTuple(0, M.mults + (1,))
+                assert len(report.psi) == count_block_recursive(wider).value
+                instances += 1
+        assert instances == 62
+        assert time.perf_counter() - start < 4.0
 
     def test_two_exchange_classes_can_share_a_parameter(self):
         """Two of the three nodes of this closure have one Arthur
@@ -669,6 +720,46 @@ class TestMoves:
                         nxt.append(nb)
             frontier = nxt
         assert len(seen) == 66 and unsorted >= 20
+
+    # (states, unsorted states, split rows whose low bound an earlier row
+    # sets, split rows whose high bound a later row sets) of the closures
+    # of the theta1 lifts of these blocks at eta = 1.
+    SPLIT_BOUNDS = {(1, 3, 1, 3): (400, 175, 82, 62),
+                    (3, 1, 3, 1): (267, 42, 18, 66)}
+
+    @pytest.mark.parametrize("mults", sorted(SPLIT_BOUNDS))
+    def test_split_bounds_set_by_other_rows(self, mults):
+        """On these closures many split rows have a bound on X that another
+        row sets, the low one by an earlier row with a larger B, the high
+        one by a later row with a smaller A; the moves of every state match
+        the public operators."""
+        size, unsorted_floor, low_floor, high_floor = self.SPLIT_BOUNDS[mults]
+        seed = theta1(tempered_block(BlockTuple(0, mults), 1))
+        seen = {seed.rows}
+        frontier = [seed]
+        unsorted = low = high = 0
+        while frontier:
+            nxt = []
+            for state in frontier:
+                rows = state.rows
+                unsorted += not order_sorted(rows)
+                for k, r in enumerate(rows):
+                    points = split_points(r)
+                    if points:
+                        low += any(q.B > r.B and q.A > points.start
+                                   for q in rows[:k])
+                        high += any(q.A < r.A and q.B < points.stop
+                                    for q in rows[k + 1:])
+                _, _, moves = _table_moves(state)
+                assert [m[0] for m in moves] == _reference_moves(state)
+                for nb in neighbors(state):
+                    if nb.rows not in seen:
+                        seen.add(nb.rows)
+                        nxt.append(nb)
+            frontier = nxt
+        assert len(seen) == size
+        assert unsorted >= unsorted_floor
+        assert low >= low_floor and high >= high_floor
 
 
 class TestCanonical:
