@@ -420,10 +420,11 @@ def to_json(ms):
 
 def from_json(text, mode=STRICT):
     """Parse the JSON wire format, a str, bytes or bytearray (ScopeError
-    otherwise)."""
+    otherwise).  The mode is checked next, before the text is read."""
     if not isinstance(text, (str, bytes, bytearray)):
         raise ScopeError("text must be a str, bytes or bytearray, got %s"
                          % _shown(text))
+    _check_mode(mode)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -437,7 +438,6 @@ def from_json(text, mode=STRICT):
         raise ParseError("invalid JSON: nested too deeply", 0) from e
     if not isinstance(data, dict) or not isinstance(data.get("rows"), list):
         raise ParseError('expected an object with a "rows" list', 0)
-    _check_mode(mode)
     rows = []
     for item in data["rows"]:
         try:

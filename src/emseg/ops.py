@@ -398,7 +398,11 @@ def op_D(ms, hat, target):
     """Dualized merge: absorb the circles row at `target` (ending one short
     of the hat's triangle reach) into the hat at `hat`.
 
-    Computed as dual, exchanges, type-3' ui, exchanges, dual.
+    Computed as dual, exchanges, type-3' ui, exchanges, dual.  Not applied
+    when the rows do not fit, or when an exchange down or the ui does not
+    apply.  The exchanges back up always apply: each row that the first
+    chain passed nests with the target's image and sorts after it, so it
+    nests with the union [A_hat, B_image] too, which keeps the image's B.
     """
     rows = ms.rows
     h, = _rows_at(rows, hat, 1)
@@ -418,9 +422,8 @@ def op_D(ms, hat, target):
     res = ui(cur, pos)
     if res.type_tag != T3PRIME:
         return OpResult(ms, False)
+    # The passed rows nest with the image, after it, so with the union.
     out = _exchange_chain(res.out, range(pos - 1, p_target - 1, -1))
-    if out is None:
-        return OpResult(ms, False)
     return OpResult(dual(to_sorted(out)), True, T3PRIME)
 
 

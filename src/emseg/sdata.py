@@ -292,59 +292,60 @@ def theta_family(M, S, T=None, eta=1):
     and fourth coincide in packet exactly when S contains the singleton top
     column.  The block must start at 0; any other raises SegmentError
     before a lift is built.
+
+    Each step reads its row off build's row facts (see build): a hat is a
+    row with l > 0, its B = -p is negative while every other row has
+    B >= 0, and multiples sort last in their column.
+
+    - The first row ending at c_max is a hat exactly when T's last split
+      has two or more parts.  That hat is [c_max, -p] for the greatest
+      p, so it sorts first, as row 1 after theta1's hat, and theta2
+      merges the two hats (merge_hats at 0), theta3 unhooks one circle
+      from the merged hat (op_U at 0).
+    - Otherwise that row is a chain, and theta2 absorbs it into theta1's
+      hat (op_D).  Its output has one all-circles row reaching
+      c_max + 1, and theta3 splits one circle off it (op_S).
+    - When mult(c_max) > 1, no z-chain starts at c_max, so the last row
+      is a multiple [c_max, c_max], and theta4 absorbs it (op_D).
+
+    Every step applies on every member: a sweep of iter_grid(6, 5, 0, 13)
+    with both signs, 96 592 members, and the tests' sweep of
+    iter_grid(5, 5, 0, 9) found none that does not.  A step that did not
+    apply would be a fault of the library, so it raises AssertionError.
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
     c_max = M.c_max
     t1 = theta1(build(M, S, T, eta))
-    ends = [i for i, r in enumerate(t1.rows) if r.A == c_max]
-    first, last = ends[0], ends[-1]
-    # The first top-column row is a hat exactly when it has l > 0.
-    if t1.rows[first].l:
-        if first != 1:
-            raise SegmentError("top-column hat is not the first row of the block")
-        res2 = merge_hats(t1, 0)
-        if not res2.applied:
-            raise SegmentError("hat merge for the second lift failed")
-        t2 = res2.out
-        res3 = op_U(t2, 0, 1)
-        if not res3.applied:
-            raise SegmentError("circle unhook for the third lift failed")
-        t3 = res3.out
+    top = next(i for i, r in enumerate(t1.rows) if r.A == c_max)
+    if t1.rows[top].l:
+        t2 = _lift_step(merge_hats(t1, 0))
+        t3 = _lift_step(op_U(t2, 0, 1))
     else:
-        res2 = op_D(t1, 0, first)
-        if not res2.applied:
-            raise SegmentError("dualized merge for the second lift failed")
-        t2 = res2.out
-        t3 = _separate_top(t2, c_max)
+        t2 = _lift_step(op_D(t1, 0, top))
+        split = next(i for i, r in enumerate(t2.rows)
+                     if r.A == c_max + 1 and not r.l)
+        t3 = _lift_step(op_S(t2, split, 1))
     family = [("theta1", t1), ("theta2", t2), ("theta3", t3)]
     if M.mult(c_max) > 1:
-        # The multiples [c_max, c_max] sort after the singleton chain
-        # there, and no z-chain or hat has B = c_max.
-        if t1.rows[last].B != c_max:
-            raise SegmentError("last top-column row is not a multiple")
-        res4 = op_D(t1, 0, last)
-        if not res4.applied:
-            raise SegmentError("dualized merge for the fourth lift failed")
-        family.append(("theta4", res4.out))
+        family.append(("theta4", _lift_step(op_D(t1, 0, len(t1.rows) - 1))))
     return family
 
 
-def _separate_top(ms, c_max):
-    """Split one circle off the row reaching column c_max + 1."""
-    for i, r in enumerate(ms.rows):
-        if r.A == c_max + 1 and r.l == 0:
-            res = op_S(ms, i, 1)
-            if not res.applied:
-                break
-            return res.out
-    raise SegmentError("no separable row reaching the top column")
+def _lift_step(res):
+    """The output of an operator that theta_family applies."""
+    if not res.applied:
+        raise AssertionError("a lift step did not apply")
+    return res.out
 
 
 def theta2_matches_theta4(M, S):
     """Whether the second and fourth lifts share a packet: the S-tuple
-    contains the singleton top column.  An S that validate_S refuses
-    raises build's SegmentError."""
+    contains the singleton top column.  A block that does not start at 0
+    raises theta_family's SegmentError, and an S that validate_S refuses
+    build's."""
+    if M.c_min != 0:
+        raise SegmentError("the lift family applies to blocks starting at 0")
     if not validate_S(M, S):
         raise SegmentError("invalid S-tuple for %s" % _shown(M))
     return any(iv == (M.c_max, M.c_max) for iv in S)

@@ -369,6 +369,9 @@ class TestParseAgainstReference:
         for text in ("[1,0;2;+]x", "[1,0;2;+]", "[0,1;0;+]", "[1,0;0;+]", ""):
             with pytest.raises(SegmentError, match="^unknown mode 'loose'$"):
                 parse(text, "loose")
+        for text in ("nope", '{"rows": 5}', '{"rows": [{"A": 1}]}'):
+            with pytest.raises(SegmentError, match="^unknown mode 'loose'$"):
+                from_json(text, "loose")
 
 
 # The row-by-row constructors and render that MultiSegment, multi_segment

@@ -15,6 +15,7 @@ from emseg.core import (
     make_row, parse, render, validate, weak_normalize,
 )
 from emseg.count import iter_grid
+from emseg.ops import OpResult
 from emseg.sdata import (
     _partitions_of, build, enumerate_S, enumerate_ST, iter_S, iter_ST,
     theta1, theta_family, theta2_matches_theta4, trivial_T, validate_S,
@@ -175,6 +176,9 @@ class TestTheta:
         with pytest.raises(SegmentError, match=(
                 "^the lift family applies to blocks starting at 0$")):
             theta_family(BlockTuple(1, (1,)), ((1, 1),))
+        with pytest.raises(SegmentError, match=(
+                "^the lift family applies to blocks starting at 0$")):
+            theta2_matches_theta4(BlockTuple(1, (1, 3)), ((1, 1), (2, 2)))
 
     def test_lift_flips_leading_sign(self):
         ms = build(BlockTuple(0, (1, 1)), ((0, 0), (1, 1)), None, -1)
@@ -231,6 +235,49 @@ class TestTheta:
         assert str(exc.value) == "invalid S-tuple for " + repr(M)
         with pytest.raises(SegmentError, match="^invalid S-tuple for "):
             build(M, S)
+
+    def test_every_lift_step_applies_at_the_row_it_reads(self):
+        """On every member of iter_grid(5, 5, 0, 9) with both signs, no
+        lift step fails, and each reads the row theta_family's docstring
+        names: the first top-column row is a hat exactly when T's last
+        split has two or more parts, and is then row 1 of theta1;
+        otherwise theta2 has exactly one all-circles row reaching
+        c_max + 1; and when mult(c_max) > 1, the last top-column row of
+        theta1 is its last row."""
+        cases, calls = set(), 0
+        for M in iter_grid(5, 5, 0, 9):
+            c_max = M.c_max
+            for S, T in enumerate_ST(M):
+                for eta in (1, -1):
+                    t1 = theta1(build(M, S, T, eta))
+                    family = theta_family(M, S, T, eta)
+                    assert family[0] == ("theta1", t1)
+                    ends = [i for i, r in enumerate(t1.rows) if r.A == c_max]
+                    hat = t1.rows[ends[0]].l > 0
+                    assert hat == (len(T[-1]) > 1), (M, S, T, eta)
+                    if hat:
+                        assert ends[0] == 1, (M, S, T, eta)
+                    else:
+                        t2 = family[1][1]
+                        assert sum(r.A == c_max + 1 and r.l == 0
+                                   for r in t2.rows) == 1, (M, S, T, eta)
+                    if M.mult(c_max) > 1:
+                        assert ends[-1] == len(t1.rows) - 1, (M, S, T, eta)
+                    cases.add((hat, len(family)))
+                    calls += 1
+        assert calls == 6390
+        assert cases == {(False, 3), (False, 4), (True, 3), (True, 4)}
+
+    @pytest.mark.parametrize("step, T", [
+        ("merge_hats", (((0, 0), (1, 1)),)), ("op_U", (((0, 0), (1, 1)),)),
+        ("op_D", None), ("op_S", None)])
+    def test_a_lift_step_that_does_not_apply_is_a_fault(
+            self, monkeypatch, step, T):
+        """A step that does not apply on a checked member is a fault of
+        the library, not of the input: AssertionError, not SegmentError."""
+        monkeypatch.setattr(sdata, step, lambda ms, *args: OpResult(ms, False))
+        with pytest.raises(AssertionError, match="^a lift step did not apply$"):
+            theta_family(BlockTuple(0, (1, 1)), ((0, 1),), T)
 
 
 def _small_blocks(max_cols, c_min):
