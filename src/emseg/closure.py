@@ -5,20 +5,21 @@ union-intersections, their inverses (circle splits) and the dual-conjugated
 versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 
-closure and canonical share one breadth-first loop, _search: closure runs
-it over every move within its limits, canonical over the row exchanges
-alone with no limit.  The loop records the exchange edges of each state;
-closure joins its states along them, and canonical, whose every move is
-an exchange, reads only the states.  neighbors and exchange_neighbors
-list the moves of one state.  Each of the four keeps one row table,
-_Rows, for the length of its call, made from the seed.  The table gives
-each distinct row a small int id the first time the search meets it and
-works out, once per id, what the search asks of a row: whether it is
-strict and non-vanishing, its DSL item, A and B, (a, b), its split pairs
-and its dual (one per id, since every move keeps the parity that picks
-it); and, once per adjacent pair of ids, its row exchange and its
-union-intersection.  The formulas stay in the row-level cores of ops; the
-table only keeps their results.
+closure, are_equivalent and canonical share one breadth-first loop,
+_search: closure and are_equivalent run it over every move within their
+limits, canonical over the row exchanges alone with no limit.  The loop
+records the exchange edges of each state; closure joins its states along
+them, are_equivalent looks its second argument up among the states, and
+canonical, whose every move is an exchange, reads only the states.
+neighbors and exchange_neighbors list the moves of one state.  Each of
+the five keeps one row table, _Rows, for the length of its call, made
+from the seed.  The table gives each distinct row a small int id the
+first time the search meets it and works out, once per id, what the
+search asks of a row: whether it is strict and non-vanishing, its DSL
+item, A and B, (a, b), its split pairs and its dual (one per id, since
+every move keeps the parity that picks it); and, once per adjacent pair
+of ids, its row exchange and its union-intersection.  The formulas stay
+in the row-level cores of ops; the table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
 candidate tuple of ids, the dual-conjugated ones too: their sort back to
@@ -46,9 +47,11 @@ from .ops import (
 
 
 class ClosureReport(NamedTuple):
-    nodes: frozenset          # one key per row-exchange class: canonical
-                              # when exhausted; at a limit, the least key
-                              # among a component's visited states
+    nodes: frozenset          # one key per row-exchange class: the least
+                              # key among the states of a component the
+                              # search joined; canonical of a state of it
+                              # when exhausted, unless an exchange there
+                              # does not exchange back (see canonical)
     psi: frozenset            # Arthur parameters
     states: int               # exact row lists visited
     stop: str                 # "exhausted", or the limit that stopped it:
@@ -440,36 +443,35 @@ def _component_keys(table, states, index, exchange_edges):
     return best
 
 
-def _least_key(ms, max_states, max_depth):
-    """The least serialized row list over the valid states that row
-    exchanges reach from ms, searched within max_states states and
-    max_depth levels: LimitError when a limit stops the search."""
-    table = _seed_table(ms)
-    states, _, _, stop = _search(table, _exchange_moves, max_states, max_depth)
-    if stop != "exhausted":
-        raise LimitError.of(stop, max_states, max_depth)
-    return min(map(table.key, states))
-
-
 def canonical(ms):
-    """Least serialized row list over the valid states reachable by row
-    exchanges: the key closure gives the class of ms.  Raises closure's
-    SegmentError when ms is not a valid state."""
-    return _least_key(ms, inf, inf)
+    """Least serialized row list over the valid states that row exchanges
+    reach from ms: the key closure gives the class of ms.  The search
+    follows exchanges one way, and closure joins states both ways, so the
+    two differ where an exchange does not exchange back:
+    a = [5,4;0;+][5,4;1;+] exchanges to b = [5,4;1;+][5,4;0;+], b to no
+    valid state, and canonical(b) is b's own key, not the key of a and b
+    in closure(a).nodes.  Raises closure's SegmentError when ms is not a
+    valid state."""
+    table = _seed_table(ms)
+    states = _search(table, _exchange_moves, inf, inf)[0]
+    return min(map(table.key, states))
 
 
 def are_equivalent(ms1, ms2,
                    max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
-    """Shared membership test via the closure of the first argument: True
-    when the closure finds ms2's class, False when ms2 is not a valid state
-    or the closure exhausts the class without it.  ms2's canonical key is
-    searched within the same limits, and LimitError is raised when a limit
-    stops that search, or stops the closure before it finds ms2's class."""
-    report = closure(ms1, max_states, max_depth)
+    """Whether the closure of ms1 visits ms2: one search from ms1 under
+    every move, within closure's limits.  True when ms2 is among the
+    states it visits, False when ms2 is not a valid state or the search
+    exhausts the class without it, and LimitError when a limit stops the
+    search before it visits ms2."""
+    _limit(max_states, "max_states")
+    _limit(max_depth, "max_depth")
+    table = _seed_table(ms1)
     if not _valid_state(ms2.rows):
         return False
-    if _least_key(ms2, max_states, max_depth) in report.nodes:
+    _, index, _, stop = _search(table, _moves, max_states, max_depth)
+    if table.ids(ms2.rows) in index:
         return True
-    if not report.exhausted:
-        raise LimitError.of(report.stop, max_states, max_depth)
+    if stop != "exhausted":
+        raise LimitError.of(stop, max_states, max_depth)
     return False

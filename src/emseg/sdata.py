@@ -213,9 +213,6 @@ def _rows(M, S, T, eta):
         for p, q in parts[1:]:
             items.append((-p, 0, q, p, 1))
     for c, n in enumerate(free, lo):
-        if n < 0:
-            raise SegmentError("column %s covered more often than its "
-                               "multiplicity" % _shown(c))
         if n:
             items.append((c, 1, c, 0, n))
     _eta(eta)
@@ -249,8 +246,12 @@ def build(M, S, T=None, eta=1):
 
     The input is checked once, at this boundary: validate_S, validate_T of
     a given T (trivial_T of a valid S is valid by validate_S's overlap
-    rule), plain int endpoints, the coverage, and a plain int eta of +1 or
-    -1.  Then every row is valid as built, so none goes through make_row:
+    rule), plain int endpoints, and a plain int eta of +1 or -1.  The
+    coverage needs no check: validate_S allows an overlap only on a column
+    of multiplicity above 1, so at least 3 by the block rule, and one
+    column holds at most one overlap, so no column is covered more often
+    than its multiplicity (see below).  Then every row is valid as built,
+    so none goes through make_row:
 
     - a chain [hi, lo] has hi >= lo >= c_min >= 0 and l = 0;
     - a hat (q, -p, p) has 1 <= p <= q, so A + B = q - p >= 0 and

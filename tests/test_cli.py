@@ -1,11 +1,13 @@
 """The command line interface: verbs, formats, exit codes."""
 
+import ast
 import concurrent.futures
 import io
 import json
 import os
 import random
 import resource
+import shlex
 import subprocess
 import sys
 import threading
@@ -857,3 +859,34 @@ def test_determinism():
     first = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]", "--emit", "nodes")
     second = invoke("closure", "--dsl", "[0,0;0;+][1,1;0;-]", "--emit", "nodes")
     assert first == second
+
+
+def _readme_block(text, section, fence):
+    """The first fenced block of the given kind under a README heading."""
+    return text.split("\n## %s\n" % section)[1].split(
+        "```%s\n" % fence)[1].split("```")[0]
+
+
+def test_readme_examples_run():
+    """Every `emseg ...` line of README's command-line block exits 0 through
+    run, and the Library block runs and gives the results its comments
+    show."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [line for line in
+                _readme_block(readme, "Command line", "sh").splitlines()
+                if line.startswith("emseg ")]
+    assert len(commands) == 11
+    for line in commands:
+        code, _, err = invoke(*shlex.split(line)[1:])
+        assert code == EXIT_OK, (line, err)
+    namespace, checked = {}, []
+    for line in _readme_block(readme, "Library", "python").splitlines():
+        source, _, comment = line.partition("#")
+        try:
+            want = ast.literal_eval(comment.strip())
+        except (ValueError, SyntaxError):
+            exec(source, namespace)
+        else:
+            assert eval(source, namespace) == want, line
+            checked.append(want)
+    assert checked == [((1, 1), (3, 1)), 3]

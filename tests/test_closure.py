@@ -230,10 +230,10 @@ def test_state_limit_memory():
     assert int(peak_kb) < STATE_LIMIT_RSS_MB * 1024
 
 
-def _reference_closure(seed, max_states, max_depth):
-    """The closure search written plainly on the public operators: the
-    valid states among _reference_moves per state, then one union-find
-    over the row_exchange results of every visited state."""
+def _reference_states(seed, max_states, max_depth):
+    """The closure search written plainly on the public operators, as
+    ({rows: state} of the visited states, exhausted): the valid states
+    among _reference_moves per state."""
     seen = {seed.rows: seed}
     frontier = [seed]
     exhausted = True
@@ -258,6 +258,13 @@ def _reference_closure(seed, max_states, max_depth):
         if not exhausted:
             break
         frontier = nxt
+    return seen, exhausted
+
+
+def _reference_closure(seed, max_states, max_depth):
+    """_reference_states, then one union-find over the row_exchange
+    results of every visited state."""
+    seen, exhausted = _reference_states(seed, max_states, max_depth)
     parent = {rows: rows for rows in seen}
 
     def find(x):
@@ -804,25 +811,73 @@ class TestCanonical:
                               max_states=0) is False
 
     def test_the_search_of_ms2_keeps_the_limits(self):
-        """are_equivalent searches ms2's exchange class within its own
-        limits.  Nine mutually nested rows make a class that took seconds
-        and over 100 MB to search with no limit, after a closure that had
-        stopped at one state."""
+        """are_equivalent runs one search, from ms1, within its limits, and
+        never searches ms2's class.  Nine mutually nested rows make a class
+        of 9! orders; a state the stopped search visited answers True, and
+        one it did not raises LimitError at once."""
         nested = parse("".join("[%d,%d;0;+]" % (10 + j, 10 - j)
                                for j in range(8, -1, -1)))
+        reversed_ = MultiSegment(nested.rows[::-1])
         start = time.perf_counter()
+        assert are_equivalent(nested, nested, max_states=50) is True
         with pytest.raises(LimitError, match=(
                 r"^closure hit the state limit \(50 states\)$")):
-            are_equivalent(nested, nested, max_states=50)
+            are_equivalent(nested, reversed_, max_states=50)
         with pytest.raises(LimitError, match=(
                 r"^closure hit the depth limit \(depth 1\)$")):
-            are_equivalent(nested, nested, max_states=50, max_depth=1)
+            are_equivalent(nested, reversed_, max_states=50, max_depth=1)
         assert time.perf_counter() - start < 0.5
-        # A class the limits cover is searched to the end: a single
-        # circle is its own class, which the stopped closure did not find.
         with pytest.raises(LimitError, match=(
                 r"^closure hit the state limit \(1 states\)$")):
             are_equivalent(nested, parse("[0,0;0;+]"), max_states=1)
+
+    def test_an_exchange_that_does_not_exchange_back(self):
+        """a exchanges to b, and b to no valid state.  closure(a) visits b,
+        so are_equivalent(a, b) is True although canonical(a) !=
+        canonical(b); are_equivalent(b, a) is whether closure(b) visits a,
+        which the plain search on the public operators says it does not."""
+        a = parse("[5,4;0;+][5,4;1;+]")
+        b = parse("[5,4;1;+][5,4;0;+]")
+        assert canonical(a) != canonical(b)
+        from_a, exhausted = _reference_states(a, 100000, 64)
+        assert exhausted and b.rows in from_a
+        assert are_equivalent(a, b) is True
+        from_b, exhausted = _reference_states(b, 100000, 64)
+        assert exhausted and a.rows not in from_b
+        assert are_equivalent(b, a) is False
+
+    def test_a_limit_holds_back_an_answer_and_never_flips_one(
+            self, grid_closures):
+        """The greatest node key of every grid closure (both signs) answers
+        True at the default limits, so at a truncating limit it answers
+        True, when the stopped search visited it, or raises LimitError."""
+        answers = set()
+        for seed, report in grid_closures:
+            far = parse(max(report.nodes).decode())
+            for limits in ({"max_states": 1}, {"max_states": 7},
+                           {"max_states": 30}, {"max_depth": 1},
+                           {"max_depth": 2}):
+                try:
+                    answers.add(are_equivalent(seed, far, **limits))
+                except LimitError:
+                    answers.add(LimitError)
+        assert answers == {True, LimitError}
+
+    def test_node_keys_and_their_seed_in_both_directions(
+            self, grid_closures):
+        """A sample of node keys of every grid closure (both signs): the
+        closure of the seed visits each, and the closure of each visits
+        the seed."""
+        rng = random.Random(20261020)
+        pairs = 0
+        for seed, report in grid_closures:
+            for key in rng.sample(sorted(report.nodes),
+                                  min(12, len(report.nodes))):
+                node = parse(key.decode())
+                assert are_equivalent(seed, node), key
+                assert are_equivalent(node, seed), key
+                pairs += 1
+        assert pairs == 1228
 
     def test_node_keys_are_their_own_canonical_forms(self, grid_closures):
         """On every grid closure (both signs) each node key is canonical,

@@ -108,10 +108,15 @@ def test_closure_trusts_the_rows_the_cores_build():
 
 def test_closure_and_canonical_share_one_search_loop():
     """_search is the one breadth-first loop of closure.py: only it checks
-    a candidate with _valid_move, and only closure and _least_key, the
-    exchange-class search of canonical and are_equivalent, run it."""
+    a candidate with _valid_move, and only closure, canonical and
+    are_equivalent run it.  are_equivalent runs it once, from ms1, and
+    calls neither closure nor canonical, so no second search of ms2's
+    class comes back."""
     assert _callers("closure.py", "_valid_move") == {"_search"}
-    assert _callers("closure.py", "_search") == {"closure", "_least_key"}
+    assert _callers("closure.py", "_search") == {
+        "closure", "canonical", "are_equivalent"}
+    assert "are_equivalent" not in (_callers("closure.py", "closure")
+                                    | _callers("closure.py", "canonical"))
 
 
 def test_build_trusts_its_checked_coordinates():

@@ -551,14 +551,6 @@ def _reference_build_labeled(M, S, T, eta):
     return MultiSegment(tuple(rows)), tuple(labels)
 
 
-def _unchecked_block(c_min, mults):
-    """A BlockTuple that skipped the positive-multiplicity check."""
-    M = object.__new__(BlockTuple)
-    object.__setattr__(M, "c_min", c_min)
-    object.__setattr__(M, "mults", tuple(mults))
-    return M
-
-
 def _members(M):
     if M.c_min == 0:
         return enumerate_ST(M)
@@ -593,16 +585,8 @@ class TestBuildOnce:
         with pytest.raises(SegmentError) as err:
             build(M, ((0, 1),), None, 0)
         assert str(err.value) == "eta must be +1 or -1, got 0"
-        # Valid (S, T) cover no column more often than a positive
-        # multiplicity allows; a block that skipped that check can.
-        unchecked = _unchecked_block(0, (1, 0))
-        with pytest.raises(SegmentError) as err:
-            build(unchecked, ((0, 1),))
-        assert str(err.value) == (
-            "column 1 covered more often than its multiplicity")
         # A rejected input leaves the row table as it was.
         assert M._row_table == table and len(table) == 1
-        assert unchecked._row_table == {}
 
     def test_non_int_endpoints_are_scope_errors(self):
         """validate_S compares endpoints by value, so 1.0 and True pass it;
@@ -743,8 +727,8 @@ def _checks_pass(M, S, T):
 
 def _broken_member(rng):
     """A random (M, S, T, eta) of a small block, then zero to three of:
-    a bool or float endpoint, a non-plain eta, an endpoint moved by one
-    (an invalid S or T) and a column of multiplicity 0 (over-coverage)."""
+    a bool or float endpoint, a non-plain eta and an endpoint moved by one
+    (an invalid S or T)."""
     c_min = rng.choice((0, 0, 1))
     M = BlockTuple(c_min, tuple(rng.choice((1, 3))
                                 for _ in range(rng.randint(1, 4))))
@@ -766,12 +750,8 @@ def _broken_member(rng):
             iv[j] = float(iv[j])
         elif k < 0.55:
             eta = rng.choice((True, 2, 1.0, 0))
-        elif k < 0.8:
-            iv[j] += rng.choice((-1, 1))
         else:
-            mults = list(M.mults)
-            mults[rng.randrange(len(mults))] = 0
-            M = _unchecked_block(c_min, mults)
+            iv[j] += rng.choice((-1, 1))
     S = tuple(map(tuple, S))
     if T is not None:
         T = tuple(tuple(map(tuple, parts)) for parts in T)
@@ -803,8 +783,7 @@ class TestBuildAgainstReference:
         assert seen >= {
             "ok", "non-int endpoint", "invalid S-tuple for BlockTuple(c_min=0",
             "invalid T-refinement", "eta must be +1 or -1",
-            "eta must be an integer",
-            "column 0 covered more often than its multiplicity"}, seen
+            "eta must be an integer"}, seen
 
 
 # Any value of a few small nested tuples, lists and dicts, of ints,
