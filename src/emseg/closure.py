@@ -6,10 +6,10 @@ versions of both.  The closure explores exact row lists; canonical forms
 quotient out row exchanges and give the packet-level node set.
 
 closure, are_equivalent and canonical share one breadth-first loop,
-_search: closure and are_equivalent run it over every move within their
-limits, canonical over the row exchanges alone with no limit.  The loop
-records the exchange edges of each state; closure joins its states along
-them, are_equivalent looks its second argument up among the states, and
+_search, within closure's limits: closure and are_equivalent run it over
+every move, canonical over the row exchanges alone.  The loop records the
+exchange edges of each state; closure joins its states along them,
+are_equivalent looks its second argument up among the states, and
 canonical, whose every move is an exchange, reads only the states.
 neighbors and exchange_neighbors list the moves of one state.  Each of
 the five keeps one row table, _Rows, for the length of its call, made
@@ -27,14 +27,13 @@ candidate tuple of ids, the dual-conjugated ones too: their sort back to
 reads each adjacent pair of the state once, straight from the table's
 pair entries, and bounds each split by a running max or min over the
 other rows.  The candidate is looked up among the visited states first,
-and only a new one is checked, by the flags of the ids the move may have
-changed (see _valid_move).  A canonical key joins the DSL items of its
-ids.  Row exchanges keep the supports, so the Arthur parameter, which
-sorts the (a, b) of the rows, is taken once per exchange class, from the
-table's (a, b) of each id.
+and only a new one is checked, by the flags of its ids, since no move of
+a valid state breaks (P) (see _search).  A canonical key joins the DSL
+items of its ids.  Row exchanges keep the supports, so the Arthur
+parameter, which sorts the (a, b) of the rows, is taken once per exchange
+class, from the table's (a, b) of each id.
 """
 
-from math import inf
 from typing import NamedTuple
 
 from .core import (
@@ -191,40 +190,17 @@ class _Rows:
         return b"".join(map(self.text.__getitem__, ids))
 
 
-def _valid_move(table, ids, lo, hi):
-    """_valid_state of the output ids of a move of a valid state, where
-    every id outside ids[lo:hi] is an id of the parent.
-
-    Only the new rows need the strict and check_star tests, because no
-    move breaks (P):
-    - an exchange swaps a nesting pair, which (P) allows in either order;
-    - a ui's union [A2, B1] and intersection [A1, B2] may stand before
-      (after) every row that both old rows could stand before (after);
-    - _split_moves yields only the splits that keep (P);
-    - a dual-conjugated output is (P')-sorted, as every dual is.
-    """
-    return all(map(table.ok.__getitem__, ids[lo:hi]))
-
-
 def _exchange_moves(table, ids):
-    """Every row exchange that changes ids, as (ids, lo, hi, True)."""
+    """Every row exchange that changes ids, as (ids, True)."""
     for k in range(len(ids) - 1):
         exchanged = table.pair(ids[k], ids[k + 1])[0]
         if exchanged is not None:
-            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2, True
-
-
-def _ui_moves(table, ids):
-    """Every ui, as (ids, lo, hi, False)."""
-    for k in range(len(ids) - 1):
-        united = table.pair(ids[k], ids[k + 1])[1]
-        if united is not None:
-            yield ids[:k] + united + ids[k + 2:], k, k + len(united), False
+            yield ids[:k] + exchanged + ids[k + 2:], True
 
 
 def _split_moves(table, ids):
     """Every split that keeps the (P)-admissible rows admissible, as
-    (ids, lo, hi, False): the low part at lo, the high part at lo + 1.
+    (ids, k): the low part at k, the high part at k + 1.
     A row's low bound on X is a running max over the rows before it, and
     its high bound a running min over the rows after it."""
     A, B, splits = table.A, table.B, table.splits
@@ -244,8 +220,7 @@ def _split_moves(table, ids):
                 if A[j] < a and B[j] < high:
                     high = B[j]
             for X in range(low, high):
-                cand = ids[:k] + table.split(i, X) + ids[k + 1:]
-                yield cand, k, k + 2, False
+                yield ids[:k] + table.split(i, X) + ids[k + 1:], k
 
 
 def _high_part_sorted(table, ids, k):
@@ -267,18 +242,18 @@ def _high_part_sorted(table, ids, k):
 
 def _moves(table, ids):
     """Every single operator move of the state ids, in search order, as
-    (candidate ids, lo, hi, exchange): ids[:lo] and ids[hi:] of the
-    candidate are ids of the input, ids[lo:hi] may be new, and exchange
-    tells the row exchanges from the other moves.
+    (candidate ids, exchange): exchange tells the row exchanges from the
+    other moves.
 
     One pass over the adjacent pairs reads each pair's (exchange, ui)
     entry from table.pairs, calling table.pair only on a miss, and whether
     the pair is in (P') order; it yields the exchanges as it goes and
     keeps the uis for after them.  So exchanges come first, then the ui
     and split moves, then, when the rows are (P')-sorted, the ui and split
-    moves of the dual, each taken back by sorting it with row exchanges
-    and dualizing.  The dual is (P')-sorted, and a move of it needs at
-    most one row moved to be sorted again:
+    moves of the dual, whose pairs are read the same way, each taken back
+    by sorting it with row exchanges and dualizing.  The dual is
+    (P')-sorted, and a move of it needs at most one row moved to be sorted
+    again:
     - a ui keeps the order as it is: the union [A2, B1] takes the place
       of B1 and the intersection [A1, B2] that of B2, and a T3' union
       leaves out B2;
@@ -297,21 +272,24 @@ def _moves(table, ids):
             unsorted = True
         exchanged, united = pairs[i].get(j) or table.pair(i, j)
         if exchanged is not None:
-            yield ids[:k] + exchanged + ids[k + 2:], k, k + 2, True
+            yield ids[:k] + exchanged + ids[k + 2:], True
         if united is not None:
-            uis.append((k, united))
-    for k, united in uis:
-        yield ids[:k] + united + ids[k + 2:], k, k + len(united), False
-    yield from _split_moves(table, ids)
+            uis.append(ids[:k] + united + ids[k + 2:])
+    for cand in uis:
+        yield cand, False
+    for cand, _ in _split_moves(table, ids):
+        yield cand, False
     if unsorted:  # not in (P') order
         return
     dual = table.dual
     flipped = dual(ids)
-    for moved, _, _, _ in _ui_moves(table, flipped):
-        yield dual(moved), 0, len(moved), False
-    for moved, k, _, _ in _split_moves(table, flipped):
-        moved = _high_part_sorted(table, moved, k + 1)
-        yield dual(moved), 0, len(moved), False
+    for k in range(len(flipped) - 1):
+        i, j = flipped[k], flipped[k + 1]
+        united = (pairs[i].get(j) or table.pair(i, j))[1]
+        if united is not None:
+            yield dual(flipped[:k] + united + flipped[k + 2:]), False
+    for moved, k in _split_moves(table, flipped):
+        yield dual(_high_part_sorted(table, moved, k + 1)), False
 
 
 def _as_multisegment(table, ids):
@@ -323,14 +301,14 @@ def exchange_neighbors(ms):
     """Results of every applicable row exchange."""
     table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _exchange_moves(table, table.seed)]
+            for cand, _ in _exchange_moves(table, table.seed)]
 
 
 def neighbors(ms):
     """All single operator moves, filtered to valid strict states."""
     table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _moves(table, table.seed)
+            for cand, _ in _moves(table, table.seed)
             if _valid_state([table.rows[i] for i in cand])]
 
 
@@ -347,11 +325,18 @@ def _search(table, moves, max_states, max_depth):
 
     Each state is one tuple of ids, both its key in index and its entry in
     states.  A move's candidate is looked up in index before it is
-    checked; a miss is checked with _valid_move, which looks only at what
-    the move changed.  The search stops at the first new valid state past
-    max_states, or after max_depth levels; stop says which, or is
-    "exhausted".  exchange_edges[i] lists the index of every state a row
-    exchange of states[i] leads to, for each state expanded in full.
+    checked; a miss is checked by the table's ok flags of its ids.  That
+    is _valid_state of the candidate, since every state the search expands
+    is valid and no move of a valid state breaks (P):
+    - an exchange swaps a nesting pair, which (P) allows in either order;
+    - a ui's union [A2, B1] and intersection [A1, B2] may stand before
+      (after) every row that both old rows could stand before (after);
+    - _split_moves yields only the splits that keep (P);
+    - a dual-conjugated output is (P')-sorted, as every dual is.
+    The search stops at the first new valid state past max_states, or
+    after max_depth levels; stop says which, or is "exhausted".
+    exchange_edges[i] lists the index of every state a row exchange of
+    states[i] leads to, for each state expanded in full.
     """
     # States are expanded in the order they are found, so states[start:]
     # is the frontier and exchange_edges[i] belongs to states[i].  A state
@@ -367,11 +352,10 @@ def _search(table, moves, max_states, max_depth):
         end = len(states)
         for ids in states[start:end]:
             found = []
-            for cand, lo, hi, exchange in moves(table, ids):
+            for cand, exchange in moves(table, ids):
                 j = index.get(cand)
                 if j is None:
-                    # A state in index already passed _valid_state.
-                    if not _valid_move(table, cand, lo, hi):
+                    if not all(map(table.ok.__getitem__, cand)):
                         continue
                     if len(states) >= max_states:
                         full = True
@@ -432,7 +416,7 @@ def _component_keys(table, states, index, exchange_edges):
         for j in edges:
             parent[find(j)] = find(i)
     for i in range(len(exchange_edges), len(states)):
-        for cand, _, _, _ in _exchange_moves(table, states[i]):
+        for cand, _ in _exchange_moves(table, states[i]):
             j = index.get(cand)
             if j is not None:
                 parent[find(j)] = find(i)
@@ -451,9 +435,13 @@ def canonical(ms):
     a = [5,4;0;+][5,4;1;+] exchanges to b = [5,4;1;+][5,4;0;+], b to no
     valid state, and canonical(b) is b's own key, not the key of a and b
     in closure(a).nodes.  Raises closure's SegmentError when ms is not a
-    valid state."""
+    valid state, and LimitError when the search passes closure's default
+    limits, DEFAULT_MAX_STATES states or DEFAULT_MAX_DEPTH levels."""
     table = _seed_table(ms)
-    states = _search(table, _exchange_moves, inf, inf)[0]
+    states, _, _, stop = _search(table, _exchange_moves, DEFAULT_MAX_STATES,
+                                 DEFAULT_MAX_DEPTH)
+    if stop != "exhausted":
+        raise LimitError.of(stop, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
     return min(map(table.key, states))
 
 

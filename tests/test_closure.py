@@ -19,9 +19,8 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.closure import (
-    LimitError, _Rows, _as_multisegment, _moves, _search, _valid_move,
-    _valid_state, are_equivalent, canonical, closure, exchange_neighbors,
-    neighbors,
+    LimitError, _Rows, _as_multisegment, _moves, _search, _valid_state,
+    are_equivalent, canonical, closure, exchange_neighbors, neighbors,
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, Row, SegmentError, arthur_parameter,
@@ -559,7 +558,7 @@ def _candidates(ms):
     """Every move of ms as a multi-segment, before the validity filter."""
     table = _Rows(ms.rows)
     return [_as_multisegment(table, cand)
-            for cand, _, _, _ in _moves(table, table.seed)]
+            for cand, _ in _moves(table, table.seed)]
 
 
 class TestCandidateModes:
@@ -645,20 +644,27 @@ def _reference_moves(ms):
 
 def _table_moves(ms):
     """The table, the ids of ms and the moves _moves gives on them, with
-    each candidate mapped back to rows: (table, ids, [(rows, cand, lo,
-    hi)])."""
+    each candidate mapped back to rows: (table, ids, [(rows, cand)])."""
     table = _Rows(ms.rows)
     ids = table.seed
-    return table, ids, [(tuple(table.rows[i] for i in cand), cand, lo, hi)
-                        for cand, lo, hi, _ in _moves(table, ids)]
+    return table, ids, [(tuple(table.rows[i] for i in cand), cand)
+                        for cand, _ in _moves(table, ids)]
+
+
+def _flags_are_validity(table, moves):
+    """Whether, on every (rows, cand) of moves, the ok flags of the ids,
+    the one check _search makes of a new candidate, agree with
+    _valid_state; moves come from a valid state."""
+    return all(all(table.ok[i] for i in cand) == _valid_state(rows)
+               for rows, cand in moves)
 
 
 class TestMoves:
     def test_moves_are_the_public_operators_moves(self, rng):
-        """_moves yields what the public operators give, in the same order,
-        and changes only rows[lo:hi]; on a valid state its local check
-        agrees with _valid_state on every candidate.  The table's dual of
-        the state and of every (P')-sorted candidate is dual_rows'."""
+        """_moves yields what the public operators give, in the same order;
+        on a valid state the ok flags of each candidate's ids agree with
+        _valid_state.  The table's dual of the state and of every
+        (P')-sorted candidate is dual_rows'."""
         start = time.perf_counter()
         checked = duals = 0
         for i in range(500):
@@ -668,20 +674,15 @@ class TestMoves:
             else:
                 ms = rand_mode_ms(rng, RELAXED, require_star=star)
             table, ids, moves = _table_moves(ms)
-            assert [rows for rows, _, _, _ in moves] == _reference_moves(ms)
-            for rows, _, lo, hi in moves:
-                assert rows[:lo] == ms.rows[:lo]
-                assert rows[hi:] == ms.rows[len(ms.rows) - len(rows) + hi:]
-            for rows, cand in [(ms.rows, ids)] + [m[:2] for m in moves]:
+            assert [rows for rows, _ in moves] == _reference_moves(ms)
+            for rows, cand in [(ms.rows, ids)] + moves:
                 if order_sorted(rows):
                     dualized = tuple(table.rows[i] for i in table.dual(cand))
                     assert dualized == tuple(dual_rows(rows))
                     duals += 1
             if _valid_state(ms.rows):
-                for rows, cand, lo, hi in moves:
-                    assert (_valid_move(table, cand, lo, hi)
-                            == _valid_state(rows))
-                    checked += 1
+                assert _flags_are_validity(table, moves), render(ms)
+                checked += len(moves)
         assert checked > 500 and duals > 500
         assert time.perf_counter() - start < 2.0
 
@@ -698,7 +699,7 @@ class TestMoves:
         area = sum(r.a * r.b for r in ms.rows)
         parity = sum(r.a for r in ms.rows) % 2
         psi = sorted((r.a, r.b) for r in ms.rows)
-        for cand, _, _, exchange in _moves(table, table.seed):
+        for cand, exchange in _moves(table, table.seed):
             rows = [table.rows[i] for i in cand]
             assert sum(r.a * r.b for r in rows) == area, (ms, rows)
             assert sum(r.a for r in rows) % 2 == parity, (ms, rows)
@@ -717,16 +718,34 @@ class TestMoves:
             for state in frontier:
                 unsorted += not order_sorted(state.rows)
                 table, _, moves = _table_moves(state)
-                assert [r for r, _, _, _ in moves] == _reference_moves(state)
-                for rows, cand, lo, hi in moves:
-                    assert (_valid_move(table, cand, lo, hi)
-                            == _valid_state(rows))
+                assert [r for r, _ in moves] == _reference_moves(state)
+                assert _flags_are_validity(table, moves), render(state)
                 for nb in neighbors(state):
                     if nb.rows not in seen:
                         seen.add(nb.rows)
                         nxt.append(nb)
             frontier = nxt
         assert len(seen) == 66 and unsorted >= 20
+
+    def test_flags_of_a_candidate_are_its_validity(self, grid_closures):
+        """_search checks a new candidate by the ok flags of its ids alone,
+        which is _valid_state of it because no move of a valid state breaks
+        (P): so on every candidate of every state of the grid closures,
+        both signs, including the 1944 that some flag rejects."""
+        start = time.perf_counter()
+        checked = rejected = 0
+        for seed, report in grid_closures:
+            table = _Rows(seed.rows)
+            states = _search(table, _moves, inf, inf)[0]
+            assert len(states) == report.states
+            for ids in states:
+                moves = [(tuple(table.rows[i] for i in cand), cand)
+                         for cand, _ in _moves(table, ids)]
+                assert _flags_are_validity(table, moves), render(seed)
+                checked += len(moves)
+                rejected += sum(not _valid_state(rows) for rows, _ in moves)
+        assert (checked, rejected) == (17200, 1944)
+        assert time.perf_counter() - start < 2.0
 
     # (states, unsorted states, split rows whose low bound an earlier row
     # sets, split rows whose high bound a later row sets) of the closures
@@ -830,6 +849,24 @@ class TestCanonical:
         with pytest.raises(LimitError, match=(
                 r"^closure hit the state limit \(1 states\)$")):
             are_equivalent(nested, parse("[0,0;0;+]"), max_states=1)
+
+    def test_canonical_keeps_the_default_limits(self):
+        """canonical searches within closure's default limits.  Nine
+        mutually nested rows make an exchange class of 9! orders, more than
+        DEFAULT_MAX_STATES, so it raises LimitError within a second; the
+        8! orders of eight such rows still give their least key."""
+        def nested(n):
+            return parse("".join("[%d,%d;0;+]" % (10 + j, 10 - j)
+                                 for j in range(n - 1, -1, -1)))
+
+        start = time.perf_counter()
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(100000 states\)$")):
+            canonical(nested(9))
+        assert time.perf_counter() - start < 1.0
+        assert canonical(nested(8)) == (
+            b"[10,10;0;+][11,9;1;-][12,8;2;+][13,7;3;-]"
+            b"[14,6;4;+][15,5;5;-][16,4;6;+][17,3;7;-]")
 
     def test_an_exchange_that_does_not_exchange_back(self):
         """a exchanges to b, and b to no valid state.  closure(a) visits b,

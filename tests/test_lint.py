@@ -107,16 +107,24 @@ def test_closure_trusts_the_rows_the_cores_build():
 
 
 def test_closure_and_canonical_share_one_search_loop():
-    """_search is the one breadth-first loop of closure.py: only it checks
-    a candidate with _valid_move, and only closure, canonical and
-    are_equivalent run it.  are_equivalent runs it once, from ms1, and
-    calls neither closure nor canonical, so no second search of ms2's
-    class comes back."""
-    assert _callers("closure.py", "_valid_move") == {"_search"}
+    """_search is the one breadth-first loop of closure.py: only closure,
+    canonical and are_equivalent run it.  are_equivalent runs it once,
+    from ms1, and calls neither closure nor canonical, so no second search
+    of ms2's class comes back."""
     assert _callers("closure.py", "_search") == {
         "closure", "canonical", "are_equivalent"}
     assert "are_equivalent" not in (_callers("closure.py", "closure")
                                     | _callers("closure.py", "canonical"))
+
+
+def test_the_search_checks_no_state_with_valid_state():
+    """_valid_state, the full check with (P), checks only a seed, the moves
+    neighbors lists and are_equivalent's ms2: _search checks a candidate
+    by its ids' ok flags alone, since no move of a valid state breaks (P),
+    and no (P) check comes back into its loop."""
+    assert _callers("closure.py", "_valid_state") == {
+        "_seed_table", "neighbors", "are_equivalent"}
+    assert _callers("closure.py", "order_admissible") == {"_valid_state"}
 
 
 def test_build_trusts_its_checked_coordinates():
