@@ -7,10 +7,12 @@ quotient out row exchanges and give the packet-level node set.
 
 closure, are_equivalent and canonical share one breadth-first loop,
 _search, within closure's limits: closure and are_equivalent run it over
-every move, canonical over the row exchanges alone.  The loop records the
-exchange edges of each state; closure joins its states along them,
-are_equivalent looks its second argument up among the states, and
-canonical, whose every move is an exchange, reads only the states.
+every move, canonical over the row exchanges alone.  The loop yields
+what it has found once per level, the seed's first, and records the
+exchange edges of each state it expands.  closure reads the last yield
+and joins its states along those edges, canonical, whose every move is
+an exchange, reads only the states of the last yield, and are_equivalent
+stops at the first level whose states hold its second argument.
 neighbors and exchange_neighbors list the moves of one state.  Each of
 the five keeps one row table, _Rows, for the length of its call, made
 from the seed.  The table gives each distinct row a small int id the
@@ -74,16 +76,17 @@ class LimitError(SegmentError):
     the limit and its value."""
 
     @classmethod
-    def of(cls, stop, max_states, max_depth):
+    def of(cls, stop, max_states, max_depth, search="closure"):
         """The error for a search that the limit stop, "states" or
-        "depth", stopped, such as a ClosureReport's."""
+        "depth", stopped, such as a ClosureReport's; the message names
+        the search."""
         # str.format, not %: closure.py takes no % at all (see the lint
         # test that keeps the dual parity in ops).
         if stop == "states":
-            return cls("closure hit the state limit ({} states)"
-                       .format(max_states))
-        return cls("closure hit the depth limit (depth {})"
-                   .format(max_depth))
+            return cls("{} hit the state limit ({} states)"
+                       .format(search, max_states))
+        return cls("{} hit the depth limit (depth {})"
+                   .format(search, max_depth))
 
 
 def _row_ok(r):
@@ -320,8 +323,9 @@ def _seed_table(ms):
 
 
 def _search(table, moves, max_states, max_depth):
-    """Breadth-first search from table.seed over moves(table, ids):
-    (states, index, exchange_edges, stop).
+    """Breadth-first search from table.seed over moves(table, ids), one
+    level at a time: it yields (states, index, exchange_edges, stop) for
+    the seed alone, then after each level it expands.
 
     Each state is one tuple of ids, both its key in index and its entry in
     states.  A move's candidate is looked up in index before it is
@@ -333,8 +337,10 @@ def _search(table, moves, max_states, max_depth):
       (after) every row that both old rows could stand before (after);
     - _split_moves yields only the splits that keep (P);
     - a dual-conjugated output is (P')-sorted, as every dual is.
-    The search stops at the first new valid state past max_states, or
-    after max_depth levels; stop says which, or is "exhausted".
+    stop is None until the last yield, which says why the search ended:
+    "states" at the first new valid state past max_states, "depth" after
+    max_depth levels, or "exhausted".  Each yield hands out the same
+    lists, which the search goes on filling.
     exchange_edges[i] lists the index of every state a row exchange of
     states[i] leads to, for each state expanded in full.
     """
@@ -345,10 +351,9 @@ def _search(table, moves, max_states, max_depth):
     states = [seed]
     index = {seed: 0}
     exchange_edges = []
-    full = False
-    depth = 0
     start = 0
-    while start < len(states) and not full and depth < max_depth:
+    for _ in range(max_depth):
+        yield states, index, exchange_edges, None
         end = len(states)
         for ids in states[start:end]:
             found = []
@@ -358,21 +363,19 @@ def _search(table, moves, max_states, max_depth):
                     if not all(map(table.ok.__getitem__, cand)):
                         continue
                     if len(states) >= max_states:
-                        full = True
-                        break
+                        yield states, index, exchange_edges, "states"
+                        return
                     j = len(states)
                     index[cand] = j
                     states.append(cand)
                 if exchange:
                     found.append(j)
-            if full:
-                break
             exchange_edges.append(found)
+        if end == len(states):
+            yield states, index, exchange_edges, "exhausted"
+            return
         start = end
-        depth += 1
-    stop = ("states" if full else "exhausted" if start >= len(states)
-            else "depth")
-    return states, index, exchange_edges, stop
+    yield states, index, exchange_edges, "depth"
 
 
 def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
@@ -385,7 +388,7 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     _limit(max_states, "max_states")
     _limit(max_depth, "max_depth")
     table = _seed_table(ms)
-    states, index, exchange_edges, stop = _search(
+    *_, (states, index, exchange_edges, stop) = _search(
         table, _moves, max_states, max_depth)
     keys = _component_keys(table, states, index, exchange_edges)
     # Row exchanges keep the supports, so psi is one per component.
@@ -438,28 +441,30 @@ def canonical(ms):
     valid state, and LimitError when the search passes closure's default
     limits, DEFAULT_MAX_STATES states or DEFAULT_MAX_DEPTH levels."""
     table = _seed_table(ms)
-    states, _, _, stop = _search(table, _exchange_moves, DEFAULT_MAX_STATES,
-                                 DEFAULT_MAX_DEPTH)
+    *_, (states, _, _, stop) = _search(table, _exchange_moves,
+                                       DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
     if stop != "exhausted":
-        raise LimitError.of(stop, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
+        raise LimitError.of(stop, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH,
+                            "canonical")
     return min(map(table.key, states))
 
 
 def are_equivalent(ms1, ms2,
                    max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
     """Whether the closure of ms1 visits ms2: one search from ms1 under
-    every move, within closure's limits.  True when ms2 is among the
-    states it visits, False when ms2 is not a valid state or the search
-    exhausts the class without it, and LimitError when a limit stops the
-    search before it visits ms2."""
+    every move, within closure's limits.  True at the first level of the
+    search that holds ms2, the seed's when ms2 is ms1, False when ms2 is
+    not a valid state or the search exhausts the class without it, and
+    LimitError when a limit stops the search before it visits ms2."""
     _limit(max_states, "max_states")
     _limit(max_depth, "max_depth")
     table = _seed_table(ms1)
     if not _valid_state(ms2.rows):
         return False
-    _, index, _, stop = _search(table, _moves, max_states, max_depth)
-    if table.ids(ms2.rows) in index:
-        return True
+    target = table.ids(ms2.rows)
+    for _, index, _, stop in _search(table, _moves, max_states, max_depth):
+        if target in index:
+            return True
     if stop != "exhausted":
         raise LimitError.of(stop, max_states, max_depth)
     return False

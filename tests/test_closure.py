@@ -6,11 +6,10 @@ import random
 import subprocess
 import sys
 import time
-from math import inf
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import emseg
 
@@ -19,8 +18,9 @@ from emseg.blocks import (
     tempered_block,
 )
 from emseg.closure import (
-    LimitError, _Rows, _as_multisegment, _moves, _search, _valid_state,
-    are_equivalent, canonical, closure, exchange_neighbors, neighbors,
+    DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, LimitError, _Rows,
+    _as_multisegment, _moves, _search, _valid_state, are_equivalent,
+    canonical, closure, exchange_neighbors, neighbors,
 )
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, Row, SegmentError, arthur_parameter,
@@ -32,12 +32,20 @@ from emseg.ops import (
     _supports_nest, dual, dual_rows, exchange_pair, row_exchange,
     split_circles, split_points, to_sorted, ui,
 )
-from emseg.sdata import enumerate_ST, theta1, theta_family
+from emseg.sdata import (
+    build, enumerate_ST, iter_S, iter_ST, theta1, theta_family,
+)
 
 from conftest import rand_mode_ms, rand_sorted_ms, rand_tempered
 
 X1 = "[0,0;0;+][1,1;0;-]"
 X1_PSIS = {((1, 1), (3, 1)), ((1, 1), (1, 3)), ((2, 2),)}
+# Symbols with a later block at c_min 0, and their number of Arthur
+# parameters.
+LATER_AT_ZERO = [
+    ("[0,0;0;+][0,0;0;+][1,1;0;-][1,1;0;-][1,1;0;-]", 2),
+    ("[0,0;0;-][0,0;0;-][1,1;0;+][3,3;0;-][3,3;0;-][4,4;0;+][4,4;0;+]"
+     "[4,4;0;+]", 4)]
 
 
 @st.composite
@@ -65,21 +73,27 @@ def tempered_symbols(draw, max_rows=9):
     return MultiSegment(tuple(rows[:max_rows]))
 
 
-@st.composite
-def odd_column_symbols(draw, max_rows=9):
-    """A tempered symbol of at most max_rows rows: columns of one or three
-    single circles of one sign each, from column 0 to 2 on, with column
-    steps of 1 or 2.  Every column count is odd, so no column leaves a row
-    behind to start a block at c_min 0 past the first."""
-    col = draw(st.integers(0, 2))
-    rows = []
-    while not rows or draw(st.booleans()):
-        mult = draw(st.sampled_from((1, 3)))
-        if len(rows) + mult > max_rows:
-            break
-        rows += [Row(col, col, 0, draw(st.sampled_from((1, -1))))] * mult
-        col += draw(st.sampled_from((1, 2)))
-    return MultiSegment(tuple(rows))
+def _join(psis):
+    """One Arthur parameter of a symbol from one parameter of each block."""
+    return tuple(sorted(itertools.chain(*psis)))
+
+
+def _block_packets(seed):
+    """The Arthur parameters each block of the tempered symbol seed
+    contributes: the (S, T) members' when the first block starts at 0,
+    and every other block's S-only members', built with the trivial T."""
+    packets = []
+    for i, (M, eta) in enumerate(block_tuples(seed)):
+        members = (iter_ST(M) if i == M.c_min == 0
+                   else zip(iter_S(M), itertools.repeat(None)))
+        packets.append({arthur_parameter(build(M, S, T, eta))
+                        for S, T in members})
+    return packets
+
+
+def _joined_packets(seed):
+    """The sorted joins of one parameter from each block's packet."""
+    return set(map(_join, itertools.product(*_block_packets(seed))))
 
 
 @pytest.fixture(scope="module")
@@ -324,7 +338,8 @@ class TestAgainstReference:
         start = time.perf_counter()
         for seed in self.SEEDS:
             table = _Rows(seed.rows)
-            states, _, _, stop = _search(table, _moves, inf, inf)
+            *_, (states, _, _, stop) = _search(
+                table, _moves, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
             assert stop == "exhausted"
             members = {ms.rows: ms for ms in (
                 MultiSegment(tuple(table.rows[i] for i in s)) for s in states)}
@@ -388,18 +403,29 @@ class TestAgainstReference:
         assert count_tempered(seed).value == len(report.psi)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(odd_column_symbols())
+    @given(tempered_symbols())
+    @example(parse(LATER_AT_ZERO[0][0]))
+    @example(parse(LATER_AT_ZERO[1][0]))
     def test_product_rule_joins_the_block_packets(self, seed):
-        """On multi-block tempered symbols whose later blocks start past
-        column 0, the closure's parameters are the sorted joins of one
-        parameter from each block's own closure."""
-        blocks = block_tuples(seed)
-        assume(len(blocks) >= 2)
-        assert all(bt.c_min > 0 for bt, _ in blocks[1:])
-        packets = [closure(block).psi for block in block_decompose(seed)]
-        joined = {tuple(sorted(itertools.chain(*psis)))
-                  for psis in itertools.product(*packets)}
-        assert set(closure(seed).psi) == joined, render(seed)
+        """On multi-block tempered symbols of at most 9 rows, later blocks
+        at c_min 0 among them, the closure's parameters are the sorted
+        joins of one parameter from each block's packet (_block_packets)."""
+        assume(len(block_tuples(seed)) >= 2)
+        assert set(closure(seed).psi) == _joined_packets(seed), render(seed)
+
+    def test_a_later_block_at_column_0_joins_its_s_only_packet(self):
+        """A later block at c_min 0 contributes the parameters of its S-only
+        members, as count_tempered counts it, not those of its own closure,
+        which follows the column-0 rule."""
+        for text, size in LATER_AT_ZERO:
+            seed = parse(text)
+            later = [bt for bt, _ in block_tuples(seed)[1:] if bt.c_min == 0]
+            assert later, text
+            joined = _joined_packets(seed)
+            assert len(joined) == size == count_tempered(seed).value
+            assert joined == set(closure(seed).psi), text
+            own = [closure(block).psi for block in block_decompose(seed)]
+            assert len(set(map(_join, itertools.product(*own)))) > size
 
     def test_lift_adds_a_column_of_one(self):
         """The closure of the theta1 lift of a c_min 0 block M holds the
@@ -471,7 +497,8 @@ class TestExchangeLaws:
         for M in iter_grid():
             for eta in (1, -1):
                 table = _Rows(tempered_block(M, eta).rows)
-                states, _, edges, stop = _search(table, _moves, inf, inf)
+                *_, (states, _, edges, stop) = _search(
+                    table, _moves, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
                 assert stop == "exhausted"
                 links = [[] for _ in states]
                 for i, ids in enumerate(states):
@@ -736,7 +763,8 @@ class TestMoves:
         checked = rejected = 0
         for seed, report in grid_closures:
             table = _Rows(seed.rows)
-            states = _search(table, _moves, inf, inf)[0]
+            *_, (states, _, _, _) = _search(
+                table, _moves, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
             assert len(states) == report.states
             for ids in states:
                 moves = [(tuple(table.rows[i] for i in cand), cand)
@@ -850,6 +878,41 @@ class TestCanonical:
                 r"^closure hit the state limit \(1 states\)$")):
             are_equivalent(nested, parse("[0,0;0;+]"), max_states=1)
 
+    def test_answers_at_the_first_level_that_holds_ms2(self):
+        """are_equivalent stops at the first level of its search that
+        holds ms2.  Nine mutually nested rows make a class of 9! orders,
+        more than DEFAULT_MAX_STATES: ms2 = ms1 answers at the seed, at
+        once, and the reversed order still raises LimitError."""
+        nested = parse("".join("[%d,%d;0;+]" % (10 + j, 10 - j)
+                               for j in range(8, -1, -1)))
+        start = time.perf_counter()
+        assert are_equivalent(nested, nested) is True
+        assert time.perf_counter() - start < 0.05
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(100000 states\)$")):
+            are_equivalent(nested, MultiSegment(nested.rows[::-1]))
+
+    def test_a_state_found_before_the_stop_answers(self):
+        """At a limit that stops the search, a state found before the stop
+        answers True: on a level the search completed (X1's class has a
+        state at each of depths 0, 1 and 2), and on the level the state
+        limit cut (the first of the two states at depth 1 of this
+        block's class)."""
+        x1 = parse(X1)
+        depth1, depth2 = parse("[1,0;0;+]"), parse("[1,-1;1;+][0,0;0;-]")
+        for limits in ({"max_states": 2}, {"max_depth": 1}):
+            assert are_equivalent(x1, depth1, **limits) is True
+            with pytest.raises(LimitError):
+                are_equivalent(x1, depth2, **limits)
+        seed = tempered_block(BlockTuple(0, (1, 3, 1)), 1)
+        first = parse("[1,0;0;+][1,1;0;-][1,1;0;-][2,2;0;+]")
+        second = parse("[0,0;0;+][1,1;0;-][1,1;0;-][2,1;0;-]")
+        assert are_equivalent(seed, first) and are_equivalent(seed, second)
+        assert are_equivalent(seed, first, max_states=2) is True
+        with pytest.raises(LimitError, match=(
+                r"^closure hit the state limit \(2 states\)$")):
+            are_equivalent(seed, second, max_states=2)
+
     def test_canonical_keeps_the_default_limits(self):
         """canonical searches within closure's default limits.  Nine
         mutually nested rows make an exchange class of 9! orders, more than
@@ -861,7 +924,7 @@ class TestCanonical:
 
         start = time.perf_counter()
         with pytest.raises(LimitError, match=(
-                r"^closure hit the state limit \(100000 states\)$")):
+                r"^canonical hit the state limit \(100000 states\)$")):
             canonical(nested(9))
         assert time.perf_counter() - start < 1.0
         assert canonical(nested(8)) == (

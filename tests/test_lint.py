@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import emseg
+from emseg.closure import _search
 
 SOURCES = sorted(p for p in Path(emseg.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
@@ -181,6 +183,13 @@ def test_the_search_has_no_edges_knob():
         "table", "moves", "max_states", "max_depth"]
     assert not (search.args.kwonlyargs or search.args.vararg
                 or search.args.kwarg or search.args.defaults)
+
+
+def test_the_search_yields_each_level():
+    """_search is a generator that yields once per level, so a caller such
+    as are_equivalent stops at the level that answers it, and a per-level
+    figure needs no new parameter."""
+    assert inspect.isgeneratorfunction(_search)
 
 
 def test_only_core_checks_rows():
