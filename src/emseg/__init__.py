@@ -6,8 +6,7 @@ from .core import (
     multi_segment, parse, render, render_grid, to_json, validate,
 )
 from .ops import (
-    OpResult, dual, merge_hats, op_D, op_S, op_U, row_exchange,
-    split_circles, to_sorted, ui,
+    OpResult, dual, merge_hats, row_exchange, split_circles, to_sorted, ui,
 )
 from .blocks import (
     BlockTuple, Boundary, block_decompose, block_tuple, classify_boundary,

@@ -1,9 +1,9 @@
 """The operator calculus on multi-segments.
 
 Row exchange, union-intersection (all types), the dual involution, hat
-merging, circle-row splitting, and the higher-level separation / unhook /
-dualize composites used by the lift family.  The composites move rows by
-chains of plain row exchanges.
+merging, circle-row splitting and the raising composite dual . ui . dual.
+The lift family needs no composite of its own: each of its members is a
+member of the block with one more column, which sdata.build makes.
 
 Each operator's formula lives once, in a row-level core that maps plain
 rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
@@ -329,102 +329,6 @@ def merge_hats(ms, k):
     merged = weak_normalize(Row(r1.A, -r2.l, r2.l, r1.eta))
     return OpResult(_result(rows[:k] + (merged,) + rows[k + 2:]), True,
                     T3PRIME)
-
-
-# ---------------------------------------------------------------------------
-# Separation / unhook / dualize composites
-# ---------------------------------------------------------------------------
-
-def _exchange_chain(ms, ks):
-    """Apply row_exchange at each position of ks in turn; None as soon as
-    one of them does not apply."""
-    for k in ks:
-        res = row_exchange(ms, k)
-        if not res.applied:
-            return None
-        ms = res.out
-    return ms
-
-
-def _split_moved(ms, i, pos, c):
-    """Exchange row i down to pos, split its last c circles off there (at
-    A - c) and exchange the low part back up to i; not applied as soon as
-    one step does not apply."""
-    cur = _exchange_chain(ms, range(i, pos))
-    if cur is None:
-        return OpResult(ms, False)
-    try:
-        cur = split_circles(cur, pos, cur.rows[pos].A - c)
-    except SegmentError:
-        return OpResult(ms, False)
-    out = _exchange_chain(cur, range(pos - 1, i - 1, -1))
-    return OpResult(ms, False) if out is None else OpResult(out, True)
-
-
-def op_S(ms, chain, c):
-    """Separate the last c circles of the all-circles row at `chain`.
-
-    The row is exchanged down past every following row whose support starts
-    at A - c or earlier, split there, and the low part exchanged back up.
-    An exchange on the way raises NoExchangeError when the input's order
-    is inadmissible there.  Not applied unless 1 <= c < the row's circles.
-    """
-    rows = ms.rows
-    r, = _rows_at(rows, chain, 1)
-    if not 1 <= _integer(c, "a circle count") < r.circles or r.l != 0:
-        return OpResult(ms, False)
-    pos = chain
-    while pos + 1 < len(rows) and rows[pos + 1].B <= r.A - c:
-        pos += 1
-    return _split_moved(ms, chain, pos, c)
-
-
-def op_U(ms, hat, c):
-    """Unhook c circles from the hat at `hat` into a fresh top-column row.
-
-    The hat is exchanged to the bottom (unfolding its triangles), split, and
-    the low part exchanged back to its place; the split does not apply
-    when the hat keeps a triangle at the bottom.  An exchange on the way
-    raises NoExchangeError when the input's order is inadmissible there.
-    Not applied unless 1 <= c < the hat's circles.
-    """
-    h, = _rows_at(ms.rows, hat, 1)
-    if not 1 <= _integer(c, "a circle count") < h.circles or not h.is_hat:
-        return OpResult(ms, False)
-    return _split_moved(ms, hat, len(ms.rows) - 1, c)
-
-
-def op_D(ms, hat, target):
-    """Dualized merge: absorb the circles row at `target` (ending one short
-    of the hat's triangle reach) into the hat at `hat`.
-
-    Computed as dual, exchanges, type-3' ui, exchanges, dual.  Not applied
-    when the rows do not fit, or when an exchange down or the ui does not
-    apply.  The exchanges back up always apply: each row that the first
-    chain passed nests with the target's image and sorts after it, so it
-    nests with the union [A_hat, B_image] too, which keeps the image's B.
-    """
-    rows = ms.rows
-    h, = _rows_at(rows, hat, 1)
-    r, = _rows_at(rows, target, 1)
-    if not h.is_hat or target <= hat:
-        return OpResult(ms, False)
-    if r.l != 0 or r.A != h.l - 1:
-        return OpResult(ms, False)
-    if not order_sorted(rows):
-        raise OrderError("dualized merge requires (P') order")
-    n = len(rows)
-    p_target = n - 1 - target
-    pos = n - 2 - hat  # right before the image of the hat
-    cur = _exchange_chain(dual(ms), range(p_target, pos))
-    if cur is None:
-        return OpResult(ms, False)
-    res = ui(cur, pos)
-    if res.type_tag != T3PRIME:
-        return OpResult(ms, False)
-    # The passed rows nest with the image, after it, so with the union.
-    out = _exchange_chain(res.out, range(pos - 1, p_target - 1, -1))
-    return OpResult(dual(to_sorted(out)), True, T3PRIME)
 
 
 def dual_ui_dual(ms, k):

@@ -21,15 +21,19 @@ row table, and every later member that has it gets that same Row.  An
 n-column block has at most 2n^2 rows (n^2 chains and hats, each with
 either sign), and the table holds only rows of members built so far, so
 it never outgrows them.
+
+build makes the lift family too: every lift of a member of M is a member
+of the block with one more column, c_max + 1 of multiplicity 1, built with
+-eta at coordinates that theta_family reads off (S, T).
 """
 
 from functools import cache
 from itertools import chain, product, repeat
 
+from .blocks import BlockTuple
 from .core import (
     STRICT, MultiSegment, Row, ScopeError, SegmentError, _eta, _shown,
 )
-from .ops import merge_hats, op_D, op_S, op_U
 
 # What S, T, each split in T and each (a, b) pair may be.
 _SEQUENCE = (tuple, list)
@@ -179,15 +183,10 @@ def enumerate_ST(M):
     return list(iter_ST(M))
 
 
-def _rows(M, S, T, eta):
-    """The checks and the rows of build.  The rows come from items, the
-    sorted (B, rank, A, l, n), one per chain, hat or run of n equal
-    multiples.
-
-    The rank puts chains and hats (0) before the multiples (1) and the
-    z-chain (2) of one column.  No two items agree in (B, rank), so the
-    plain tuple sort is the sort by (B, rank).
-    """
+def _checked(M, S, T, eta):
+    """build's checks of (S, T, eta) against M, in this order: validate_S,
+    validate_T of a given T, plain int endpoints and the sign.  Returns
+    T, or trivial_T(S) when T is None."""
     if not validate_S(M, S):
         raise SegmentError("invalid S-tuple for %s" % _shown(M))
     if T is not None and not validate_T(M, S, T):
@@ -198,8 +197,20 @@ def _rows(M, S, T, eta):
         if type(x) is not int:
             raise ScopeError("S and T endpoints must be integers, got %s"
                              % _shown(x))
-    if T is None:
-        T = trivial_T(S)
+    _eta(eta)
+    return trivial_T(S) if T is None else T
+
+
+def _rows(M, S, T, eta):
+    """The checks and the rows of build.  The rows come from items, the
+    sorted (B, rank, A, l, n), one per chain, hat or run of n equal
+    multiples.
+
+    The rank puts chains and hats (0) before the multiples (1) and the
+    z-chain (2) of one column.  No two items agree in (B, rank), so the
+    plain tuple sort is the sort by (B, rank).
+    """
+    T = _checked(M, S, T, eta)
     lo = M.c_min
     free = [m - 1 for m in M.mults]
     items = []
@@ -215,7 +226,6 @@ def _rows(M, S, T, eta):
     for c, n in enumerate(free, lo):
         if n:
             items.append((c, 1, c, 0, n))
-    _eta(eta)
     items.sort()
     # Every check has passed: each distinct row of the block is made once,
     # in its row table, and shared by every later member.
@@ -292,52 +302,42 @@ def theta_family(M, S, T=None, eta=1):
     Three members when the top multiplicity is 1, four otherwise; the second
     and fourth coincide in packet exactly when S contains the singleton top
     column.  The block must start at 0; any other raises SegmentError
-    before a lift is built.
+    before a lift is built.  Then (S, T, eta) get build's checks against M,
+    and the empty block, which has no lift, raises SegmentError.
 
-    Each step reads its row off build's row facts (see build): a hat is a
-    row with l > 0, its B = -p is negative while every other row has
-    B >= 0, and multiples sort last in their column.
+    Every lift is a member of the block with one more column, M1 = M plus
+    a column c + 1 = c_max + 1 of multiplicity 1, built with -eta.  With
+    (a, c) the last interval of S and P the last split of T (trivial_T(S)
+    when T is None), its coordinates are:
 
-    - The first row ending at c_max is a hat exactly when T's last split
-      has two or more parts.  That hat is [c_max, -p] for the greatest
-      p, so it sorts first, as row 1 after theta1's hat, and theta2
-      merges the two hats (merge_hats at 0), theta3 unhooks one circle
-      from the merged hat (op_U at 0).
-    - Otherwise that row is a chain, and theta2 absorbs it into theta1's
-      hat (op_D).  Its output has one all-circles row reaching
-      c_max + 1, and theta3 splits one circle off it (op_S).
-    - When mult(c_max) > 1, no z-chain starts at c_max, so the last row
-      is a multiple [c_max, c_max], and theta4 absorbs it (op_D).
+    - theta1: the last interval made (a, c + 1), and the top column added
+      to P as one more part, (c + 1, c + 1): theta1 of the member, its
+      lifting hat prepended;
+    - theta2: the same S, and the last part (p, c) of P made (p, c + 1);
+    - theta3: S and T with the one-column interval (c + 1, c + 1) added;
+    - theta4, when mult(c) > 1: S and T with (c, c + 1) added, which
+      overlaps the interval before it at c.
 
-    Every step applies on every member: a sweep of iter_grid(6, 5, 0, 13)
-    with both signs, 96 592 members, and the tests' sweep of
-    iter_grid(5, 5, 0, 9) found none that does not.  A step that did not
-    apply would be a fault of the library, so it raises AssertionError.
+    So the family arises through the operators: the tests check that each
+    lift is a state of the closure of theta1 of the tempered block.
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
-    c_max = M.c_max
-    t1 = theta1(build(M, S, T, eta))
-    top = next(i for i, r in enumerate(t1.rows) if r.A == c_max)
-    if t1.rows[top].l:
-        t2 = _lift_step(merge_hats(t1, 0))
-        t3 = _lift_step(op_U(t2, 0, 1))
-    else:
-        t2 = _lift_step(op_D(t1, 0, top))
-        split = next(i for i, r in enumerate(t2.rows)
-                     if r.A == c_max + 1 and not r.l)
-        t3 = _lift_step(op_S(t2, split, 1))
-    family = [("theta1", t1), ("theta2", t2), ("theta3", t3)]
-    if M.mult(c_max) > 1:
-        family.append(("theta4", _lift_step(op_D(t1, 0, len(t1.rows) - 1))))
-    return family
-
-
-def _lift_step(res):
-    """The output of an operator that theta_family applies."""
-    if not res.applied:
-        raise AssertionError("a lift step did not apply")
-    return res.out
+    T = _checked(M, S, T, eta)
+    if not S:
+        raise SegmentError("lift of the empty multi-segment is undefined")
+    c = M.c_max
+    *S0, (a, _) = S
+    *T0, P = T
+    *P0, (p, _) = P
+    top = (c + 1, c + 1)
+    coords = [("theta1", (*S0, (a, c + 1)), (*T0, (*P, top))),
+              ("theta2", (*S0, (a, c + 1)), (*T0, (*P0, (p, c + 1)))),
+              ("theta3", (*S, top), (*T, (top,)))]
+    if M.mult(c) > 1:
+        coords.append(("theta4", (*S, (c, c + 1)), (*T, ((c, c + 1),))))
+    M1 = BlockTuple(0, M.mults + (1,))
+    return [(tag, build(M1, S1, T1, -eta)) for tag, S1, T1 in coords]
 
 
 def theta2_matches_theta4(M, S):

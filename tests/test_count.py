@@ -9,8 +9,8 @@ import emseg
 from emseg import cli, core
 from emseg.blocks import BlockTuple, block_decompose, tempered_block
 from emseg.core import (
-    RELAXED, STRICT, MultiSegment, SegmentError, from_json, make_row,
-    multi_segment, parse, render, to_json,
+    RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter, from_json,
+    make_row, multi_segment, parse, render, to_json,
 )
 from emseg.count import (
     PacketCount, count_block_closure, count_block_enumerative,
@@ -23,6 +23,23 @@ from emseg.sdata import build, iter_S, iter_ST, validate_S
 # a cost limit that keeps it near 2 s, since the enumeration builds every
 # member.  Lowering it hides blocks, not faults.
 ENUMERATION_CAP = 3000
+
+
+def _canonical_packets(M, eta):
+    """(ψ of the canonical members, ψ of every member) of the block M: the
+    (S, T) members at c_min 0, the S-only ones past it.  A member is
+    canonical when no one-column interval (c, c) of its S is followed by
+    an interval that starts at c, the overlap the recursion's "- prev2"
+    term takes away."""
+    members = (iter_ST(M) if M.c_min == 0
+               else zip(iter_S(M), itertools.repeat(None)))
+    canonical, every = [], set()
+    for S, T in members:
+        psi = arthur_parameter(build(M, S, T, eta))
+        every.add(psi)
+        if not any(a == b == c for (a, b), (c, _) in zip(S, S[1:])):
+            canonical.append(psi)
+    return canonical, every
 
 
 class TestRecursive:
@@ -103,6 +120,50 @@ class TestEnumerative:
         assert len(checked) >= 60
         assert len({M.c_min for M in checked}) == 3
         assert max(len(M.mults) for M in checked) >= 10
+
+
+class TestCanonicalMembers:
+    """One member per packet: the canonical members have pairwise distinct
+    ψ, cover the ψ of all members, and number what the recursion counts."""
+
+    @staticmethod
+    def _check(M, eta):
+        canonical, every = _canonical_packets(M, eta)
+        assert len(set(canonical)) == len(canonical), (M, eta)
+        assert set(canonical) == every, (M, eta)
+        assert len(canonical) == count_block_recursive(M).value, (M, eta)
+        return len(canonical)
+
+    def test_on_the_grid(self):
+        blocks = total = 0
+        for M in iter_grid(6, 5, 1, 10):
+            blocks += 1
+            for eta in (1, -1):
+                total += self._check(M, eta)
+        assert (blocks, total) == (218, 27242)
+
+    def test_past_the_grid(self):
+        """Blocks of 7-11 columns at c_min 0-2 with multiplicities 1, 3
+        and 5, past the grid's 6 columns; blocks that count over
+        ENUMERATION_CAP are skipped for time."""
+        checked = []
+
+        @settings(derandomize=True, deadline=None, max_examples=40,
+                  database=None)
+        @given(st.integers(0, 2),
+               st.lists(st.sampled_from((1, 3, 5)), min_size=7,
+                        max_size=11).map(tuple),
+               st.sampled_from((1, -1)))
+        def canonical_members(c_min, mults, eta):
+            M = BlockTuple(c_min, mults)
+            if count_block_recursive(M).value <= ENUMERATION_CAP:
+                self._check(M, eta)
+                checked.append(M)
+
+        canonical_members()
+        assert len(checked) >= 20
+        assert len({M.c_min for M in checked}) == 3
+        assert max(len(M.mults) for M in checked) >= 9
 
 
 class TestClosureCount:

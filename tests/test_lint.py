@@ -272,7 +272,7 @@ def test_operator_positions_are_checked_in_one_place():
               and [a.arg for a in node.args.args][:1] == ["ms"]
               and len(node.args.args) > 1}
     assert takers == {"row_exchange", "ui_type", "ui", "dual_ui_dual",
-                      "merge_hats", "split_circles", "op_S", "op_U", "op_D"}
+                      "merge_hats", "split_circles"}
     checked = _callers("ops.py", "_rows_at")
     assert checked == takers - {"ui", "dual_ui_dual"}
     assert "ui" in _callers("ops.py", "ui_type")
@@ -297,6 +297,21 @@ def _imported(name):
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, (ast.Import, ast.ImportFrom))
             for alias in node.names}
+
+
+def test_the_lift_family_is_built_without_operators():
+    """theta_family makes each lift with build, as a member of the block
+    with one more column: sdata.py imports neither ops nor any name that
+    ops.py defines."""
+    path = Path(emseg.__file__).parent / "ops.py"
+    tree = ast.parse(path.read_text())
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {name.id for node in tree.body if isinstance(node, ast.Assign)
+                for target in node.targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)}
+    assert {"merge_hats", "OpResult", "T3PRIME"} <= defined
+    assert not _imported("sdata.py") & (defined | {"ops"})
 
 
 def test_closure_sorts_and_dualizes_on_ids():

@@ -25,8 +25,8 @@ from emseg.count import (
 )
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
-    merge_condition, merge_hats, op_D, op_S, op_U, row_exchange,
-    split_circles, to_sorted, ui, ui_type,
+    merge_condition, merge_hats, row_exchange, split_circles, to_sorted, ui,
+    ui_type,
 )
 
 from emseg.sdata import (
@@ -220,10 +220,9 @@ class TestSplit:
 
 
 class TestRowPositions:
-    """split_circles and the composites that take a row position raise
-    SegmentError for one outside 0 <= k < len(rows), as row_exchange does.
-    A negative position used to read a row from the end, and one past the
-    rows raised IndexError."""
+    """split_circles raises SegmentError for a row position outside
+    0 <= k < len(rows), as row_exchange does.  A negative position used to
+    read a row from the end, and one past the rows raised IndexError."""
 
     def test_split_reads_no_row_from_the_end(self):
         ms = parse("[0,0;0;+][3,1;0;-]")
@@ -232,17 +231,6 @@ class TestRowPositions:
             with pytest.raises(SegmentError,
                                match="^no row at position %d$" % k):
                 split_circles(ms, k, 2)
-
-    @pytest.mark.parametrize("k", [-1, 2])
-    @pytest.mark.parametrize("op, dsl, args", [
-        (op_S, "[0,0;0;+][3,1;0;-]", lambda k: (k, 1)),
-        (op_U, "[2,-2;2;+][3,3;0;-]", lambda k: (k, 1)),
-        (op_D, "[2,-2;2;+][1,1;0;-]", lambda k: (k, 1)),
-        (op_D, "[2,-2;2;+][1,1;0;-]", lambda k: (0, k)),
-    ])
-    def test_composites(self, op, dsl, args, k):
-        with pytest.raises(SegmentError, match="^no row at position %d$" % k):
-            op(parse(dsl), *args(k))
 
 
 # An int with more digits than str() and repr() convert.
@@ -261,8 +249,7 @@ _M, _S, _T = BlockTuple(0, (1, 3)), ((0, 1),), (((0, 0), (1, 1)),)
 
 # The kinds of argument whose rule is the plain-int rule: a value of
 # another type raises ScopeError, "... must be an integer, got ...".
-_INT_KINDS = {"pair", "row", "point", "count", "limit", "bound", "int",
-              "sign"}
+_INT_KINDS = {"pair", "row", "point", "limit", "bound", "int", "sign"}
 
 # The kinds of text argument and the types each takes: a value of another
 # type raises ScopeError, "text must be a ..., got ...".
@@ -337,9 +324,6 @@ class TestLibraryBoundaryFuzz:
         "dual_ui_dual": (dual_ui_dual, ("pair",)),
         "merge_hats": (merge_hats, ("pair",)),
         "split_circles": (split_circles, ("row", "point")),
-        "op_S": (op_S, ("row", "count")),
-        "op_U": (op_U, ("row", "count")),
-        "op_D": (op_D, ("row", "row")),
         "BlockTuple": (lambda ms, *args: BlockTuple(*args),
                        ("int", "mults")),
         "remove_column": (remove_column, ("int",)),
@@ -415,7 +399,7 @@ class TestLibraryBoundaryFuzz:
             return st.integers(0, n - 2) if n > 1 else st.nothing()
         entry = st.integers(-2, 4)
         return {"row": st.integers(0, n - 1), "point": st.integers(-1, 4),
-                "count": st.integers(0, 4), "limit": st.integers(0, 6),
+                "limit": st.integers(0, 6),
                 "bound": st.integers(0, 4), "int": entry,
                 "sign": st.sampled_from((1, -1)),
                 "mode": st.sampled_from((STRICT, RELAXED)),
@@ -629,23 +613,27 @@ class TestMergeHats:
 
 class TestComposites:
     def test_unfold_then_merge_golden(self):
+        """The dual unfolds the hat of theta1 of the one-column member
+        into a circles row, and the type-3' ui merges it: the result is
+        the family's theta2."""
         ms = parse("[1,-1;1;-][0,0;0;+]")
-        res = op_D(ms, 0, 1)
-        assert res.applied
+        res = dual_ui_dual(ms, 0)
+        assert res.applied and res.type_tag == T3PRIME
         assert render(res.out) == "[1,0;0;-]"
+        family = dict(theta_family(BlockTuple(0, (1,)), ((0, 0),)))
+        assert (family["theta1"], family["theta2"]) == (ms, res.out)
 
     def test_separate_splits_last_circles(self):
         ms = parse("[2,0;0;+]")
-        res = op_S(ms, 0, 1)
-        assert res.applied
-        assert render(res.out) == "[1,0;0;+][2,2;0;+]"
+        assert render(split_circles(ms, 0, 1)) == "[1,0;0;+][2,2;0;+]"
 
     def test_unhook_from_hat(self):
-        ms = parse("[2,-1;1;-][0,0;0;-]")
-        res = op_U(ms, 0, 1)
-        assert res.applied
-        psis = sorted((r.a, r.b) for r in res.out.rows)
-        assert psis == [(1, 1), (1, 3), (5, 1)]
+        """theta3 unhooks one circle from theta2's merged hat into a row of
+        the new top column."""
+        family = dict(theta_family(BlockTuple(0, (1, 1)), ((0, 1),),
+                                   (((0, 0), (1, 1)),)))
+        assert render(family["theta2"]) == "[2,-1;1;-][0,0;0;-]"
+        assert arthur_parameter(family["theta3"]) == ((1, 1), (1, 3), (5, 1))
 
     def test_dual_ui_dual_round(self):
         ms = parse("[1,-1;1;+][0,0;0;-]")
@@ -676,36 +664,6 @@ def _rand_circles_row(rng):
     B = rng.randint(-2, 4)
     A = rng.randint(abs(B), abs(B) + 4)
     return make_row(A, B, 0, rng.choice([1, -1]))
-
-
-def _split_psi(ms, i, c):
-    """psi(ms) with row i's (a, b) replaced by its support split at A - c."""
-    r = ms.rows[i]
-    X = r.A - c
-    pieces = [(X, r.B), (r.A, X + 1)]
-    pairs = [(x.a, x.b) for j, x in enumerate(ms.rows) if j != i]
-    pairs += [(A + B + 1, A - B + 1) for A, B in pieces]
-    return tuple(sorted(pairs))
-
-
-def test_separate_and_unhook_split_the_moved_support(rng):
-    """Row exchanges keep supports, so op_S and op_U change psi only by
-    splitting the moved row's support at A - c."""
-    start = time.perf_counter()
-    makers = (rand_row, _rand_hat, _rand_circles_row)
-    applied = {op_S: 0, op_U: 0}
-    for _ in range(400):
-        rows = [rng.choice(makers)(rng) for _ in range(rng.randint(1, 5))]
-        ms = MultiSegment(tuple(sorted(rows, key=lambda r: (r.B, r.A))))
-        for i, r in enumerate(ms.rows):
-            for c in range(1, r.circles):
-                for op in (op_S, op_U):
-                    res = op(ms, i, c)
-                    if res.applied:
-                        assert arthur_parameter(res.out) == _split_psi(ms, i, c)
-                        applied[op] += 1
-    assert min(applied.values()) >= 50, applied
-    assert time.perf_counter() - start < 1.0
 
 
 def test_braid_relation_sample(rng):
@@ -764,7 +722,7 @@ def test_results_equal_checked_construction(rng):
     """Operators check no row their cores build; what they return must be
     exactly what the public constructor builds from the same rows, in
     Rows of plain ints, on strict and relaxed inputs, sorted or not, and
-    on the lift family, which runs on the composites."""
+    on the members of the lift family."""
     states = []
     for i in range(120):
         ms = rand_sorted_ms(rng, require_star=True)
@@ -798,9 +756,6 @@ DOCUMENTED = {
     split_circles: [(SegmentError, "split (requires|point)"),
                     (OrderError, "split at")],
     dual_ui_dual: [(OrderError, "dual requires"), NON_NESTING],
-    op_S: [NON_NESTING],
-    op_U: [NON_NESTING],
-    op_D: [(OrderError, "dualized merge requires")],
     merge_hats: [(SegmentError, "merge requires two hats"),
                  (OrderError, r"merge requires \(P'\)")],
 }
@@ -818,11 +773,6 @@ def _operator_calls(ms):
     for k, r in enumerate(ms.rows):
         for X in range(r.B - 1, r.A + 1):
             yield split_circles, (k, X)
-        for c in range(1, r.circles):
-            yield op_S, (k, c)
-            yield op_U, (k, c)
-        for target in range(k + 1, n):
-            yield op_D, (k, target)
 
 
 def test_operators_never_build_invalid_rows(rng):
@@ -834,8 +784,8 @@ def test_operators_never_build_invalid_rows(rng):
     applied = Counter()
     for i in range(1500):
         if i % 3 == 0:
-            # A hat, a circles row ending where op_D can absorb it, and
-            # more rows.
+            # A hat, a circles row ending one short of its triangle reach,
+            # and more rows.
             hat = _rand_hat(rng)
             A = hat.l - 1
             rows = [hat, make_row(A, rng.randint(-A, A), 0, rng.choice((1, -1)))]

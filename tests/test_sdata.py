@@ -9,13 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from emseg import core, sdata
 from emseg.blocks import BlockTuple, tempered_block
-from emseg.closure import closure
+from emseg.closure import (
+    DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, _moves, _search, _seed_table,
+    closure,
+)
 from emseg.core import (
     MultiSegment, Row, ScopeError, SegmentError, arthur_parameter, check_star,
     make_row, parse, render, validate, weak_normalize,
 )
 from emseg.count import iter_grid
-from emseg.ops import OpResult
 from emseg.sdata import (
     _partitions_of, build, enumerate_S, enumerate_ST, iter_S, iter_ST,
     theta1, theta_family, theta2_matches_theta4, trivial_T, validate_S,
@@ -237,13 +239,15 @@ class TestTheta:
             build(M, S)
 
     def test_every_lift_step_applies_at_the_row_it_reads(self):
-        """On every member of iter_grid(5, 5, 0, 9) with both signs, no
-        lift step fails, and each reads the row theta_family's docstring
-        names: the first top-column row is a hat exactly when T's last
-        split has two or more parts, and is then row 1 of theta1;
-        otherwise theta2 has exactly one all-circles row reaching
-        c_max + 1; and when mult(c_max) > 1, the last top-column row of
-        theta1 is its last row."""
+        """On every member of iter_grid(5, 5, 0, 9) with both signs, the
+        coordinate maps give the rows an operator step would read: theta1
+        is theta1 of the member, with the top column added to T's last
+        split; its first top-column row is a hat exactly when that split
+        has two or more parts, and is then row 1, the hat theta2 merges;
+        otherwise theta2, which widens the last part, has exactly one
+        all-circles row reaching c_max + 1; and when mult(c_max) > 1, the
+        last top-column row of theta1 is its last row, the multiple that
+        theta4's overlap takes up."""
         cases, calls = set(), 0
         for M in iter_grid(5, 5, 0, 9):
             c_max = M.c_max
@@ -268,16 +272,86 @@ class TestTheta:
         assert calls == 6390
         assert cases == {(False, 3), (False, 4), (True, 3), (True, 4)}
 
-    @pytest.mark.parametrize("step, T", [
-        ("merge_hats", (((0, 0), (1, 1)),)), ("op_U", (((0, 0), (1, 1)),)),
-        ("op_D", None), ("op_S", None)])
-    def test_a_lift_step_that_does_not_apply_is_a_fault(
-            self, monkeypatch, step, T):
-        """A step that does not apply on a checked member is a fault of
-        the library, not of the input: AssertionError, not SegmentError."""
-        monkeypatch.setattr(sdata, step, lambda ms, *args: OpResult(ms, False))
-        with pytest.raises(AssertionError, match="^a lift step did not apply$"):
-            theta_family(BlockTuple(0, (1, 1)), ((0, 1),), T)
+    def test_every_lift_is_a_state_of_the_closure_of_the_lift(self):
+        """The lift family arises through the operators: on
+        iter_grid(6, 5, 0, 7) with both signs, every member of every family
+        is a state that the closure search of theta1(tempered_block(M,
+        eta)) visits, one search per block and sign."""
+        members = 0
+        for M in iter_grid(6, 5, 0, 7):
+            for eta in (1, -1):
+                table = _seed_table(theta1(tempered_block(M, eta)))
+                *_, (states, _, _, stop) = _search(
+                    table, _moves, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
+                assert stop == "exhausted"
+                visited = {tuple(table.rows[i] for i in s) for s in states}
+                for S, T in iter_ST(M):
+                    for tag, ms in theta_family(M, S, T, eta):
+                        assert ms.rows in visited, (M, S, T, eta, tag)
+                        members += 1
+        assert members == 7152
+
+    def test_lists_build_the_family_tuples_do(self):
+        """S and T given as lists of lists, which build accepts, give the
+        family of the tuples, and T omitted is the trivial T."""
+        M = BlockTuple(0, (1, 3))
+        family = theta_family(M, [[0, 0], [1, 1]], [[[0, 0]], [[1, 1]]], -1)
+        assert [(tag, render(ms)) for tag, ms in family] == [
+            ("theta1", "[2,-2;2;+][0,0;0;-][1,1;0;+][1,1;0;+][1,1;0;+]"),
+            ("theta2", "[0,0;0;+][2,1;0;-][1,1;0;+][1,1;0;+]"),
+            ("theta3", "[0,0;0;+][1,1;0;-][1,1;0;-][1,1;0;-][2,2;0;+]"),
+            ("theta4", "[0,0;0;+][1,1;0;-][1,1;0;-][2,1;0;-]")]
+        assert family == theta_family(M, ((0, 0), (1, 1)),
+                                      (((0, 0),), ((1, 1),)), -1)
+        family = theta_family(M, [[0, 1]], [[[0, 0], [1, 1]]])
+        assert [(tag, render(ms)) for tag, ms in family] == [
+            ("theta1", "[2,-2;2;-][1,-1;1;+][0,0;0;-][1,1;0;-][1,1;0;-]"),
+            ("theta2", "[2,-1;1;-][0,0;0;-][1,1;0;-][1,1;0;-]"),
+            ("theta3", "[1,-1;1;-][0,0;0;+][1,1;0;+][1,1;0;+][2,2;0;-]"),
+            ("theta4", "[1,-1;1;-][0,0;0;+][1,1;0;+][2,1;0;+]")]
+        for S in (((0, 1),), [[0, 1]]):
+            assert theta_family(M, S) == theta_family(M, S, trivial_T(S))
+
+    @pytest.mark.parametrize("M, args, error, message", [
+        (BlockTuple(0, ()), ((),), SegmentError,
+         "lift of the empty multi-segment is undefined"),
+        (BlockTuple(0, ()), ((), ()), SegmentError,
+         "lift of the empty multi-segment is undefined"),
+        (BlockTuple(0, ()), ([], None, -1), SegmentError,
+         "lift of the empty multi-segment is undefined"),
+        (BlockTuple(0, ()), (((0, 0),),), SegmentError,
+         "invalid S-tuple for BlockTuple(c_min=0, mults=())"),
+        (BlockTuple(0, ()), ((), (), 0), SegmentError,
+         "eta must be +1 or -1, got 0"),
+        (BlockTuple(0, (1, 3)), (((0, 1),), 5, 0), SegmentError,
+         "invalid T-refinement"),
+        (BlockTuple(0, (1, 3)), (((0, 1.0),), None, 0), ScopeError,
+         "S and T endpoints must be integers, got 1.0"),
+        (BlockTuple(0, (1, 3)), (((0, 1),), None, True), ScopeError,
+         "eta must be an integer, got True"),
+    ])
+    def test_family_checks_in_builds_order(self, M, args, error, message):
+        """(S, T, eta) get build's checks, in build's order, and only then
+        does the empty block raise that it has no lift."""
+        with pytest.raises(SegmentError) as caught:
+            theta_family(M, *args)
+        assert (type(caught.value), str(caught.value)) == (error, message)
+
+    @pytest.mark.parametrize("M, args", [
+        (BlockTuple(1, (1,)), (None, 5, 0)), (BlockTuple(2, ()), ((),)),
+        (BlockTuple(1, (1, 3)), (((1, 1), (2, 2)),))])
+    def test_a_block_past_column_zero_is_refused_before_any_build(
+            self, monkeypatch, M, args):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a lift of a block past column 0")
+
+        monkeypatch.setattr(sdata, "build", unreachable)
+        monkeypatch.setattr(sdata, "_checked", unreachable)
+        with pytest.raises(SegmentError) as caught:
+            theta_family(M, *args)
+        assert type(caught.value) is SegmentError
+        assert str(caught.value) == (
+            "the lift family applies to blocks starting at 0")
 
 
 def _small_blocks(max_cols, c_min):
