@@ -156,7 +156,10 @@ def remove_column(ms, c):
 
 
 def classify_boundary(b1, b2):
-    """Boundary taxonomy for consecutive blocks: gap, overlap, or abutment."""
+    """Boundary taxonomy for consecutive blocks: gap, overlap, or abutment.
+    An empty block has no boundary column and raises SegmentError."""
+    if not (b1.rows and b2.rows):
+        raise SegmentError("an empty block has no boundary")
     H_col = max(r.A for r in b1.rows)
     N_col = min(r.B for r in b2.rows)
     if N_col > H_col + 1:

@@ -10,7 +10,10 @@ rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
 and dual_flip (which dual_rows puts together), sort_rows, split_points
 and split_pair.  The operators on multi-segments check their arguments, call
 the core and wrap its rows with _result; the closure search calls the cores
-directly.  Every row position an operator takes goes through _rows_at, and
+directly.  exchange_pair reads a nesting pair as its (containing,
+contained) rows, whichever comes first, and states the exchange once on
+them; ui_rows builds its union and its intersection once for every type.
+Every row position an operator takes goes through _rows_at, and
 every other integer argument through core._integer, the library's one
 plain-int check.
 
@@ -86,33 +89,25 @@ def _result(rows):
 
 def exchange_pair(r1, r2):
     """The new (row k, row k+1) of the nesting pair r1, r2 at k, k+1,
-    weak-normalized: the rows swap places and trade (l, eta)."""
-    A1, B1, l1, eta1 = r1
-    A2, B2, l2, eta2 = r2
-    b1, b2 = A1 - B1 + 1, A2 - B2 + 1
-    c1, c2 = b1 - 2 * l1, b2 - 2 * l2  # circles
-    eps = (-1) ** (A1 - B1) * eta1 * eta2
-    if B1 <= B2 and A1 >= A2:
-        # Case 1: supp(r1) contains supp(r2); equality lands here too.
-        new_r2 = Row(A2, B2, l2, (-1) ** (A1 - B1) * eta2)
-        if eps == 1:
-            if c1 < 2 * c2:
-                new_r1 = Row(A1, B1, b1 - (l1 + c2), (-1) ** (A2 - B2) * eta1)
-            else:
-                new_r1 = Row(A1, B1, l1 + c2, (-1) ** (A2 - B2 + 1) * eta1)
-        else:
-            new_r1 = Row(A1, B1, l1 - c2, (-1) ** (A2 - B2 + 1) * eta1)
+    weak-normalized: the rows swap places and trade (l, eta).
+
+    One formula on the containing row O and the contained row I, where
+    equal supports count as r1 containing r2; eps is read from r1, r2 in
+    their given order.  I keeps its l and takes eta (-1)^(b_O - 1).  O
+    takes b_O - (l_O + c_I) with eta (-1)^(b_I - 1) when eps = 1 and
+    c_O < 2c_I, and otherwise l_O + eps c_I with eta (-1)^(b_I), c being
+    a row's circles."""
+    eps = (-1) ** (r1.A - r1.B) * r1.eta * r2.eta
+    outer_first = r1.B <= r2.B and r1.A >= r2.A
+    O, I = (r1, r2) if outer_first else (r2, r1)
+    c_I = I.circles
+    new_I = Row(I.A, I.B, I.l, (-1) ** (O.b - 1) * I.eta)
+    if eps == 1 and O.circles < 2 * c_I:
+        new_O = Row(O.A, O.B, O.b - (O.l + c_I), (-1) ** (I.b - 1) * O.eta)
     else:
-        # Case 2: supp(r1) strictly inside supp(r2).
-        new_r1 = Row(A1, B1, l1, (-1) ** (A2 - B2) * eta1)
-        if eps == 1:
-            if c2 < 2 * c1:
-                new_r2 = Row(A2, B2, b2 - (l2 + c1), (-1) ** (A1 - B1) * eta2)
-            else:
-                new_r2 = Row(A2, B2, l2 + c1, (-1) ** (A1 - B1 + 1) * eta2)
-        else:
-            new_r2 = Row(A2, B2, l2 - c1, (-1) ** (A1 - B1 + 1) * eta2)
-    return weak_normalize(new_r2), weak_normalize(new_r1)
+        new_O = Row(O.A, O.B, O.l + eps * c_I, (-1) ** I.b * O.eta)
+    new_I, new_O = weak_normalize(new_I), weak_normalize(new_O)
+    return (new_I, new_O) if outer_first else (new_O, new_I)
 
 
 def pair_ui_type(r1, r2):
@@ -135,26 +130,30 @@ def pair_ui_type(r1, r2):
 
 def ui_rows(r1, r2, tag):
     """The row(s) replacing r1, r2 under the union-intersection of type
-    tag, weak-normalized: one row for T3', two otherwise."""
+    tag, weak-normalized: the union [A2, B1], and but for T3' the
+    intersection [A1, B2], each built once.
+
+    With d = A2 - A1, the union takes (l1, eta1), but under T2
+    (l1 + d, eta1) when r1 has at least d circles and (b1 - l1, -eta1)
+    otherwise.  The intersection takes (l2 - d, (-1)^d eta2) under T1,
+    (l2, (-1)^d eta2) under T2 and under T3 when l2 <= l1, and
+    (l1, (-1)^(d + 1) eta2) under T3 otherwise."""
     d = r2.A - r1.A
-    if tag == T1:
-        new1 = Row(r2.A, r1.B, r1.l, r1.eta)
-        new2 = Row(r1.A, r2.B, r2.l - d, (-1) ** d * r2.eta)
-    elif tag == T2:
-        if r1.circles >= d:
-            new1 = Row(r2.A, r1.B, r1.l + d, r1.eta)
-        else:
-            new1 = Row(r2.A, r1.B, r1.b - r1.l, -r1.eta)
-        new2 = Row(r1.A, r2.B, r2.l, (-1) ** d * r2.eta)
+    if tag != T2:
+        l, eta = r1.l, r1.eta
+    elif r1.circles >= d:
+        l, eta = r1.l + d, r1.eta
     else:
-        new1 = Row(r2.A, r1.B, r1.l, r1.eta)
-        if tag == T3PRIME:
-            return (weak_normalize(new1),)
-        if r2.l <= r1.l:
-            new2 = Row(r1.A, r2.B, r2.l, (-1) ** d * r2.eta)
-        else:
-            new2 = Row(r1.A, r2.B, r1.l, (-1) ** (d + 1) * r2.eta)
-    return weak_normalize(new1), weak_normalize(new2)
+        l, eta = r1.b - r1.l, -r1.eta
+    union = weak_normalize(Row(r2.A, r1.B, l, eta))
+    if tag == T3PRIME:
+        return (union,)
+    l, eta = r2.l, (-1) ** d * r2.eta
+    if tag == T1:
+        l -= d
+    elif tag != T2 and l > r1.l:
+        l, eta = r1.l, (-1) ** (d + 1) * r2.eta
+    return union, weak_normalize(Row(r1.A, r2.B, l, eta))
 
 
 def dual_row(row, flip):

@@ -22,9 +22,10 @@ n-column block has at most 2n^2 rows (n^2 chains and hats, each with
 either sign), and the table holds only rows of members built so far, so
 it never outgrows them.
 
-build makes the lift family too: every lift of a member of M is a member
-of the block with one more column, c_max + 1 of multiplicity 1, built with
--eta at coordinates that theta_family reads off (S, T).
+build's rows make the lift family too: every lift of a member of M is a
+member of the block with one more column, c_max + 1 of multiplicity 1,
+made by _rows with -eta at coordinates that theta_family reads off the
+(S, T) it has checked once.
 """
 
 from functools import cache
@@ -202,15 +203,16 @@ def _checked(M, S, T, eta):
 
 
 def _rows(M, S, T, eta):
-    """The checks and the rows of build.  The rows come from items, the
-    sorted (B, rank, A, l, n), one per chain, hat or run of n equal
-    multiples.
+    """The rows of build, from (S, T, eta) that have passed _checked
+    against M, with T given: _rows checks nothing again.  build runs
+    _checked before it, and theta_family runs it once against M for the
+    whole family.  The rows come from items, the sorted (B, rank, A, l,
+    n), one per chain, hat or run of n equal multiples.
 
     The rank puts chains and hats (0) before the multiples (1) and the
     z-chain (2) of one column.  No two items agree in (B, rank), so the
     plain tuple sort is the sort by (B, rank).
     """
-    T = _checked(M, S, T, eta)
     lo = M.c_min
     free = [m - 1 for m in M.mults]
     items = []
@@ -227,7 +229,7 @@ def _rows(M, S, T, eta):
         if n:
             items.append((c, 1, c, 0, n))
     items.sort()
-    # Every check has passed: each distinct row of the block is made once,
+    # The input is checked: each distinct row of the block is made once,
     # in its row table, and shared by every later member.
     table = M._row_table
     # The odd-alternating signs: a row takes step = (-1)^circles * (sign of
@@ -254,13 +256,14 @@ def build(M, S, T=None, eta=1):
     """The multi-segment attached to (M, S, T, eta): the one constructor of
     a class member.
 
-    The input is checked once, at this boundary: validate_S, validate_T of
-    a given T (trivial_T of a valid S is valid by validate_S's overlap
-    rule), plain int endpoints, and a plain int eta of +1 or -1.  The
-    coverage needs no check: validate_S allows an overlap only on a column
-    of multiplicity above 1, so at least 3 by the block rule, and one
-    column holds at most one overlap, so no column is covered more often
-    than its multiplicity (see below).  Then every row is valid as built,
+    The input is checked once, at this boundary, by _checked before _rows
+    makes the rows: validate_S, validate_T of a given T (trivial_T of a
+    valid S is valid by validate_S's overlap rule), plain int endpoints,
+    and a plain int eta of +1 or -1.  The coverage needs no check:
+    validate_S allows an overlap only on a column of multiplicity above 1,
+    so at least 3 by the block rule, and one column holds at most one
+    overlap, so no column is covered more often than its multiplicity
+    (see below).  Then every row is valid as built,
     so none goes through make_row:
 
     - a chain [hi, lo] has hi >= lo >= c_min >= 0 and l = 0;
@@ -279,7 +282,7 @@ def build(M, S, T=None, eta=1):
     most 2n^2 rows for n columns.  A rejected input leaves it as it was,
     since no row is looked up before every check has passed.
     """
-    return MultiSegment._of(_rows(M, S, T, eta), STRICT)
+    return MultiSegment._of(_rows(M, S, _checked(M, S, T, eta), eta), STRICT)
 
 
 def theta1(ms):
@@ -303,7 +306,8 @@ def theta_family(M, S, T=None, eta=1):
     and fourth coincide in packet exactly when S contains the singleton top
     column.  The block must start at 0; any other raises SegmentError
     before a lift is built.  Then (S, T, eta) get build's checks against M,
-    and the empty block, which has no lift, raises SegmentError.
+    here and only here: _checked runs once per family.  The empty block,
+    which has no lift, raises SegmentError.
 
     Every lift is a member of the block with one more column, M1 = M plus
     a column c + 1 = c_max + 1 of multiplicity 1, built with -eta.  With
@@ -318,8 +322,13 @@ def theta_family(M, S, T=None, eta=1):
     - theta4, when mult(c) > 1: S and T with (c, c + 1) added, which
       overlaps the interval before it at c.
 
-    So the family arises through the operators: the tests check that each
-    lift is a state of the closure of theta1 of the tempered block.
+    These coordinates are valid for M1 whenever (S, T, eta) are for M: the
+    new column c + 1 has multiplicity 1 and is only cut to or extended
+    into, and theta4's overlap at c needs the mult(c) > 1 it is given.  So
+    each lift goes straight to _rows, with no second check; the tests
+    check that each is the build of M1 at -eta, and that the family
+    arises through the operators, each lift a state of the closure of
+    theta1 of the tempered block.
     """
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
@@ -337,7 +346,8 @@ def theta_family(M, S, T=None, eta=1):
     if M.mult(c) > 1:
         coords.append(("theta4", (*S, (c, c + 1)), (*T, ((c, c + 1),))))
     M1 = BlockTuple(0, M.mults + (1,))
-    return [(tag, build(M1, S1, T1, -eta)) for tag, S1, T1 in coords]
+    return [(tag, MultiSegment._of(_rows(M1, S1, T1, -eta), STRICT))
+            for tag, S1, T1 in coords]
 
 
 def theta2_matches_theta4(M, S):

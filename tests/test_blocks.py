@@ -96,6 +96,15 @@ class TestDecompose:
                     "^blocks overlap by more than one column$")):
                 classify_boundary(first, tempered_block(second, -1))
 
+    def test_an_empty_block_has_no_boundary(self):
+        """An empty block on either side is refused with SegmentError, not
+        the ValueError of max() or min() of no rows."""
+        empty, block = parse(""), parse("[1,1;0;+]")
+        for b1, b2 in ((empty, block), (block, empty)):
+            with pytest.raises(SegmentError,
+                               match="^an empty block has no boundary$"):
+                classify_boundary(b1, b2)
+
     def test_alternating_run_is_one_block(self):
         blocks = block_decompose(parse("[0,0;0;+][1,1;0;-][2,2;0;+]"))
         assert len(blocks) == 1

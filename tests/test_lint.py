@@ -300,7 +300,7 @@ def _imported(name):
 
 
 def test_the_lift_family_is_built_without_operators():
-    """theta_family makes each lift with build, as a member of the block
+    """theta_family makes each lift as build does, a member of the block
     with one more column: sdata.py imports neither ops nor any name that
     ops.py defines."""
     path = Path(emseg.__file__).parent / "ops.py"

@@ -37,7 +37,39 @@ from emseg.sdata import (
 from conftest import rand_mode_ms, rand_nested_pair, rand_row, rand_sorted_ms
 
 
+# One hand-checked exchange per branch of exchange_pair, (input, output):
+# the containing row O first, then second, each at eps = 1 with
+# c_O < 2c_I, eps = 1 with c_O >= 2c_I, and eps = -1 on either side of
+# that bound.  O = [2,0] has 3 circles; I = [2,1] has 2 and I = [1,1] one.
+EXCHANGE_GOLDENS = [
+    ("[2,0;0;+][2,1;0;+]", "[2,1;0;+][2,0;1;-]"),
+    ("[2,0;0;+][1,1;0;+]", "[1,1;0;+][2,0;1;-]"),
+    ("[2,0;0;+][2,1;0;-]", "[2,1;0;-][2,0;-2;+]"),
+    ("[2,0;0;+][1,1;0;-]", "[1,1;0;-][2,0;-1;-]"),
+    ("[2,1;0;+][2,0;0;-]", "[2,0;1;+][2,1;0;+]"),
+    ("[1,1;0;+][2,0;0;+]", "[2,0;1;-][1,1;0;+]"),
+    ("[2,1;0;+][2,0;0;+]", "[2,0;-2;+][2,1;0;+]"),
+    ("[1,1;0;+][2,0;0;-]", "[2,0;-1;+][1,1;0;+]"),
+]
+
+# One hand-checked union-intersection per branch of ui_rows, (input, tag,
+# output): T1; T2 with r1 holding at least d = A2 - A1 circles and fewer;
+# T3 with l2 <= l1 and l2 > l1.  T3' has test_type3prime_merges_circle_rows.
+UI_GOLDENS = [
+    ("[1,0;0;-][2,1;1;+]", T1, "[2,0;0;-][1,1;0;-]"),
+    ("[2,-1;1;+][3,0;0;-]", T2, "[3,-1;2;+][2,0;0;+]"),
+    ("[2,-1;1;+][5,0;0;-]", T2, "[5,-1;3;-][2,0;0;+]"),
+    ("[2,0;1;+][3,2;0;-]", T3, "[3,0;1;+][2,2;0;+]"),
+    ("[2,1;0;+][3,2;1;+]", T3, "[3,1;0;+][2,2;0;+]"),
+]
+
+
 class TestRowExchange:
+    @pytest.mark.parametrize("text, out", EXCHANGE_GOLDENS)
+    def test_each_branch_golden(self, text, out):
+        res = row_exchange(parse(text), 0)
+        assert res.applied and render(res.out) == out
+
     def test_nested_flip_golden(self):
         res = row_exchange(parse("[1,-1;1;+][1,1;0;-]"), 0)
         assert res.applied
@@ -99,6 +131,12 @@ class TestRowExchange:
 
 
 class TestUnionIntersection:
+    @pytest.mark.parametrize("text, tag, out", UI_GOLDENS)
+    def test_each_branch_golden(self, text, tag, out):
+        res = ui(parse(text), 0)
+        assert res.applied and res.type_tag == tag
+        assert render(res.out) == out
+
     def test_type3prime_merges_circle_rows(self):
         res = ui(parse("[0,0;0;+][1,1;0;-]"), 0)
         assert res.applied and res.type_tag == T3PRIME

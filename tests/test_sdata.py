@@ -216,7 +216,7 @@ class TestTheta:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a member of an even block")
 
-        monkeypatch.setattr(sdata, "build", unreachable)
+        monkeypatch.setattr(sdata, "_rows", unreachable)
         for mults in ((2,), (1, 2), (2, 1), (2, 1, 2)):
             S = ((0, len(mults) - 1),)
             with pytest.raises(SegmentError, match="odd multiplicities"):
@@ -291,6 +291,33 @@ class TestTheta:
                         members += 1
         assert members == 7152
 
+    def test_every_lift_is_a_member_of_the_wider_block(self, monkeypatch):
+        """theta_family checks (S, T, eta) once, against M, and makes each
+        lift from its mapped coordinates with no second check.  On
+        iter_grid(5, 5, 0, 7) with both signs, every lift is the build of
+        some valid (S, T) of M1 = M plus a column of multiplicity 1, at
+        -eta, and each call runs _checked exactly once."""
+        calls = []
+        checked = sdata._checked
+
+        def counted(*args):
+            calls.append(args)
+            return checked(*args)
+
+        monkeypatch.setattr(sdata, "_checked", counted)
+        lifts = 0
+        for M in iter_grid(5, 5, 0, 7):
+            M1 = BlockTuple(0, M.mults + (1,))
+            for eta in (1, -1):
+                wider = {build(M1, S, T, -eta) for S, T in iter_ST(M1)}
+                for S, T in iter_ST(M):
+                    del calls[:]
+                    for tag, ms in theta_family(M, S, T, eta):
+                        assert ms in wider, (M, S, T, eta, tag)
+                        lifts += 1
+                    assert len(calls) == 1, (M, S, T, eta)
+        assert lifts == 5694
+
     def test_lists_build_the_family_tuples_do(self):
         """S and T given as lists of lists, which build accepts, give the
         family of the tuples, and T omitted is the trivial T."""
@@ -345,7 +372,7 @@ class TestTheta:
         def unreachable(*args, **kwargs):
             raise AssertionError("built a lift of a block past column 0")
 
-        monkeypatch.setattr(sdata, "build", unreachable)
+        monkeypatch.setattr(sdata, "_rows", unreachable)
         monkeypatch.setattr(sdata, "_checked", unreachable)
         with pytest.raises(SegmentError) as caught:
             theta_family(M, *args)
