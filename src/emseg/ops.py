@@ -1,16 +1,19 @@
 """The operator calculus on multi-segments.
 
-Row exchange, union-intersection (all types), the dual involution, hat
-merging, circle-row splitting and the raising composite dual . ui . dual.
-The lift family needs no composite of its own: each of its members is a
-member of the block with one more column, which sdata.build makes.
+Row exchange, union-intersection (all types), the dual involution,
+circle-row splitting and the raising composite dual . ui . dual, of which
+hat merging is the type-3' case.  The lift family needs no composite of
+its own: each of its members is a member of the block with one more
+column, which sdata.build makes.
 
 Each operator's formula lives once, in a row-level core that maps plain
 rows to plain rows: exchange_pair, pair_ui_type and ui_rows, dual_row
-and dual_flip (which dual_rows puts together), sort_rows, split_points
-and split_pair.  The operators on multi-segments check their arguments, call
-the core and wrap its rows with _result; the closure search calls the cores
-directly.  exchange_pair reads a nesting pair as its (containing,
+and dual_flip (which dual_rows puts together), split_points and
+split_pair.  The operators on multi-segments check their arguments, call
+the core and wrap its rows with _result; to_sorted runs exchange_pair,
+merge_hats runs dual_ui_dual, and dual_ui_dual runs dual and ui, so no
+composite states a formula of its own.  The closure search calls the
+cores directly.  exchange_pair reads a nesting pair as its (containing,
 contained) rows, whichever comes first, and states the exchange once on
 them; ui_rows builds its union and its intersection once for every type.
 Every row position an operator takes goes through _rows_at, and
@@ -179,23 +182,6 @@ def dual_rows(rows):
     return [dual_row(r, dual_flip(total, r.a)) for r in rows][::-1]
 
 
-def sort_rows(rows):
-    """Row-exchange the list rows into (P') order in place (stable bubble
-    pass).  Returns None when sorted, or the position k of a pair out of
-    order whose supports do not nest, which no exchange can sort."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(rows) - 1):
-            r1, r2 = rows[k], rows[k + 1]
-            if r1.B > r2.B:
-                if not _supports_nest(r1, r2):
-                    return k
-                rows[k], rows[k + 1] = exchange_pair(r1, r2)
-                changed = True
-    return None
-
-
 def split_points(r):
     """The X at which row r can split: none unless r is all circles
     (l = 0); the low part [X, B] needs X >= |B|, the high part [A, X + 1]
@@ -269,9 +255,16 @@ def to_sorted(ms):
     if order_sorted(ms.rows):
         return ms
     rows = list(ms.rows)
-    k = sort_rows(rows)
-    if k is not None:
-        raise _non_nesting(k)
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(rows) - 1):
+            r1, r2 = rows[k], rows[k + 1]
+            if r1.B > r2.B:
+                if not _supports_nest(r1, r2):
+                    raise _non_nesting(k)
+                rows[k], rows[k + 1] = exchange_pair(r1, r2)
+                changed = True
     return _result(rows)
 
 
@@ -298,24 +291,17 @@ def split_circles(ms, k, X):
     return MultiSegment._of(rows, ms.mode)
 
 
-def merge_condition(r1, r2):
-    """Two consecutive hats can merge iff the upper support abuts the lower
-    triangle block (A_2 = B_1 - 1) and the signs alternate."""
-    if not (r1.is_hat and r2.is_hat):
-        return False
-    B1 = r1.l
-    if r2.A != B1 - 1:
-        return False
-    return r2.eta == (-1) ** r1.circles * r1.eta
-
-
 def merge_hats(ms, k):
-    """Merge consecutive hats k, k+1: dual, type-3' ui, dual, in closed
-    form.
+    """Merge consecutive hats k, k+1: the composite dual_ui_dual at the
+    pair's image in the dual, where the image of r2 sits right before
+    the image of r1.
 
-    The result replaces the two hats by ([A_1, -B_2], B_2, eta_1), tagged
-    T3'.  It is the composite dual_ui_dual at the pair's image in the
-    dual, where the image of r2 sits right before the image of r1.
+    A hat has B = -l, so its image has l = 0.  On two all-circles rows
+    T1 needs A_2 = A_1 and T2 needs B_2 = B_1, which the ui domain
+    excludes, and T3 needs B_2 = A_1 + 1 <= A_1, so only the type-3' ui
+    can apply: it replaces the two hats by one row, tagged T3'.  Raises
+    SegmentError unless rows k, k+1 are two hats, and OrderError unless
+    the input is (P')-sorted.
     """
     rows = ms.rows
     r1, r2 = _rows_at(rows, k, 2)
@@ -323,21 +309,18 @@ def merge_hats(ms, k):
         raise SegmentError("merge requires two hats")
     if not order_sorted(rows):
         raise OrderError("merge requires (P') order")
-    if not merge_condition(r1, r2):
-        return OpResult(ms, False)
-    merged = weak_normalize(Row(r1.A, -r2.l, r2.l, r1.eta))
-    return OpResult(_result(rows[:k] + (merged,) + rows[k + 2:]), True,
-                    T3PRIME)
+    return dual_ui_dual(ms, len(rows) - 2 - k)
 
 
 def dual_ui_dual(ms, k):
     """The raising operator dual . ui_k . dual on a (P')-sorted input.
 
-    Raises OrderError on unsorted input, and NoExchangeError when the ui
-    result cannot be sorted back.
+    Raises OrderError on unsorted input.  The dual of a sorted input is
+    sorted, and ui keeps the B of its rows in order (the union [A2, B1]
+    at k and the intersection [A1, B2], unless T3' drops it, at k + 1),
+    so the ui result is sorted and its dual needs no row exchange.
     """
-    d = dual(ms)
-    res = ui(d, k)
+    res = ui(dual(ms), k)
     if not res.applied:
         return OpResult(ms, False)
-    return OpResult(dual(to_sorted(res.out)), True, res.type_tag)
+    return OpResult(dual(res.out), True, res.type_tag)

@@ -352,11 +352,10 @@ def theta_family(M, S, T=None, eta=1):
 
 def theta2_matches_theta4(M, S):
     """Whether the second and fourth lifts share a packet: the S-tuple
-    contains the singleton top column.  A block that does not start at 0
-    raises theta_family's SegmentError, and an S that validate_S refuses
-    build's."""
+    contains the singleton top column, given as a tuple or a list.  A
+    block that does not start at 0 raises theta_family's SegmentError,
+    and an S that build refuses build's error."""
     if M.c_min != 0:
         raise SegmentError("the lift family applies to blocks starting at 0")
-    if not validate_S(M, S):
-        raise SegmentError("invalid S-tuple for %s" % _shown(M))
-    return any(iv == (M.c_max, M.c_max) for iv in S)
+    _checked(M, S, None, 1)
+    return (M.c_max, M.c_max) in map(tuple, S)

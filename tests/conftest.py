@@ -80,6 +80,13 @@ def rand_tempered(rng, max_cols=5, max_mult=5):
     return MultiSegment(tuple(rows))
 
 
+def canonical_S(S):
+    """Whether a member with the S-tuple S is canonical: no one-column
+    interval (c, c) of S is followed by an interval that starts at c, the
+    overlap the recursion's "- prev2" term takes away."""
+    return not any(a == b == c for (a, b), (c, _) in zip(S, S[1:]))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240824)

@@ -19,6 +19,8 @@ from emseg.count import (
 )
 from emseg.sdata import build, iter_S, iter_ST, validate_S
 
+from conftest import canonical_S
+
 # The recursion count over which the enumeration property skips a block:
 # a cost limit that keeps it near 2 s, since the enumeration builds every
 # member.  Lowering it hides blocks, not faults.
@@ -28,16 +30,14 @@ ENUMERATION_CAP = 3000
 def _canonical_packets(M, eta):
     """(ψ of the canonical members, ψ of every member) of the block M: the
     (S, T) members at c_min 0, the S-only ones past it.  A member is
-    canonical when no one-column interval (c, c) of its S is followed by
-    an interval that starts at c, the overlap the recursion's "- prev2"
-    term takes away."""
+    canonical when canonical_S holds of its S."""
     members = (iter_ST(M) if M.c_min == 0
                else zip(iter_S(M), itertools.repeat(None)))
     canonical, every = [], set()
     for S, T in members:
         psi = arthur_parameter(build(M, S, T, eta))
         every.add(psi)
-        if not any(a == b == c for (a, b), (c, _) in zip(S, S[1:])):
+        if canonical_S(S):
             canonical.append(psi)
     return canonical, every
 

@@ -93,12 +93,19 @@ def _callers(name, callee):
 
 
 def test_operator_formulas_live_in_the_row_level_cores():
-    """Rows are made only by the row-level cores of ops and by merge_hats's
-    closed form, so no formula is copied into a wrapper or the search."""
-    cores = {"exchange_pair", "ui_rows", "dual_row", "split_pair",
-             "merge_hats"}
+    """Rows are made only by the row-level cores of ops, so no formula is
+    copied into a wrapper, a composite or the search."""
+    cores = {"exchange_pair", "ui_rows", "dual_row", "split_pair"}
     assert _callers("ops.py", "Row") <= cores
     assert _callers("closure.py", "Row") == set()
+
+
+def test_merging_hats_is_the_dual_ui_dual_composite():
+    """merge_hats states no merge of its own: it hands the pair's image in
+    the dual to dual_ui_dual, which runs dual and ui and sorts nothing."""
+    assert "merge_hats" in _callers("ops.py", "dual_ui_dual")
+    assert "dual_ui_dual" in _callers("ops.py", "dual")
+    assert "dual_ui_dual" not in _callers("ops.py", "to_sorted")
 
 
 def test_closure_trusts_the_rows_the_cores_build():
@@ -316,10 +323,10 @@ def test_the_lift_family_is_built_without_operators():
 
 def test_closure_sorts_and_dualizes_on_ids():
     """The dual-conjugated moves stay on row ids: closure.py sorts no rows
-    with sort_rows, tests no (P') order with order_sorted and sums no
+    with to_sorted, tests no (P') order with order_sorted and sums no
     parities with a per-state dual_parities."""
     assert not _imported("closure.py") & {
-        "sort_rows", "order_sorted", "dual_parities"}
+        "to_sorted", "order_sorted", "dual_parities"}
 
 
 def test_dual_flip_rule_lives_in_ops():

@@ -15,7 +15,8 @@ import emseg
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, OrderError, Row, ScopeError, SegmentError,
     arthur_parameter, check_star, from_json, group_sign, make_row,
-    multi_segment, parse, render, to_json,
+    multi_segment, parse, render, row_is_strict, to_json,
+    weak_normalize,
 )
 from emseg.blocks import BlockTuple, remove_column, tempered_block
 from emseg.closure import are_equivalent, closure, neighbors
@@ -25,8 +26,7 @@ from emseg.count import (
 )
 from emseg.ops import (
     NoExchangeError, OpResult, T1, T2, T3, T3PRIME, dual, dual_ui_dual,
-    merge_condition, merge_hats, row_exchange, split_circles, to_sorted, ui,
-    ui_type,
+    merge_hats, row_exchange, split_circles, to_sorted, ui, ui_type,
 )
 
 from emseg.sdata import (
@@ -560,6 +560,22 @@ class TestLibraryBoundaryFuzz:
         assert type(caught.value) is error
 
 
+def merge_condition(r1, r2):
+    """Two consecutive hats can merge iff the upper support abuts the lower
+    triangle block (A_2 = B_1 - 1) and the signs alternate."""
+    return (r1.is_hat and r2.is_hat and r2.A == r1.l - 1
+            and r2.eta == (-1) ** r1.circles * r1.eta)
+
+
+def merged_rows(rows, k):
+    """The closed form of a merge: the hats at k, k+1 replaced by
+    ([A_1, -B_2], B_2, eta_1), as (rows, mode)."""
+    r1, r2 = rows[k], rows[k + 1]
+    out = (rows[:k] + (weak_normalize(Row(r1.A, -r2.l, r2.l, r1.eta)),)
+           + rows[k + 2:])
+    return out, STRICT if all(map(row_is_strict, out)) else RELAXED
+
+
 class TestMergeHats:
     def test_golden(self):
         ms = parse("[2,-2;2;+][1,-1;1;-]")
@@ -568,14 +584,18 @@ class TestMergeHats:
         assert render(res.out) == "[2,-1;1;+]"
 
     def test_condition_requires_abutment(self):
-        assert not merge_condition(Row(3, -3, 3, 1), Row(1, -1, 1, -1))
+        """[3,-3;3;+][1,-1;1;-] are two hats, but the upper support ends
+        at 1, not at B_1 - 1 = 2, so they do not merge; nor do
+        [2,-1;1;+][1,-1;1;-], which would need A_2 = 0."""
+        assert not merge_hats(parse("[3,-3;3;+][1,-1;1;-]"), 0).applied
+        assert not merge_hats(parse("[2,-1;1;+][1,-1;1;-]"), 0).applied
 
     def test_condition_requires_two_hats(self):
-        """[2,-2;2;+][1,-1;1;-] merges; with either row no hat, the
-        condition fails before the abutment is read."""
-        assert merge_condition(Row(2, -2, 2, 1), Row(1, -1, 1, -1))
-        assert not merge_condition(Row(2, -1, 1, 1), Row(1, -1, 1, -1))
-        assert not merge_condition(Row(2, -2, 2, 1), Row(1, 1, 0, -1))
+        """[2,-2;2;+][1,-1;1;-] merges; with its second row no hat, the
+        merge raises before the abutment is read."""
+        assert merge_hats(parse("[2,-2;2;+][1,-1;1;-]"), 0).applied
+        with pytest.raises(SegmentError, match="merge requires two hats"):
+            merge_hats(parse("[2,-2;2;+][1,1;0;-]"), 0)
 
     def test_not_applicable_same_signs(self):
         ms = parse("[2,-2;2;+][1,-1;1;+]")
@@ -615,11 +635,11 @@ class TestMergeHats:
                 return ms, rng.choice(hats)
 
     def test_closed_form_is_the_dual_ui_dual_composite(self):
-        """merge_hats gives the composite dual . ui . dual at the pair's
-        image in the dual, in rows, mode and tag, wherever merge_condition
-        holds, and the input unapplied elsewhere: on every hat pair of the
-        closure states of the grid's lifts, and on random symbols of
-        either mode."""
+        """merge_hats, the composite dual . ui . dual at the pair's image
+        in the dual, gives the closed form merged_rows, in rows and mode,
+        tagged T3', wherever merge_condition holds, and the input
+        unapplied elsewhere: on every hat pair of the closure states of
+        the grid's lifts, and on random symbols of either mode."""
         rng = random.Random(20261020)
         start = time.perf_counter()
         inputs = []
@@ -638,10 +658,8 @@ class TestMergeHats:
             except OrderError:
                 continue
             if merge_condition(ms.rows[k], ms.rows[k + 1]):
-                want = dual_ui_dual(ms, len(ms.rows) - 2 - k)
-                assert want.applied and want.type_tag == T3PRIME, render(ms)
                 assert (got.out.rows, got.out.mode, got.applied, got.type_tag) \
-                    == (want.out.rows, want.out.mode, True, T3PRIME), render(ms)
+                    == (*merged_rows(ms.rows, k), True, T3PRIME), render(ms)
                 merged += 1
             else:
                 assert got == OpResult(ms, False)
@@ -685,6 +703,31 @@ class TestComposites:
         ms = parse("[0,0;0;+][1,1;0;+]")
         assert ui_type(dual(ms), 0) is None
         assert dual_ui_dual(ms, 0) == OpResult(ms, False)
+
+    def test_ui_keeps_the_B_order_of_a_sorted_dual(self, rng):
+        """Every applied ui keeps the B of its input in order, the union
+        taking B_1 and the intersection B_2, which T3' drops: on the duals
+        of sorted symbols of either mode, and of hat pairs, whose duals
+        hold the T3' pairs a merge takes.  So the ui of a sorted dual is
+        sorted, and dual_ui_dual dualizes it back with no row exchange."""
+        inputs = [rand_mode_ms(rng, (STRICT, RELAXED)[i % 2])
+                  for i in range(5000)]
+        inputs += [TestMergeHats._hat_pairs(rng)[0] for _ in range(1000)]
+        applied = Counter()
+        for ms in inputs:
+            d = dual(ms)
+            Bs = [r.B for r in d.rows]
+            for k in range(len(Bs) - 1):
+                res = ui(d, k)
+                if not res.applied:
+                    continue
+                want = (Bs[:k + 1] + Bs[k + 2:] if res.type_tag == T3PRIME
+                        else Bs)
+                assert [r.B for r in res.out.rows] == want, (render(d), k)
+                applied[d.mode, res.type_tag] += 1
+        assert set(applied) == {(mode, tag) for mode in (STRICT, RELAXED)
+                                for tag in (T1, T2, T3, T3PRIME)}, applied
+        assert min(applied.values()) >= 10, applied
 
     def test_ui_first_pair_of_three_rows(self):
         ms = parse("[0,0;0;+][1,1;0;-][1,1;0;-]")
@@ -793,7 +836,7 @@ DOCUMENTED = {
     to_sorted: [NON_NESTING],
     split_circles: [(SegmentError, "split (requires|point)"),
                     (OrderError, "split at")],
-    dual_ui_dual: [(OrderError, "dual requires"), NON_NESTING],
+    dual_ui_dual: [(OrderError, "dual requires")],
     merge_hats: [(SegmentError, "merge requires two hats"),
                  (OrderError, r"merge requires \(P'\)")],
 }

@@ -11,7 +11,7 @@ from emseg import core, sdata
 from emseg.blocks import BlockTuple, tempered_block
 from emseg.closure import (
     DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, _moves, _search, _seed_table,
-    closure,
+    canonical, closure,
 )
 from emseg.core import (
     MultiSegment, Row, ScopeError, SegmentError, arthur_parameter, check_star,
@@ -23,6 +23,8 @@ from emseg.sdata import (
     theta1, theta_family, theta2_matches_theta4, trivial_T, validate_S,
     validate_T,
 )
+
+from conftest import canonical_S
 
 ELEVEN_ROW_M = BlockTuple(0, (1, 1, 3, 1, 1, 3, 1, 1, 3, 1))
 ELEVEN_ROW_S = ((0, 2), (2, 4), (5, 5), (5, 7), (8, 9))
@@ -238,6 +240,30 @@ class TestTheta:
         with pytest.raises(SegmentError, match="^invalid S-tuple for "):
             build(M, S)
 
+    def test_coincidence_detector_reads_lists_as_tuples(self):
+        """An S of lists answers as the same S of tuples, on which
+        theta_family gives theta2 and theta4 the same psi; the empty
+        block, which has no top column, answers False."""
+        M = BlockTuple(0, (1, 3))
+        for S in (((0, 0), (1, 1)), [[0, 0], [1, 1]], [(0, 0), [1, 1]]):
+            assert theta2_matches_theta4(M, S), S
+            family = dict(theta_family(M, S))
+            assert arthur_parameter(family["theta2"]) == arthur_parameter(
+                family["theta4"]), S
+        assert not theta2_matches_theta4(M, [[0, 1]])
+        assert not theta2_matches_theta4(BlockTuple(0, ()), ())
+
+    def test_coincidence_detector_refuses_non_int_endpoints(self):
+        """Float endpoints that validate_S accepts raise build's and
+        theta_family's ScopeError, not an answer."""
+        M = BlockTuple(0, (1, 3))
+        S = ((0.0, 0.0), (1.0, 1.0))
+        assert validate_S(M, S)
+        for call in (theta2_matches_theta4, build, theta_family):
+            with pytest.raises(ScopeError, match=(
+                    "^S and T endpoints must be integers, got 0.0$")):
+                call(M, S)
+
     def test_every_lift_step_applies_at_the_row_it_reads(self):
         """On every member of iter_grid(5, 5, 0, 9) with both signs, the
         coordinate maps give the rows an operator step would read: theta1
@@ -379,6 +405,73 @@ class TestTheta:
         assert type(caught.value) is SegmentError
         assert str(caught.value) == (
             "the lift family applies to blocks starting at 0")
+
+
+class TestMembersInTheClosure:
+    """Every member of a block is a state of the closure of its tempered
+    member, and the canonical members name its classes one each; so do
+    the members of the block with one more column for the closure of the
+    lift of the tempered member."""
+
+    def test_the_tempered_member_has_one_column_intervals(self):
+        """tempered_block(M, eta) is the member whose S cuts after every
+        column, on iter_grid(6, 7, 3, 14) with both signs."""
+        pairs = 0
+        for M in iter_grid(6, 7, 3, 14):
+            S = tuple((c, c) for c in range(M.c_min, M.c_max + 1))
+            for eta in (1, -1):
+                assert tempered_block(M, eta) == build(M, S, None, eta), (
+                    M, eta)
+                pairs += 1
+        assert pairs == 3960
+
+    @staticmethod
+    def _members_name_the_classes(seed, M, eta):
+        """Check that every build member of M at eta ((S, T) at c_min 0, S
+        alone past it) is a state the closure search of seed visits, and
+        that the canonical members (canonical_S) have distinct canonical
+        keys, which are exactly the nodes of closure(seed); return the
+        number of members."""
+        coords = list(iter_ST(M) if M.c_min == 0
+                      else zip(iter_S(M), itertools.repeat(None)))
+        table = _seed_table(seed)
+        *_, (states, _, _, stop) = _search(
+            table, _moves, DEFAULT_MAX_STATES, DEFAULT_MAX_DEPTH)
+        assert stop == "exhausted"
+        visited = {tuple(table.rows[i] for i in s) for s in states}
+        keys = []
+        for S, T in coords:
+            ms = build(M, S, T, eta)
+            assert ms.rows in visited, (M, S, T, eta)
+            if canonical_S(S):
+                keys.append(canonical(ms))
+        assert len(set(keys)) == len(keys), (M, eta)
+        assert set(keys) == closure(seed).nodes, (M, eta)
+        return len(coords)
+
+    def test_every_member_is_a_state_and_names_one_class(self):
+        """On iter_grid(5, 5, 1, 9) with both signs, the members of M at
+        eta against the closure of tempered_block(M, eta)."""
+        closures = members = 0
+        for M in iter_grid(5, 5, 1, 9):
+            for eta in (1, -1):
+                members += self._members_name_the_classes(
+                    tempered_block(M, eta), M, eta)
+                closures += 1
+        assert (closures, members) == (256, 8130)
+
+    def test_the_wider_block_names_the_classes_of_the_lift(self):
+        """On iter_grid(5, 5, 0, 8) with both signs, the members of
+        M1 = M plus a column of multiplicity 1 at -eta against the closure
+        of theta1(tempered_block(M, eta))."""
+        closures = members = 0
+        for M in iter_grid(5, 5, 0, 8):
+            M1 = BlockTuple(0, M.mults + (1,))
+            for eta in (1, -1):
+                members += self._members_name_the_classes(
+                    theta1(tempered_block(M, eta)), M1, -eta)
+                closures += 1
+        assert (closures, members) == (84, 8350)
 
 
 def _small_blocks(max_cols, c_min):
