@@ -87,6 +87,13 @@ def block_tuples(ms):
     A block continues across a column step of +1 with flipped sign; an even
     multiplicity leaves one row behind to start the next block; a gap or a
     repeated sign closes the block.
+
+    The walk keeps one entry (c_min, mults, eta) per block: its first
+    column, the list of its multiplicities so far and the sign of its
+    first column.  A run that does not continue the last block starts a
+    new entry, and a run of even multiplicity m adds m - 1 to the last
+    entry and starts the next one at once, (c, [1], sign of the run).
+    The BlockTuples are made from the entries at the end.
     """
     if not is_tempered(ms):
         raise SegmentError("block decomposition requires a tempered input")
@@ -95,27 +102,19 @@ def block_tuples(ms):
     runs = [(r, len(list(g))) for r, g in groupby(ms.rows)]
     if any(r.B > q.B for (r, _), (q, _) in zip(runs, runs[1:])):
         raise SegmentError("tempered input must be sorted by column")
-    blocks = []
-    mults = []
-    c_min = eta = last = None
-
-    def close():
-        if mults:
-            blocks.append((BlockTuple(c_min, tuple(mults)), eta))
-            mults.clear()
-
+    entries = []
+    # The column after the last run and that run's sign: a run continues
+    # the last block when it sits there with the other sign.
+    nxt = sign = None
     for (_, c, _, s), m in runs:
-        if not (mults and c_min + len(mults) == c and last == -s):
-            close()
-            c_min, eta = c, s
-        mults.append(m if m % 2 == 1 else m - 1)
-        if m % 2 == 0:
-            close()
-            c_min, eta = c, s
-            mults.append(1)
-        last = s
-    close()
-    return blocks
+        if c != nxt or s != -sign:
+            entries.append((c, [], s))
+        entries[-1][1].append(m if m % 2 else m - 1)
+        if not m % 2:
+            entries.append((c, [1], s))
+        nxt, sign = c + 1, s
+    return [(BlockTuple(c_min, tuple(mults)), eta)
+            for c_min, mults, eta in entries]
 
 
 def block_decompose(ms):
@@ -177,11 +176,9 @@ def _block_rows(bt, eta):
     """Single-circle rows with the given multiplicities, signs alternating
     between columns starting from eta."""
     rows = []
-    s = eta
-    for i, m in enumerate(bt.mults):
-        c = bt.c_min + i
-        rows.extend([Row(c, c, 0, s)] * m)
-        s = -s
+    for c, m in enumerate(bt.mults, bt.c_min):
+        rows.extend([Row(c, c, 0, eta)] * m)
+        eta = -eta
     return tuple(rows)
 
 

@@ -455,29 +455,26 @@ def render_grid(ms, unicode_symbols=False):
 
     Each row occupies columns B..A: l left triangles, then the circles
     alternating in sign starting from eta, then l right triangles.  Only
-    the columns from the least B to the greatest A are drawn, so each
-    range is cut to them; a relaxed row's circles may reach past its own
-    columns (l < 0), and its right triangles are drawn over its left ones
-    (2l > b).
+    the columns from the least B to the greatest A are drawn.  A row's
+    left triangles start at its B and its right ones end at its A, so
+    only the ranges that can reach past those columns are cut to them: a
+    relaxed row's circles may reach past its own columns (l < 0), and its
+    right triangles are drawn over its left ones (2l > b).
     """
     if not ms.rows:
         return "(empty)"
     lo = min(r.B for r in ms.rows)
     hi = max(r.A for r in ms.rows)
-    if unicode_symbols:
-        sym = {"+": "⊕", "-": "⊖", "<": "◁", ">": "▷"}
-    else:
-        sym = {"+": "+", "-": "-", "<": "<", ">": ">"}
     width = max(len(str(lo)), len(str(hi)))
     header = " ".join(str(c).rjust(width) for c in range(lo, hi + 1))
     lines = [header]
-    left, right = sym["<"].rjust(width), sym[">"].rjust(width)
-    plus, minus = sym["+"].rjust(width), sym["-"].rjust(width)
+    plus, minus, left, right = (
+        sym.rjust(width) for sym in ("⊕⊖◁▷" if unicode_symbols else "+-<>"))
     for r in ms.rows:
         cells = [" " * width] * (hi - lo + 1)
-        for c in range(max(r.B, lo), min(r.B + r.l, hi + 1)):
+        for c in range(r.B, min(r.B + r.l, hi + 1)):
             cells[c - lo] = left
-        for c in range(max(r.A - r.l + 1, lo), min(r.A + 1, hi + 1)):
+        for c in range(max(r.A - r.l + 1, lo), r.A + 1):
             cells[c - lo] = right
         # The circle in column c has sign eta when c - (B + l) is even.
         start = r.B + r.l

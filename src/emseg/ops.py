@@ -288,7 +288,7 @@ def split_circles(ms, k, X):
     if not order_admissible(rows):
         raise OrderError("split at %s leaves an inadmissible order"
                          % _shown(X))
-    return MultiSegment._of(rows, ms.mode)
+    return _result(rows)
 
 
 def merge_hats(ms, k):

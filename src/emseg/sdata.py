@@ -232,23 +232,24 @@ def _rows(M, S, T, eta):
     # The input is checked: each distinct row of the block is made once,
     # in its row table, and shared by every later member.
     table = M._row_table
-    # The odd-alternating signs: a row takes step = (-1)^circles * (sign of
-    # the row before), negated for a multiple and for a z-chain right after
-    # the multiples of its own column.  A row's circle count has the parity
-    # of A - B + 1, and a multiple has one circle.
+    # The odd-alternating signs, one rule: each row hands the next
+    # (-1)^circles times its own sign, a row's circle count having the
+    # parity of A - B + 1, and a multiple or a z-chain (rank > 0) negates
+    # the sign it is handed.  A z-chain always comes right after multiples
+    # of its own column: an overlap column has multiplicity at least 3,
+    # two intervals use two of its rows, and the (B, rank) sort puts the
+    # z-chain (2) after that column's multiples (1).
     rows = []
-    step = eta
-    multiples_at = None
+    sign = eta
     for B, rank, A, l, n in items:
-        sign = -step if rank == 1 or B == multiples_at else step
+        sign = -sign if rank else sign
         key = (A, B, l, sign)
         row = table.get(key) or table.setdefault(key, Row(*key))
         if rank == 1:
             rows += [row] * n
-            step, multiples_at = -sign, B
         else:
             rows.append(row)
-            step, multiples_at = (sign if (A - B) & 1 else -sign), None
+        sign = sign if (A - B) & 1 else -sign
     return tuple(rows)
 
 
@@ -276,6 +277,14 @@ def build(M, S, T=None, eta=1):
     the multiples of a column are what its multiplicity leaves over.  So
     the hats are the rows with l > 0: chains, z-chains and multiples all
     have l = 0.
+
+    The signs follow one rule over the rows in (B, rank) order: each row
+    hands the next (-1)^circles times its own sign, starting from eta,
+    and a multiple or a z-chain negates the sign it is handed.  A z-chain
+    always comes right after a multiple of its own column, with the same
+    sign: its overlap column has multiplicity at least 3, of which the
+    two intervals take two rows, and the multiples of a column sort
+    before its z-chain.
 
     Equal rows of the members of one block are one object: the rows come
     from the block's row table (see the module docstring), which holds at

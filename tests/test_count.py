@@ -1,25 +1,31 @@
 """Counting: recursions, enumeration, closure oracle, products."""
 
 import itertools
+import random
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import emseg
 from emseg import cli, core
-from emseg.blocks import BlockTuple, block_decompose, tempered_block
+from emseg.blocks import (
+    BlockTuple, block_decompose, block_tuples, tempered_block,
+)
+from emseg.closure import closure
 from emseg.core import (
     RELAXED, STRICT, MultiSegment, SegmentError, arthur_parameter, from_json,
     make_row, multi_segment, parse, render, to_json,
 )
 from emseg.count import (
-    PacketCount, count_block_closure, count_block_enumerative,
+    PacketCount, _count_rec, count_block_closure, count_block_enumerative,
     count_block_recursive, count_multi, count_tempered, iter_grid,
     verify_instance,
 )
 from emseg.sdata import build, iter_S, iter_ST, validate_S
 
-from conftest import canonical_S
+from conftest import canonical_S, rand_tempered
 
 # The recursion count over which the enumeration property skips a block:
 # a cost limit that keeps it near 2 s, since the enumeration builds every
@@ -360,3 +366,110 @@ class TestGrid:
         first = list(itertools.islice(iter_grid(huge, 5, huge, huge), 3))
         assert first == [BlockTuple(0, (1,)), BlockTuple(1, (1,)),
                          BlockTuple(2, (1,))]
+
+
+def _poly(terms):
+    """The coefficients of Σ k·y^shift·p(y) over the (k, shift, p) terms,
+    lowest power first, p a coefficient list."""
+    out = [0] * max(shift + len(p) for _, shift, p in terms)
+    for k, shift, p in terms:
+        for i, a in enumerate(p):
+            out[shift + i] += k * a
+    return out
+
+
+def _graded_rec(c_min, mults):
+    """Reference graded loop of ROADMAP item 18: the coefficients of
+    G(y) = Σ_ψ y^(N − |ψ|) of a block of N rows, lowest power first.
+    With f = 3 at c_min 0 and 2 otherwise, each m in mults[:-1] gives
+    G ← (f − 1 + y)·G when m = 1 and G ← (f − 1 + 2y)·G − y·G₂ when
+    m > 1, from G = G₂ = 1."""
+    f = 3 if c_min == 0 else 2
+    prev2, prev = [1], [1]
+    for m in mults[:-1]:
+        if m == 1:
+            terms = [(f - 1, 0, prev), (1, 1, prev)]
+        else:
+            terms = [(f - 1, 0, prev), (2, 1, prev), (-1, 1, prev2)]
+        prev2, prev = prev, _poly(terms)
+    return prev
+
+
+def _graded(psis, n_rows):
+    """{N − |ψ|: how many ψ} over the parameters psis of N rows, the
+    coefficients of G(y) as a dict."""
+    return Counter(n_rows - len(psi) for psi in psis)
+
+
+def _nonzero(coefficients):
+    return {k: a for k, a in enumerate(coefficients) if a}
+
+
+class TestGradedCount:
+    """ROADMAP item 18, test first: the count graded by the number of rows
+    of each ψ obeys the two-term law of _graded_rec, which is _count_rec
+    at y = 1, against the enumeration, the closure and the product rule."""
+
+    def test_golden_and_value_at_one(self):
+        assert _graded_rec(0, (1, 3, 1, 3, 1, 3, 1)) == [
+            64, 240, 396, 365, 198, 60, 8]
+        assert _graded_rec(0, (1,) * 5) == [16, 32, 24, 8, 1]
+        assert _graded_rec(2, (1,) * 5) == [1, 4, 6, 4, 1]
+        blocks = 0
+        for M in iter_grid(8, 7, 3, 16):
+            assert sum(_graded_rec(M.c_min, M.mults)) == _count_rec(
+                0 if M.c_min == 0 else 1, M.mults), M
+            blocks += 1
+        assert blocks == 6704
+
+    def test_matches_the_enumeration(self):
+        start = time.perf_counter()
+        cases = 0
+        for M in iter_grid(6, 5, 2, 11):
+            want = _nonzero(_graded_rec(M.c_min, M.mults))
+            for eta in (1, -1):
+                _, psis = _canonical_packets(M, eta)
+                assert _graded(psis, sum(M.mults)) == want, (M, eta)
+                cases += 1
+        assert cases == 870
+        assert time.perf_counter() - start < 3.0
+
+    def test_matches_the_closure(self):
+        start = time.perf_counter()
+        cases = 0
+        for M in iter_grid(5, 5, 1, 9):
+            want = _nonzero(_graded_rec(M.c_min, M.mults))
+            for eta in (1, -1):
+                report = closure(tempered_block(M, eta))
+                assert report.exhausted
+                assert _graded(report.psi, sum(M.mults)) == want, (M, eta)
+                cases += 1
+        assert cases == 256
+        assert time.perf_counter() - start < 3.0
+
+    def test_product_of_blocks_matches_the_closure(self):
+        """On multi-block tempered symbols of at most 9 rows, G is the
+        product of the blocks' G, f picked as count_tempered picks it:
+        only a first block at c_min 0 takes f = 3, so a later block at
+        c_min 0, left by an even multiplicity of column 0, takes f = 2."""
+        rng = random.Random(20261020)
+        start = time.perf_counter()
+        checked = later_at_zero = 0
+        while checked < 300:
+            ms = rand_tempered(rng)
+            blocks = block_tuples(ms)
+            if len(ms.rows) > 9 or len(blocks) < 2:
+                continue
+            product = [1]
+            for i, (bt, _) in enumerate(blocks):
+                block = _graded_rec(0 if i == bt.c_min == 0 else 1,
+                                    bt.mults)
+                product = _poly([(a, k, block)
+                                 for k, a in enumerate(product)])
+            psis = closure(ms).psi
+            assert _graded(psis, len(ms.rows)) == _nonzero(product), (
+                render(ms))
+            later_at_zero += any(bt.c_min == 0 for bt, _ in blocks[1:])
+            checked += 1
+        assert later_at_zero == 43
+        assert time.perf_counter() - start < 4.0

@@ -385,3 +385,19 @@ def test_the_block_rule_lives_in_the_block_constructor():
     assert found and all(name == "blocks.py"
                          and init.lineno <= n <= init.end_lineno
                          for name, n in found), found
+
+
+def test_the_block_walk_keeps_plain_entries():
+    """block_tuples walks the runs with plain (c_min, mults, eta) entries:
+    it defines no nested function, and it makes its BlockTuples only in
+    its return, from the finished entries."""
+    path = Path(emseg.__file__).parent / "blocks.py"
+    walk = next(node for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "block_tuples")
+    assert not [node for node in ast.walk(walk) if node is not walk
+                and isinstance(node, (ast.FunctionDef, ast.Lambda))]
+    made = [node for node in ast.walk(walk) if _is_call_of(node, "BlockTuple")]
+    returned = [node for ret in ast.walk(walk) if isinstance(ret, ast.Return)
+                for node in ast.walk(ret) if _is_call_of(node, "BlockTuple")]
+    assert len(made) == 1 and made == returned

@@ -151,6 +151,34 @@ class TestBuild:
                         tops += 1
         assert tops > 500
 
+    def test_a_z_chain_follows_a_multiple_of_its_column(self):
+        """build's one sign rule rests on this law: in every member, the
+        row of each z-chain (an interval of S that starts on the column c
+        where the one before ends) comes right after a multiple [c, c] of
+        its own column, with the same sign.  Its overlap column has
+        multiplicity at least 3, and the two intervals take only two of
+        its rows.  On iter_grid(6, 7, 2, 11) with both signs."""
+        start = time.perf_counter()
+        members = z_chains = 0
+        for M in iter_grid(6, 7, 2, 11):
+            for S, T in _members(M):
+                T = T or trivial_T(S)
+                for eta in (1, -1):
+                    rows = build(M, S, T, eta).rows
+                    members += 1
+                    for prev, iv, parts in zip(S, S[1:], T[1:]):
+                        c = iv[0]
+                        if prev[1] != c:
+                            continue
+                        k = max(k for k, r in enumerate(rows) if r.B == c)
+                        z, before = rows[k], rows[k - 1]
+                        assert (z.A, z.B, z.l) == (parts[0][1], c, 0)
+                        assert before == Row(c, c, 0, z.eta), (M, S, T)
+                        assert M.mult(c) - 2 >= 1
+                        z_chains += 1
+        assert (members, z_chains) == (53818, 22144)
+        assert time.perf_counter() - start < 3.0
+
     def test_parameter_collisions_are_exchange_equivalent(self):
         from emseg.closure import canonical
         M = BlockTuple(0, (3, 3))
