@@ -56,6 +56,14 @@ class BlockTuple(_Value):
         is no field: equality, hash and repr ignore it."""
         return {}
 
+    @cached_property
+    def _lift_block(self):
+        """The block with one more column, c_max + 1 of multiplicity 1,
+        whose members are sdata's lifts of this block's: made once, so
+        that every lift of a member of this block shares its rows.  Like
+        _row_table it is no field."""
+        return BlockTuple(self.c_min, self.mults + (1,))
+
 
 EMPTY_BLOCK = BlockTuple(0, ())
 

@@ -18,9 +18,9 @@ the five keeps one row table, _Rows, for the length of its call, made
 from the seed.  The table gives each distinct row a small int id the
 first time the search meets it and works out, once per id, what the
 search asks of a row: whether it is strict and non-vanishing, its DSL
-item, A and B, (a, b), its split pairs and its dual (one per id, since
-every move keeps the parity that picks it); and, once per adjacent pair
-of ids, its row exchange and its union-intersection.  The formulas stay
+item, A and B, its split pairs and its dual (one per id, since every
+move keeps the parity that picks it); and, once per adjacent pair of
+ids, its row exchange and its union-intersection.  The formulas stay
 in the row-level cores of ops; the table only keeps their results.
 
 A state is a tuple of ids.  _moves yields every move of a state as a
@@ -33,7 +33,7 @@ and only a new one is checked, by the flags of its ids, since no move of
 a valid state breaks (P) (see _search).  A canonical key joins the DSL
 items of its ids.  Row exchanges keep the supports, so the Arthur
 parameter, which sorts the (a, b) of the rows, is taken once per exchange
-class, from the table's (a, b) of each id.
+class, from the ab each Row of the table keeps (see core.Row).
 """
 
 from typing import NamedTuple
@@ -120,7 +120,6 @@ class _Rows:
         self.text = []      # id -> DSL item, as bytes
         self.A = []         # id -> A, for the splits that keep (P)
         self.B = []         # id -> B, for them and the (P') order
-        self.ab = []        # id -> (a, b), for the Arthur parameter
         self.splits = []    # id -> (split_points, {X: split pair ids})
         self.duals = []     # id -> dual id, None until asked for
         self.pairs = []     # id i -> {id j: (exchange ids, ui ids)}, see pair
@@ -137,7 +136,6 @@ class _Rows:
             self.text.append(render(MultiSegment._of((row,), STRICT)).encode())
             self.A.append(row.A)
             self.B.append(row.B)
-            self.ab.append((row.a, row.b))
             self.splits.append((split_points(row), {}))
             self.duals.append(None)
             self.pairs.append({})
@@ -392,8 +390,9 @@ def closure(ms, max_states=DEFAULT_MAX_STATES, max_depth=DEFAULT_MAX_DEPTH):
         table, _moves, max_states, max_depth)
     keys = _component_keys(table, states, index, exchange_edges)
     # Row exchanges keep the supports, so psi is one per component.
-    ab = table.ab
-    psi = frozenset(tuple(sorted([ab[i] for i in states[r]])) for r in keys)
+    rows = table.rows
+    psi = frozenset(tuple(sorted([rows[i].ab for i in states[r]]))
+                    for r in keys)
     return ClosureReport(frozenset(keys.values()), psi, len(states), stop,
                          max_states, max_depth)
 

@@ -18,7 +18,7 @@ Python values become Rows.
 
 import json
 import re
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -58,13 +58,64 @@ def _shown(value):
         return "<%s%d-bit integer>" % ("-" * (value < 0), value.bit_length())
 
 
-class Row(NamedTuple):
-    """One extended segment ([A, B], l, eta)."""
+class _Value:
+    """The base of the immutable value classes, which name their fields in
+    _fields.  A value equals only a value of its own type with equal
+    fields, hashes and shows by them, and refuses assignment and deletion
+    with AttributeError; its __init__ sets the fields past that refusal,
+    in their slots or in its __dict__."""
+
+    __slots__ = ()
+
+    def _key(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class _RowFields(NamedTuple):
+    """The four fields of a Row, as a named tuple."""
 
     A: int
     B: int
     l: int
     eta: int
+
+
+class Row(_RowFields):
+    """One extended segment ([A, B], l, eta).
+
+    A Row is its 4-tuple: it equals, hashes, shows, copies and pickles as
+    the named tuple of its fields.  Having no __slots__, it has a
+    __dict__, where ab, its Arthur pair, is kept once worked out, so every
+    Arthur parameter that holds a Row shares that one pair.  A Row takes
+    80 bytes, and about 230 more once it has given its pair.  Like a
+    _Value it refuses assignment and deletion, so nothing else enters
+    that __dict__.
+    """
+
+    __setattr__ = _Value.__setattr__
+    __delattr__ = _Value.__delattr__
+
+    @cached_property
+    def ab(self):
+        """The Arthur pair (a, b), made on first use and kept."""
+        return self.a, self.b
 
     @property
     def a(self):
@@ -207,36 +258,6 @@ def _checked(rows, mode):
     return tuple(out)
 
 
-class _Value:
-    """The base of the immutable value classes, which name their fields in
-    _fields.  A value equals only a value of its own type with equal
-    fields, hashes and shows by them, and refuses assignment and deletion
-    with AttributeError; its __init__ sets the fields past that refusal,
-    in their slots or in its __dict__."""
-
-    __slots__ = ()
-
-    def _key(self):
-        return tuple([getattr(self, name) for name in self._fields])
-
-    def __eq__(self, other):
-        return (self._key() == other._key() if type(other) is type(self)
-                else NotImplemented)
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-
 class MultiSegment(_Value):
     """An ordered list of rows, either strict or relaxed ("symbol") mode.
 
@@ -311,10 +332,15 @@ def validate(ms):
 
 
 def arthur_parameter(ms):
-    """The multiset of (a, b) = (A+B+1, A-B+1), as a sorted tuple."""
+    """The multiset of (a, b) = (A+B+1, A-B+1), as a sorted tuple.
+
+    Its pairs are the ab of the rows, each made once per Row and shared:
+    the members build makes of one block share their Rows, so their
+    parameters share their pairs, and a set of many of them holds each
+    pair once, not once per row of every member."""
     if not validate(ms):
         raise SegmentError("multi-segment has an inadmissible order")
-    return tuple(sorted([(A + B + 1, A - B + 1) for A, B, _, _ in ms.rows]))
+    return tuple(sorted([r.ab for r in ms.rows]))
 
 
 def group_sign(ms):

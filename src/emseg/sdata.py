@@ -31,7 +31,6 @@ made by _rows with -eta at coordinates that theta_family reads off the
 from functools import cache
 from itertools import chain, product, repeat
 
-from .blocks import BlockTuple
 from .core import (
     STRICT, MultiSegment, Row, ScopeError, SegmentError, _eta, _shown,
 )
@@ -243,8 +242,11 @@ def _rows(M, S, T, eta):
     sign = eta
     for B, rank, A, l, n in items:
         sign = -sign if rank else sign
-        key = (A, B, l, sign)
-        row = table.get(key) or table.setdefault(key, Row(*key))
+        row = table.get((A, B, l, sign))
+        if row is None:
+            # A Row hashes and equals its 4-tuple, so it is its own key.
+            row = Row(A, B, l, sign)
+            table[row] = row
         if rank == 1:
             rows += [row] * n
         else:
@@ -319,7 +321,9 @@ def theta_family(M, S, T=None, eta=1):
     which has no lift, raises SegmentError.
 
     Every lift is a member of the block with one more column, M1 = M plus
-    a column c + 1 = c_max + 1 of multiplicity 1, built with -eta.  With
+    a column c + 1 = c_max + 1 of multiplicity 1, built with -eta.  M1 is
+    M._lift_block, made once per block, so every family of a member of M
+    takes its rows from one row table.  With
     (a, c) the last interval of S and P the last split of T (trivial_T(S)
     when T is None), its coordinates are:
 
@@ -354,7 +358,7 @@ def theta_family(M, S, T=None, eta=1):
               ("theta3", (*S, top), (*T, (top,)))]
     if M.mult(c) > 1:
         coords.append(("theta4", (*S, (c, c + 1)), (*T, ((c, c + 1),))))
-    M1 = BlockTuple(0, M.mults + (1,))
+    M1 = M._lift_block
     return [(tag, MultiSegment._of(_rows(M1, S1, T1, -eta), STRICT))
             for tag, S1, T1 in coords]
 

@@ -122,6 +122,34 @@ class TestClosure:
             assert other.psi == base.psi
             assert other.nodes == base.nodes
 
+    def test_psi_shares_the_pairs_of_the_table_rows(self, monkeypatch):
+        """Every pair of every psi of a closure is the ab of a Row of the
+        search's row table, and ab is (a, b) on each of them: from the
+        tempered block (1,3,1,3,1) at 0, its lift and every ninth member,
+        with both signs."""
+        tables = []
+
+        def kept(ms):
+            tables.append(real(ms))
+            return tables[-1]
+
+        module = sys.modules["emseg.closure"]
+        real = module._seed_table
+        monkeypatch.setattr(module, "_seed_table", kept)
+        M = BlockTuple(0, (1, 3, 1, 3, 1))
+        for eta in (1, -1):
+            seed = tempered_block(M, eta)
+            seeds = [seed, theta1(seed)] + [
+                build(M, S, T, eta) for S, T in enumerate_ST(M)[::9]]
+            for seed in seeds:
+                report = closure(seed)
+                rows = tables.pop().rows
+                assert all(row.ab == (row.a, row.b) for row in rows)
+                shared = {id(row.ab) for row in rows}
+                assert report.exhausted and len(report.psi) > 1
+                assert all(id(pair) in shared
+                           for psi in report.psi for pair in psi)
+
     def test_any_node_seeds_the_same_class(self, grid_closures):
         """A closure re-seeded from any of its node keys finds the same
         nodes and psi, which makes are_equivalent symmetric: three random

@@ -1,6 +1,8 @@
 """Value types, parsing, rendering and derived quantities."""
 
+import copy
 import json
+import pickle
 import random
 import re
 
@@ -29,6 +31,47 @@ class TestRow:
     def test_weak_normalize_sets_plus(self):
         assert weak_normalize(Row(1, 0, 1, -1)).eta == 1
         assert weak_normalize(Row(1, 0, 0, -1)).eta == -1
+
+    def test_ab_is_made_once(self):
+        """ab is (a, b), worked out on the first read and the same object
+        on every later one."""
+        r = Row(4, -1, 2, 1)
+        assert "ab" not in vars(r)
+        assert r.ab == (r.a, r.b) == (4, 6)
+        assert r.ab is r.ab and vars(r) == {"ab": (4, 6)}
+
+    def test_a_row_is_its_named_tuple(self):
+        """The cached pair changes nothing of the tuple a Row is: its
+        fields, equality and hash with plain 4-tuples, repr, _replace,
+        _make, copies and pickles, before and after ab is read."""
+        assert Row._fields == ("A", "B", "l", "eta")
+        for read in (False, True):
+            r = Row(3, 1, 0, -1)
+            if read:
+                r.ab
+            assert r == (3, 1, 0, -1) and (3, 1, 0, -1) == r
+            assert hash(r) == hash((3, 1, 0, -1))
+            assert {r: 1}[(3, 1, 0, -1)] == 1 and (3, 1, 0, -1) in {r}
+            assert repr(r) == "Row(A=3, B=1, l=0, eta=-1)"
+            for made in (r._replace(l=1), Row._make((3, 1, 1, -1))):
+                assert type(made) is Row and made == (3, 1, 1, -1)
+            copies = [copy.copy(r), copy.deepcopy(r)] + [
+                pickle.loads(pickle.dumps(r, protocol))
+                for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for back in copies:
+                assert type(back) is Row and back == r
+                assert back.ab == (5, 3)
+
+    def test_a_row_refuses_assignment(self):
+        """A Row takes no attribute, and its pair cannot be replaced."""
+        r = Row(3, 1, 0, -1)
+        r.ab
+        for name in ("A", "ab", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(r, name, (0, 0))
+            with pytest.raises(AttributeError):
+                delattr(r, name)
+        assert r.ab == (5, 3) and vars(r) == {"ab": (5, 3)}
 
 
 class TestMakeRow:

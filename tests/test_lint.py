@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import emseg
@@ -145,20 +146,29 @@ def test_build_trusts_its_checked_coordinates():
 
 def test_build_makes_each_row_once_per_block():
     """sdata.py makes a Row only for theta1's lift hat and in the miss
-    path of the block's row table in _rows, as the value setdefault
-    stores: no path goes back to one fresh Row per row of a member."""
+    path of the block's row table in _rows: under an `if ... is None`,
+    bound to a name that the same branch then stores in the table as its
+    own key.  No path goes back to one fresh Row per row of a member."""
     assert _callers("sdata.py", "Row") == {"_rows", "theta1"}
     path = Path(emseg.__file__).parent / "sdata.py"
     rows_fn = next(node for node in ast.parse(path.read_text()).body
                    if isinstance(node, ast.FunctionDef)
                    and node.name == "_rows")
     made = [node for node in ast.walk(rows_fn) if _is_call_of(node, "Row")]
-    stored = [arg for node in ast.walk(rows_fn)
-              if isinstance(node, ast.Call)
-              and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "setdefault"
-              for arg in node.args if _is_call_of(arg, "Row")]
-    assert len(made) == 1 and made == stored
+    misses = [node for node in ast.walk(rows_fn) if isinstance(node, ast.If)
+              and isinstance(node.test, ast.Compare)
+              and isinstance(node.test.ops[0], ast.Is)
+              and isinstance(node.test.comparators[0], ast.Constant)
+              and node.test.comparators[0].value is None]
+    assert len(made) == 1 and len(misses) == 1
+    made_at, stored_at = misses[0].body
+    assert made_at.value is made[0]
+    (name,) = made_at.targets
+    (store,) = stored_at.targets
+    assert isinstance(store, ast.Subscript)
+    assert ast.unparse(store.value) == "table"
+    assert [ast.unparse(store.slice), ast.unparse(stored_at.value)] == [
+        name.id, name.id]
 
 
 def test_splits_of_a_column_range_are_one_walk():
@@ -401,3 +411,39 @@ def test_the_block_walk_keeps_plain_entries():
     returned = [node for ret in ast.walk(walk) if isinstance(ret, ast.Return)
                 for node in ast.walk(ret) if _is_call_of(node, "BlockTuple")]
     assert len(made) == 1 and made == returned
+
+
+# The entries of an Arthur pair (a, b) of a row: its attributes a and b,
+# or their formulas A + B + 1 and A - B + 1.
+_PAIR_ENTRIES = (re.compile(r".+\.a|.*\bA \+ B \+ 1"),
+                 re.compile(r".+\.b|.*\bA - B \+ 1"))
+
+
+def _pair_makers(tree):
+    """Names of the functions of tree that make an Arthur pair: a tuple
+    of two entries that _PAIR_ENTRIES match in order."""
+    return {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Tuple) and len(node.elts) == 2
+            and all(pattern.fullmatch(ast.unparse(entry))
+                    for pattern, entry in zip(_PAIR_ENTRIES, node.elts))}
+
+
+def test_the_arthur_pair_is_made_only_by_row():
+    """The (a, b) formula lives in Row.ab alone: arthur_parameter reads
+    the ab of each row, and closure.py makes no pair of its own, nor
+    keeps a per-id ab table in _Rows."""
+    assert _pair_makers(ast.parse(
+        "def f(ms):\n    return [(A + B + 1, A - B + 1) for A, B, _, _ in ms]\n"
+        "def g(row):\n    return row.a, row.b\n"
+        "def h(row):\n    return row.b, row.a\n")) == {"f", "g"}
+    makers = {p.name: found for p in SOURCES
+              if (found := _pair_makers(ast.parse(p.read_text())))}
+    assert makers == {"core.py": {"ab"}}
+    assert "r.ab" in inspect.getsource(emseg.arthur_parameter)
+    path = Path(emseg.__file__).parent / "closure.py"
+    table = next(node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Rows")
+    assert "ab" not in {node.attr for node in ast.walk(table)
+                        if isinstance(node, ast.Attribute)}
+

@@ -1,8 +1,11 @@
 """Class coordinates for blocks: interval data, construction, lift family."""
 
 import functools
+import gc
 import itertools
+import operator
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -233,6 +236,23 @@ class TestTheta:
             for _, ms in theta_family(M, S, T, 1):
                 family_psis.add(arthur_parameter(ms))
         assert family_psis == set(report.psi)
+
+    def test_families_of_one_block_share_their_rows(self):
+        """The lifts are members of one block with one more column, made
+        once per block: two families of one member hold the same Row
+        objects, and families of all the members draw on one row table."""
+        M = BlockTuple(0, (1, 3, 1))
+        for S, T in enumerate_ST(M):
+            first, again = theta_family(M, S, T, -1), theta_family(M, S, T, -1)
+            assert [tag for tag, _ in first] == [tag for tag, _ in again]
+            for (_, ms), (_, ms2) in zip(first, again):
+                assert len(ms.rows) == len(ms2.rows)
+                assert all(map(operator.is_, ms.rows, ms2.rows))
+        M1 = M._lift_block
+        assert M1 is M._lift_block and M1 == BlockTuple(0, (1, 3, 1, 1))
+        assert all(M1._row_table[r] is r
+                   for S, T in enumerate_ST(M)
+                   for _, ms in theta_family(M, S, T, 1) for r in ms.rows)
 
     def test_top_multiplicity_gives_fourth_member(self):
         M = BlockTuple(0, (1, 3))
@@ -858,6 +878,49 @@ class TestBuildOnce:
         assert len(rows) > 20 * len(distinct)
         assert len({id(r) for r in rows}) == len(distinct)
         assert all(M._row_table[r] is r for r in rows)
+
+    def test_the_row_table_keys_each_row_by_itself(self):
+        """The table keeps no 4-tuple key beside a Row: each Row is its
+        own key, and a plain tuple still finds it."""
+        M = BlockTuple(0, (1, 3, 1, 3, 1))
+        for S, T in enumerate_ST(M):
+            for eta in (1, -1):
+                build(M, S, T, eta)
+        table = M._row_table
+        assert all(key is row and type(row) is Row
+                   for key, row in table.items())
+        assert all(table[tuple(row)] is row for row in table)
+
+    def test_parameters_share_the_pairs_of_the_rows(self):
+        """Every pair of the Arthur parameter of every member, with both
+        signs, is the ab of a Row of the block's table, and ab is (a, b)
+        on every row."""
+        M = BlockTuple(0, (1, 3, 1, 3, 1))
+        members = [build(M, S, T, eta) for S, T in enumerate_ST(M)
+                   for eta in (1, -1)]
+        pairs = [pair for ms in members for pair in arthur_parameter(ms)]
+        assert all(r.ab == (r.a, r.b) for ms in members for r in ms.rows)
+        shared = {id(row.ab) for row in M._row_table}
+        assert len(pairs) > 20 * len(shared)
+        assert {id(pair) for pair in pairs} <= shared
+
+    def test_a_set_of_parameters_holds_each_pair_once(self):
+        """The set of the Arthur parameters of the 6561 members of nine
+        1s at c_min 0 holds a tuple per parameter and no pair of its own:
+        at most 250 traced bytes per parameter (525 with a new pair per
+        row of each member, 172 with shared pairs)."""
+        M = BlockTuple(0, (1,) * 9)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            psis = {arthur_parameter(build(M, S, T, 1))
+                    for S, T in enumerate_ST(M)}
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(psis) == 6561
+        assert held / len(psis) <= 250
 
     def test_the_row_table_stays_within_its_bound(self):
         """A block of n columns has at most 2n^2 rows in its table (chains

@@ -9,7 +9,7 @@ import pytest
 from emseg import (
     BlockTuple, Boundary, ClosureReport, MultiSegment, OpResult, PacketCount,
     build, classify_boundary, closure, count_block_recursive, enumerate_ST,
-    parse, render, row_exchange, ui,
+    parse, render, row_exchange, theta_family, ui,
 )
 from emseg.core import RELAXED
 
@@ -111,6 +111,18 @@ def test_keyword_construction():
     ms = MultiSegment(rows=((1, 0, 0, 1),), mode=RELAXED)
     assert ms == MultiSegment([(1, 0, 0, 1)], RELAXED)
     assert BlockTuple(mults=(1,), c_min=2) == BlockTuple(2, (1,))
+
+
+def test_the_lift_block_is_no_field():
+    """theta_family keeps the block with one more column on the block, as
+    build keeps the row table: equality, hash and repr ignore both, and a
+    pickle of a fresh block carries neither."""
+    M, fresh = BlockTuple(0, (1, 3, 1)), BlockTuple(0, (1, 3, 1))
+    theta_family(M, ((0, 2),))
+    assert "_lift_block" in vars(M)
+    assert (fresh, hash(fresh), repr(fresh)) == (M, hash(M), repr(M))
+    back = pickle.loads(pickle.dumps(fresh))
+    assert back == M and not {"_row_table", "_lift_block"} & set(vars(back))
 
 
 def test_a_multi_segment_has_slots_only():
