@@ -1,13 +1,20 @@
-"""Tempered structure: alternating signs, block decomposition, boundaries."""
+"""Tempered structure: block decomposition and boundaries.
+
+This module only reads tempered symbols.  It makes no row: a tempered
+block is the member of its class whose S cuts after every column, so
+tempered_block and block_decompose take their rows from sdata._rows,
+which holds the odd-alternating sign rule.
+"""
 
 from functools import cached_property
 from itertools import groupby
 from typing import NamedTuple
 
 from .core import (
-    STRICT, MultiSegment, Row, ScopeError, SegmentError, _Value, _eta,
-    _integer, _shown,
+    STRICT, MultiSegment, ScopeError, SegmentError, _Value, _eta, _integer,
+    _shown,
 )
+from .sdata import _rows, trivial_T
 
 
 class BlockTuple(_Value):
@@ -126,11 +133,10 @@ def block_tuples(ms):
 
 
 def block_decompose(ms):
-    """The blocks of block_tuples as multi-segments in the mode of ms.
-
-    Their rows are the single-circle rows of ms, which are already checked.
-    """
-    return [MultiSegment._of(_block_rows(bt, eta), ms.mode)
+    """The blocks of block_tuples as multi-segments in the mode of ms: the
+    rows of tempered_block(bt, eta), equal to the single-circle rows of
+    ms, which are already checked."""
+    return [MultiSegment._of(tempered_block(bt, eta).rows, ms.mode)
             for bt, eta in block_tuples(ms)]
 
 
@@ -180,19 +186,12 @@ def classify_boundary(b1, b2):
     return Boundary(kind, H_col, N_col)
 
 
-def _block_rows(bt, eta):
-    """Single-circle rows with the given multiplicities, signs alternating
-    between columns starting from eta."""
-    rows = []
-    for c, m in enumerate(bt.mults, bt.c_min):
-        rows.extend([Row(c, c, 0, eta)] * m)
-        eta = -eta
-    return tuple(rows)
-
-
 def tempered_block(bt, eta=1):
     """The strict tempered multi-segment with the given multiplicities,
     signs alternating between columns starting from eta, a plain int of +1
-    or -1.  Its rows [c, c] with c >= c_min >= 0, l = 0 and b = 1 are
-    valid as built, so none is checked again."""
-    return MultiSegment._of(_block_rows(bt, _eta(eta)), STRICT)
+    or -1: the member of bt whose S cuts after every column, with the
+    trivial T.  Its rows are sdata._rows of those coordinates, which are
+    valid for every block, so only eta is checked; they come from bt's row
+    table, shared with every member build makes of bt."""
+    S1 = tuple((c, c) for c in range(bt.c_min, bt.c_max + 1))
+    return MultiSegment._of(_rows(bt, S1, trivial_T(S1), _eta(eta)), STRICT)

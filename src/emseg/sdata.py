@@ -22,6 +22,11 @@ n-column block has at most 2n^2 rows (n^2 chains and hats, each with
 either sign), and the table holds only rows of members built so far, so
 it never outgrows them.
 
+build's rows make the tempered block too: blocks.tempered_block(M, eta)
+is the member whose S cuts after every column, with the trivial T, made
+by _rows from M's row table, so every member of M that has one of its
+rows shares it.
+
 build's rows make the lift family too: every lift of a member of M is a
 member of the block with one more column, c_max + 1 of multiplicity 1,
 made by _rows with -eta at coordinates that theta_family reads off the
@@ -128,8 +133,9 @@ def iter_S(M):
     cut, an overlap when mult(c) > 1, or going on, tried in that order.
     Every tuple generated is valid, so none is filtered: an overlap starts
     the next interval on c and a later boundary or c_max ends it, so it is
-    wider.  The tuples stream out one at a time, in O(n) memory for n
-    columns.
+    wider.  Distinct choices give distinct tuples, so M has exactly
+    prod(3 if m > 1 else 2 for m in M.mults[:-1]) of them.  The tuples
+    stream out one at a time, in O(n) memory for n columns.
     """
     lo, hi = M.c_min, M.c_max
     if lo > hi:
@@ -164,6 +170,11 @@ def iter_ST(M):
     with the chain of an overlapping interval (a z-chain) at least two
     columns wide.  Equal intervals recur across the S-tuples, so each
     distinct (interval, least first part) is partitioned once per call.
+
+    A T-cut is a fourth choice at a boundary after c < c_max, open only
+    where S goes on; an overlap at c spends that boundary's one choice,
+    which is the z-chain rule.  So M has exactly
+    prod(4 if m > 1 else 3 for m in M.mults[:-1]) pairs.
 
     A block that does not start at 0 raises SegmentError at once.
     """

@@ -94,11 +94,16 @@ def _callers(name, callee):
 
 
 def test_operator_formulas_live_in_the_row_level_cores():
-    """Rows are made only by the row-level cores of ops, so no formula is
-    copied into a wrapper, a composite or the search."""
+    """Rows are made only by their makers: the four row-level cores of ops
+    (exchange_pair, ui_rows, dual_row, split_pair), sdata._rows and
+    theta1's lift hat (test_build_makes_each_row_once_per_block pins the
+    last two).  So no formula is copied into a wrapper, a composite or the
+    search, and blocks.py, which takes a tempered block's rows from
+    sdata._rows, makes none."""
     cores = {"exchange_pair", "ui_rows", "dual_row", "split_pair"}
     assert _callers("ops.py", "Row") <= cores
     assert _callers("closure.py", "Row") == set()
+    assert _callers("blocks.py", "Row") == set()
 
 
 def test_merging_hats_is_the_dual_ui_dual_composite():

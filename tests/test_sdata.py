@@ -3,6 +3,7 @@
 import functools
 import gc
 import itertools
+import math
 import operator
 import time
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from emseg import core, sdata
-from emseg.blocks import BlockTuple, tempered_block
+from emseg.blocks import BlockTuple, block_tuples, tempered_block
 from emseg.closure import (
     DEFAULT_MAX_DEPTH, DEFAULT_MAX_STATES, _moves, _search, _seed_table,
     canonical, closure,
@@ -90,6 +91,25 @@ class TestEnumerate:
     def test_refinement_needs_zero_start(self):
         with pytest.raises(SegmentError):
             enumerate_ST(BlockTuple(1, (1, 1)))
+
+    def test_member_count_law(self):
+        """Each boundary after a column c < c_max offers a cut, an overlap
+        when m_c > 1, or going on; at c_min 0 it offers a T-cut too, and an
+        overlap at c already spends that boundary's one choice (the z-chain
+        rule).  So S has prod(3 if m > 1 else 2) members over mults[:-1],
+        and (S, T) at c_min 0 prod(4 if m > 1 else 3), each distinct; on
+        iter_grid(6, 7, 3, 12)."""
+        blocks = 0
+        for M in iter_grid(6, 7, 3, 12):
+            Ss = enumerate_S(M)
+            assert len(Ss) == len(set(Ss)) == math.prod(
+                3 if m > 1 else 2 for m in M.mults[:-1]), M
+            if M.c_min == 0:
+                STs = enumerate_ST(M)
+                assert len(STs) == len(set(STs)) == math.prod(
+                    4 if m > 1 else 3 for m in M.mults[:-1]), M
+            blocks += 1
+        assert blocks == 1028
 
     def test_all_emitted_tuples_validate(self):
         M = BlockTuple(0, (1, 3, 1))
@@ -463,12 +483,25 @@ class TestMembersInTheClosure:
 
     def test_the_tempered_member_has_one_column_intervals(self):
         """tempered_block(M, eta) is the member whose S cuts after every
-        column, on iter_grid(6, 7, 3, 14) with both signs."""
+        column, on iter_grid(6, 7, 3, 14) with both signs: it renders as
+        m rows [c,c;0;+-] per column with signs alternating from eta, which
+        this test spells out itself, block_tuples reads (M, eta) back, and
+        each of its rows is the same object as that row of the build
+        member."""
         pairs = 0
         for M in iter_grid(6, 7, 3, 14):
             S = tuple((c, c) for c in range(M.c_min, M.c_max + 1))
             for eta in (1, -1):
-                assert tempered_block(M, eta) == build(M, S, None, eta), (
+                block = tempered_block(M, eta)
+                member = build(M, S, None, eta)
+                assert block == member, (M, eta)
+                assert render(block) == "".join(
+                    "[%d,%d;0;%s]" % (c, c, "+" if sign > 0 else "-") * m
+                    for c, m, sign in zip(itertools.count(M.c_min), M.mults,
+                                          itertools.cycle((eta, -eta)))), (
+                    M, eta)
+                assert block_tuples(block) == [(M, eta)], (M, eta)
+                assert all(map(operator.is_, block.rows, member.rows)), (
                     M, eta)
                 pairs += 1
         assert pairs == 3960
